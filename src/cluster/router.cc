@@ -1,45 +1,20 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <chrono>
+#include <memory>
+#include <thread>
 #include <utility>
-
-#include "obs/trace.h"
 
 namespace zr::cluster {
 
 namespace {
 
-/// Records a kRouterFanout span around one shard hop when the calling
-/// thread carries an active trace (no-op otherwise). Span detail is the
-/// shard index — a topology coordinate, never index content.
-class FanoutSpan {
- public:
-  explicit FanoutSpan(size_t shard)
-      : traced_(obs::CurrentTrace().active()),
-        shard_(shard),
-        start_(traced_ ? obs::MonotonicNowNs() : 0) {}
-
-  FanoutSpan(const FanoutSpan&) = delete;
-  FanoutSpan& operator=(const FanoutSpan&) = delete;
-
-  ~FanoutSpan() {
-    if (!traced_) return;
-    obs::RecordSpan(obs::Stage::kRouterFanout,
-                    obs::MonotonicNowNs() - start_, shard_);
-  }
-
- private:
-  bool traced_;
-  uint64_t shard_;
-  uint64_t start_;
-};
-
-}  // namespace
-
-RouterService::RouterService(size_t num_lists, const Options& options)
-    : num_lists_(num_lists) {
+std::vector<std::unique_ptr<net::ShardService>> MakeClients(
+    const RouterService::Options& options) {
   size_t num_shards = std::max<size_t>(1, options.shard_addrs.size());
-  shards_.reserve(num_shards);
+  std::vector<std::unique_ptr<net::ShardService>> clients;
+  clients.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     ShardClientOptions client = options.client;
     client.addr = s < options.shard_addrs.size() ? options.shard_addrs[s]
@@ -50,21 +25,15 @@ RouterService::RouterService(size_t num_lists, const Options& options)
         options.client.retry_backoff.seed + 0x9E3779B97F4A7C15ull * (s + 1));
     client.breaker_backoff.seed = zerber::MixSeed(
         options.client.breaker_backoff.seed + 0x517CC1B727220A95ull * (s + 1));
-    shards_.push_back(std::make_unique<ShardClient>(std::move(client)));
+    clients.push_back(std::make_unique<ShardClient>(std::move(client)));
   }
+  return clients;
+}
 
-  size_t num_workers = options.num_workers;
-  if (num_workers == kAutoWorkers) {
-    size_t hardware = std::thread::hardware_concurrency();
-    if (hardware == 0) hardware = 2;
-    size_t target = std::min(num_shards, hardware);
-    num_workers = target > 0 ? target - 1 : 0;
-  }
-  workers_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+}  // namespace
 
+RouterService::RouterService(size_t num_lists, const Options& options)
+    : ShardRouter(num_lists, MakeClients(options), options.num_workers) {
   // The router's fault-handling counters on the scrape plane: the
   // aggregate under zr_router_*, plus the per-shard breakdown the
   // aggregate hides (which shard is retrying, whose breaker opened).
@@ -101,235 +70,9 @@ RouterService::RouterService(size_t num_lists, const Options& options)
       });
 }
 
-RouterService::~RouterService() {
-  {
-    MutexLock lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_cv_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void RouterService::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(queue_mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.Wait(queue_mu_);
-      if (queue_.empty()) return;  // stopping, queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void RouterService::Enqueue(std::function<void()> task) {
-  {
-    MutexLock lock(queue_mu_);
-    queue_.push_back(std::move(task));
-  }
-  queue_cv_.NotifyOne();
-}
-
-Status RouterService::CheckList(zerber::MergedListId list) const {
-  if (list >= num_lists_) {
-    return Status::OutOfRange("merged list " + std::to_string(list) +
-                              " does not exist");
-  }
-  return Status::OK();
-}
-
-StatusOr<net::InsertResponse> RouterService::Insert(
-    const net::InsertRequest& request) {
-  // Out-of-range global ids forward to the owning shard like
-  // ShardedIndexService: the local id is then out of the shard's range, so
-  // the shard rejects (and counts) the request itself.
-  net::InsertRequest local = request;
-  local.list = LocalListId(request.list);
-  size_t shard = ShardOfList(request.list);
-  FanoutSpan span(shard);
-  ZR_ASSIGN_OR_RETURN(net::InsertResponse response,
-                      shards_[shard]->Insert(local));
-  response.wire_size = 0;  // backend semantics: accounting is the
-                           // client-side transport's job
-  return response;
-}
-
-StatusOr<net::QueryResponse> RouterService::Fetch(
-    const net::QueryRequest& request) {
-  net::QueryRequest local = request;
-  local.list = LocalListId(request.list);
-  size_t shard = ShardOfList(request.list);
-  FanoutSpan span(shard);
-  ZR_ASSIGN_OR_RETURN(net::QueryResponse response,
-                      shards_[shard]->Fetch(local));
-  response.wire_size = 0;
-  return response;
-}
-
-StatusOr<net::MultiFetchResponse> RouterService::MultiFetch(
-    const net::MultiFetchRequest& request) {
-  const std::vector<net::FetchRange>& fetches = request.fetches;
-  // Validate every range upfront so the call fails atomically before any
-  // shard does work (identical to ShardedIndexService).
-  for (const net::FetchRange& f : fetches) {
-    ZR_RETURN_IF_ERROR(CheckList(f.list));
-  }
-
-  net::MultiFetchResponse response;
-  response.responses.resize(fetches.size());
-
-  // Group ranges by owning shard; one sub-MultiFetch per shard with work.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < fetches.size(); ++i) {
-    by_shard[ShardOfList(fetches[i].list)].push_back(i);
-  }
-  std::vector<size_t> active;
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (!by_shard[s].empty()) active.push_back(s);
-  }
-
-  // On multiple failing shards, surface the error of the shard whose batch
-  // starts earliest in the request (ranges group in order, so this is the
-  // error an in-order serial execution would have hit first).
-  Mutex error_mu;
-  size_t first_error_index = static_cast<size_t>(-1);
-  Status first_error = Status::OK();
-
-  // Capture the caller's trace context by value: shard batches handed to
-  // the worker pool run on threads with no trace of their own, so each
-  // closure re-installs the context before its shard hop (the trace then
-  // crosses the wire from the worker thread too, and its fanout/transport
-  // spans land on the caller's trace id).
-  const obs::TraceContext trace = obs::CurrentTrace();
-  auto run_shard = [&](size_t s) {
-    obs::ScopedTrace propagate(trace);
-    net::MultiFetchRequest sub;
-    sub.user = request.user;
-    sub.fetches.reserve(by_shard[s].size());
-    for (size_t idx : by_shard[s]) {
-      net::FetchRange local = fetches[idx];
-      local.list = LocalListId(local.list);
-      sub.fetches.push_back(local);
-    }
-    FanoutSpan span(s);
-    auto fetched = shards_[s]->MultiFetch(sub);
-    if (!fetched.ok() ||
-        fetched->responses.size() != by_shard[s].size()) {
-      Status failure = fetched.ok()
-                           ? Status::Internal("shard " + std::to_string(s) +
-                                              ": short multifetch response")
-                           : fetched.status();
-      MutexLock lock(error_mu);
-      if (by_shard[s].front() < first_error_index) {
-        first_error_index = by_shard[s].front();
-        first_error = failure;
-      }
-      return;
-    }
-    for (size_t i = 0; i < by_shard[s].size(); ++i) {
-      net::QueryResponse& out = response.responses[by_shard[s][i]];
-      out = std::move(fetched->responses[i]);
-      out.wire_size = 0;  // shard-hop accounting is not the client's
-    }
-  };
-
-  if (active.size() <= 1 || workers_.empty()) {
-    for (size_t s : active) run_shard(s);
-  } else {
-    // Fan out: every shard batch but the first goes to the pool; the
-    // calling thread serves the first itself, then waits for the rest.
-    Mutex done_mu;
-    CondVar done_cv;
-    size_t remaining = active.size() - 1;
-    for (size_t i = 1; i < active.size(); ++i) {
-      size_t s = active[i];
-      Enqueue([&, s] {
-        run_shard(s);
-        // Notify *while holding the lock*: done_mu/done_cv live on the
-        // caller's stack, and the caller may destroy them as soon as it
-        // observes remaining == 0 — which it cannot do before this unlock.
-        MutexLock lock(done_mu);
-        --remaining;
-        done_cv.NotifyOne();
-      });
-    }
-    run_shard(active[0]);
-    MutexLock lock(done_mu);
-    while (remaining != 0) done_cv.Wait(done_mu);
-  }
-
-  if (first_error_index != static_cast<size_t>(-1)) return first_error;
-  return response;
-}
-
-StatusOr<net::DeleteResponse> RouterService::Delete(
-    const net::DeleteRequest& request) {
-  // Routes by list id alone, like ShardedIndexService: a handle whose
-  // residue disagrees with the list's shard cannot exist there, and the
-  // shard reports it NotFound itself.
-  net::DeleteRequest local = request;
-  local.list = LocalListId(request.list);
-  size_t shard = ShardOfList(request.list);
-  FanoutSpan span(shard);
-  ZR_ASSIGN_OR_RETURN(net::DeleteResponse response,
-                      shards_[shard]->Delete(local));
-  response.wire_size = 0;
-  return response;
-}
-
-Status RouterService::AddGroup(crypto::GroupId group) {
-  net::AclRequest acl;
-  acl.op = net::AclRequest::Op::kAddGroup;
-  acl.group = group;
-  for (auto& shard : shards_) ZR_RETURN_IF_ERROR(shard->Acl(acl));
-  return Status::OK();
-}
-
-Status RouterService::GrantMembership(zerber::UserId user,
-                                      crypto::GroupId group) {
-  net::AclRequest acl;
-  acl.op = net::AclRequest::Op::kGrant;
-  acl.user = user;
-  acl.group = group;
-  for (auto& shard : shards_) ZR_RETURN_IF_ERROR(shard->Acl(acl));
-  return Status::OK();
-}
-
-Status RouterService::RevokeMembership(zerber::UserId user,
-                                       crypto::GroupId group) {
-  net::AclRequest acl;
-  acl.op = net::AclRequest::Op::kRevoke;
-  acl.user = user;
-  acl.group = group;
-  for (auto& shard : shards_) ZR_RETURN_IF_ERROR(shard->Acl(acl));
-  return Status::OK();
-}
-
-zerber::ServerStats RouterService::stats() {
-  zerber::ServerStats total;
-  for (auto& shard : shards_) {
-    auto scraped = shard->Stats();
-    if (!scraped.ok()) continue;  // unreachable shard contributes zeros
-    total.fetch_requests += scraped->fetch_requests;
-    total.insert_requests += scraped->insert_requests;
-    total.insert_denied += scraped->insert_denied;
-    total.delete_requests += scraped->delete_requests;
-    total.delete_denied += scraped->delete_denied;
-    total.elements_served += scraped->elements_served;
-    total.bytes_served += scraped->bytes_served;
-    total.fetch_latency_ns += scraped->fetch_latency_ns;
-    total.insert_latency_ns += scraped->insert_latency_ns;
-    total.delete_latency_ns += scraped->delete_latency_ns;
-  }
-  return total;
-}
-
 RouterStats RouterService::router_stats() const {
   RouterStats total;
-  for (const auto& shard : shards_) {
-    ShardClientStats s = shard->stats();
+  for (const ShardClientStats& s : shard_stats()) {
     total.attempts += s.attempts;
     total.transport_errors += s.transport_errors;
     total.retries += s.retries;
@@ -344,8 +87,10 @@ RouterStats RouterService::router_stats() const {
 
 std::vector<ShardClientStats> RouterService::shard_stats() const {
   std::vector<ShardClientStats> out;
-  out.reserve(shards_.size());
-  for (const auto& shard : shards_) out.push_back(shard->stats());
+  out.reserve(num_shards());
+  for (size_t s = 0; s < num_shards(); ++s) {
+    out.push_back(shard_client(s).stats());
+  }
   return out;
 }
 
@@ -354,19 +99,19 @@ Status RouterService::WaitForShard(size_t s, uint64_t timeout_ms) {
                   std::chrono::milliseconds(timeout_ms);
   Status last = Status::OK();
   for (;;) {
-    last = shards_[s]->Probe();
+    last = shard_client(s).Probe();
     if (last.ok()) return Status::OK();
     if (std::chrono::steady_clock::now() >= deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return Status::Unavailable("shard " + std::to_string(s) + " (" +
-                             shards_[s]->addr() + ") not up after " +
+                             shard_client(s).addr() + ") not up after " +
                              std::to_string(timeout_ms) +
                              "ms: " + last.message());
 }
 
 Status RouterService::WaitForAll(uint64_t timeout_ms) {
-  for (size_t s = 0; s < shards_.size(); ++s) {
+  for (size_t s = 0; s < num_shards(); ++s) {
     ZR_RETURN_IF_ERROR(WaitForShard(s, timeout_ms));
   }
   return Status::OK();

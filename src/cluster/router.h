@@ -1,55 +1,35 @@
 // RouterService: one logical Zerber index served over N remote shard
 // processes.
 //
-// The cluster-topology sibling of zerber::ShardedIndexService: the same
-// deterministic routing math (zerber/routing.h — list % N owns the list,
-// handle residue classes keep handles globally unique, per-shard seeds are
-// SplitMix64-derived), but each shard is an independent shard-server
-// process (tools/shard_server.cc: store::DurableIndexService behind a
-// net::TcpServer) reached through a fault-tolerant ShardClient. This is the
-// paper's deployment model made literal — the confidential index lives on
+// The cluster deployment of net::ShardRouter (net/shard_router.h, which owns
+// the routing, the MultiFetch fan-out, the ACL broadcast and the stats sum):
+// each shard handle is a fault-tolerant cluster::ShardClient connection to
+// an independent shard-server process (tools/shard_server.cc:
+// store::DurableIndexService behind a net::TcpServer). This is the paper's
+// deployment model made literal — the confidential index lives on
 // untrusted, distributed servers, and the router holds no index state at
 // all: every byte of posting data, every ACL bit, lives behind the wire.
-//
-// Request path:
-//  * Insert/Fetch/Delete — translate the global list id to the owning
-//    shard's local id and forward; responses come back unchanged (handles
-//    are already global by residue construction).
-//  * MultiFetch — validate every range upfront (atomic failure, identical
-//    to ShardedIndexService), group ranges by owning shard into one
-//    sub-MultiFetch per shard, fan out on a small worker pool (the calling
-//    thread serves one shard itself), reassemble responses in request
-//    order. A dead shard fails fast with Status::Unavailable (circuit
-//    breaker) instead of stalling the healthy shards' results.
+// Its results are byte-identical to zerber::ShardedIndexService, the same
+// engine over in-process shards.
 //
 // Failure semantics are ShardClient's: bounded retries with backoff for
-// idempotent ops, fail-fast Unavailable while a shard's breaker is open,
-// and automatic rejoin after a health probe verifies a restarted shard.
-//
-// Threading: the request path is thread-safe (ShardClient is; the worker
-// pool mirrors ShardedIndexService's). The operator surface (ACL
-// broadcast) requires the same quiescence as every other backend.
+// idempotent ops, fail-fast Unavailable while a shard's breaker is open (so
+// a dead shard fails a MultiFetch fast instead of stalling the healthy
+// shards' results), and automatic rejoin after a health probe verifies a
+// restarted shard. The shard server applies ACL changes idempotently, so a
+// retried broadcast converges.
 
 #ifndef ZERBERR_CLUSTER_ROUTER_H_
 #define ZERBERR_CLUSTER_ROUTER_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/shard_client.h"
-#include "net/service.h"
+#include "net/shard_router.h"
 #include "obs/registry.h"
-#include "util/mutex.h"
 #include "util/status.h"
-#include "util/statusor.h"
-#include "util/thread_annotations.h"
-#include "zerber/routing.h"
-#include "zerber/zerber_index.h"
 
 namespace zr::cluster {
 
@@ -65,19 +45,16 @@ struct RouterStats {
   uint64_t rejoins = 0;
 };
 
-class RouterService : public net::ZerberService {
+class RouterService : public net::ShardRouter {
  public:
-  /// Sentinel for Options::num_workers: size the pool automatically.
-  static constexpr size_t kAutoWorkers = static_cast<size_t>(-1);
-
   struct Options {
     /// "host:port" of shard s at index s. Order is identity: shard s must
     /// be the server holding lists {L : L % N == s} (it echoes s as its
     /// server id, verified on every health probe).
     std::vector<std::string> shard_addrs;
 
-    /// Worker threads fanning MultiFetch batches across shards (same
-    /// semantics as ShardedIndexService::Options::num_workers).
+    /// Worker threads fanning MultiFetch batches across shards (see
+    /// net::ShardRouter; kAutoWorkers sizes the pool).
     size_t num_workers = kAutoWorkers;
 
     /// Fault-handling template applied to every shard's client; `addr` and
@@ -89,45 +66,6 @@ class RouterService : public net::ZerberService {
 
   /// Routes `num_lists` global merged lists over options.shard_addrs.
   RouterService(size_t num_lists, const Options& options);
-  ~RouterService() override;
-
-  RouterService(const RouterService&) = delete;
-  RouterService& operator=(const RouterService&) = delete;
-
-  // ZerberService request path (global coordinates). Thread-safe.
-  StatusOr<net::InsertResponse> Insert(const net::InsertRequest& request)
-      override;
-  StatusOr<net::QueryResponse> Fetch(const net::QueryRequest& request)
-      override;
-  StatusOr<net::MultiFetchResponse> MultiFetch(
-      const net::MultiFetchRequest& request) override;
-  StatusOr<net::DeleteResponse> Delete(const net::DeleteRequest& request)
-      override;
-
-  /// Routing (deterministic; zerber/routing.h).
-  size_t num_shards() const { return shards_.size(); }
-  size_t ShardOfList(zerber::MergedListId list) const {
-    return zerber::ShardOfList(list, shards_.size());
-  }
-  size_t ShardOfHandle(uint64_t handle) const {
-    return zerber::ShardOfHandle(handle, shards_.size());
-  }
-  zerber::MergedListId LocalListId(zerber::MergedListId list) const {
-    return zerber::LocalListId(list, shards_.size());
-  }
-  size_t NumLists() const { return num_lists_; }
-
-  /// Operator API: ACL changes broadcast to every shard. The shard server
-  /// applies them idempotently, so a retried broadcast converges.
-  Status AddGroup(crypto::GroupId group);
-  Status GrantMembership(zerber::UserId user, crypto::GroupId group);
-  Status RevokeMembership(zerber::UserId user, crypto::GroupId group);
-
-  /// Sums ServerStats over every reachable shard (a shard that cannot be
-  /// scraped contributes zeros — stats are observability, not control
-  /// flow). With all shards healthy the totals are exactly
-  /// ShardedIndexService::stats() of the equivalent in-process backend.
-  zerber::ServerStats stats();
 
   /// Aggregated fault-handling counters across all shard clients.
   RouterStats router_stats() const;
@@ -135,8 +73,11 @@ class RouterService : public net::ZerberService {
   /// Per-shard fault-handling counters (index = shard).
   std::vector<ShardClientStats> shard_stats() const;
 
-  /// Direct client access (tests, targeted probes).
-  ShardClient& shard_client(size_t s) { return *shards_[s]; }
+  /// Direct client access (tests, targeted probes). Every handle of this
+  /// router is the ShardClient its constructor built.
+  ShardClient& shard_client(size_t s) const {
+    return static_cast<ShardClient&>(shard_service(s));
+  }
 
   /// Probes shard `s` until it answers or `timeout_ms` elapses. Used after
   /// (re)starting a shard process: success means the shard recovered its
@@ -147,22 +88,9 @@ class RouterService : public net::ZerberService {
   Status WaitForAll(uint64_t timeout_ms);
 
  private:
-  Status CheckList(zerber::MergedListId list) const;
-
-  void WorkerLoop();
-  void Enqueue(std::function<void()> task);
-
-  size_t num_lists_;
-  std::vector<std::unique_ptr<ShardClient>> shards_;
-
-  std::vector<std::thread> workers_;
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<std::function<void()>> queue_ ZR_GUARDED_BY(queue_mu_);
-  bool stopping_ ZR_GUARDED_BY(queue_mu_) = false;
   /// Publishes RouterStats and per-shard ShardClientStats through the
-  /// process metrics registry. LAST member: unregistered before anything
-  /// else is torn down, and RemoveCollector blocks out in-flight scrapes.
+  /// process metrics registry. Unregistered (RemoveCollector blocks out
+  /// in-flight scrapes) before the router's shard clients are torn down.
   obs::CollectorHandle metrics_collector_;
 };
 

@@ -41,6 +41,7 @@
 #include <vector>
 
 #include "net/messages.h"
+#include "net/service.h"
 #include "net/tcp.h"
 #include "util/backoff.h"
 #include "util/mutex.h"
@@ -105,7 +106,9 @@ struct ShardClientStats {
   uint64_t rejoins = 0;           ///< open -> closed transitions (probe ok)
 };
 
-class ShardClient {
+/// The remote shard handle of a net::ShardRouter (see
+/// cluster::RouterService).
+class ShardClient : public net::ShardService {
  public:
   explicit ShardClient(ShardClientOptions options);
 
@@ -114,13 +117,15 @@ class ShardClient {
 
   /// Typed exchanges. List ids and handles are the *local* coordinates of
   /// this shard — the router translates before calling.
-  StatusOr<net::InsertResponse> Insert(const net::InsertRequest& request);
-  StatusOr<net::QueryResponse> Fetch(const net::QueryRequest& request);
+  StatusOr<net::InsertResponse> Insert(
+      const net::InsertRequest& request) override;
+  StatusOr<net::QueryResponse> Fetch(const net::QueryRequest& request) override;
   StatusOr<net::MultiFetchResponse> MultiFetch(
-      const net::MultiFetchRequest& request);
-  StatusOr<net::DeleteResponse> Delete(const net::DeleteRequest& request);
-  Status Acl(const net::AclRequest& request);
-  StatusOr<net::StatsResponse> Stats();
+      const net::MultiFetchRequest& request) override;
+  StatusOr<net::DeleteResponse> Delete(
+      const net::DeleteRequest& request) override;
+  Status Acl(const net::AclRequest& request) override;
+  StatusOr<net::StatsResponse> Stats() override;
 
   /// One health probe: ping, verify token echo + server id. Success closes
   /// the breaker (counted as a rejoin when it was open); failure opens it.

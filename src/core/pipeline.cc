@@ -114,10 +114,7 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
     }
     cluster::RouterService::Options routing;
     routing.shard_addrs = std::move(addrs);
-    routing.num_workers =
-        options.num_shard_workers == zerber::ShardedIndexService::kAutoWorkers
-            ? cluster::RouterService::kAutoWorkers
-            : options.num_shard_workers;
+    routing.num_workers = options.num_shard_workers;
     routing.client = options.cluster_client;
     p->router = std::make_unique<cluster::RouterService>(p->plan.NumLists(),
                                                          routing);

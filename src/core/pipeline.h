@@ -97,9 +97,9 @@ struct PipelineOptions {
   /// Both transports, clients and results are identical either way.
   size_t num_shards = 1;
 
-  /// MultiFetch worker threads of the sharded backend; only meaningful
-  /// when num_shards > 1. ShardedIndexService::kAutoWorkers sizes the pool
-  /// from the hardware.
+  /// MultiFetch worker threads of the fan-out backend (net::ShardRouter):
+  /// the sharded one when num_shards > 1, or the cluster router.
+  /// kAutoWorkers sizes the pool from the hardware.
   size_t num_shard_workers = zerber::ShardedIndexService::kAutoWorkers;
 
   /// Cluster deployment: non-empty serves the index over already-running

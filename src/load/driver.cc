@@ -10,6 +10,7 @@
 #include "core/pipeline.h"
 #include "core/zerber_r_client.h"
 #include "load/op_generator.h"
+#include "net/shard_router.h"
 #include "net/tcp.h"
 #include "obs/registry.h"
 #include "obs/slow_op_log.h"
@@ -568,14 +569,20 @@ Deployment DeploymentFromPipeline(core::Pipeline* pipeline) {
   }
   d.groups.assign(groups.begin(), groups.end());
 
+  // Both fan-out deployments (in-process shards or shard processes) are a
+  // net::ShardRouter; only the cluster adds fault-handling counters.
+  net::ShardRouter* shards = pipeline->sharded.get();
   if (pipeline->router) {
     cluster::RouterService* router = pipeline->router.get();
-    d.backend = router;
-    d.grant = [router](zerber::UserId user, crypto::GroupId group) {
-      return router->GrantMembership(user, group);
-    };
-    d.server_stats = [router] { return router->stats(); };
+    shards = router;
     d.router_stats = [router] { return router->router_stats(); };
+  }
+  if (shards != nullptr) {
+    d.backend = shards;
+    d.grant = [shards](zerber::UserId user, crypto::GroupId group) {
+      return shards->GrantMembership(user, group);
+    };
+    d.server_stats = [shards] { return shards->stats(); };
   } else if (pipeline->durable) {
     store::DurableIndexService* durable = pipeline->durable.get();
     d.backend = durable;
@@ -589,13 +596,6 @@ Deployment DeploymentFromPipeline(core::Pipeline* pipeline) {
       zerber::IndexServer* single = durable->single();
       d.server_stats = [single] { return single->stats(); };
     }
-  } else if (pipeline->sharded) {
-    zerber::ShardedIndexService* sharded = pipeline->sharded.get();
-    d.backend = sharded;
-    d.grant = [sharded](zerber::UserId user, crypto::GroupId group) {
-      return sharded->GrantMembership(user, group);
-    };
-    d.server_stats = [sharded] { return sharded->stats(); };
   } else {
     zerber::IndexServer* server = pipeline->server.get();
     d.backend = pipeline->service.get();

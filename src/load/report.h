@@ -42,9 +42,11 @@ struct ObsReport {
   uint64_t traces = 0;  ///< distinct trace ids drained
 
   /// Traces carrying the full client -> router -> shard -> WAL chain
-  /// (kClientOp + kRouterFanout + kShardServe + kWalAppend spans). Only a
-  /// cluster deployment's traced mutations can be complete by this
-  /// definition; other deployments report 0.
+  /// (kClientOp + kRouterFanout + kShardServe + kWalAppend spans). Only
+  /// traced mutations that cross a net::ShardRouter, a framed serving hop
+  /// and a WAL can be complete by this definition — a cluster deployment,
+  /// or a durable sharded backend served over TCP; other deployments
+  /// report 0.
   uint64_t complete_traces = 0;
 
   uint64_t spans = 0;          ///< span records drained

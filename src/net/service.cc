@@ -1,5 +1,7 @@
 #include "net/service.h"
 
+#include "util/mutex.h"
+
 namespace zr::net {
 
 StatusOr<InsertResponse> IndexService::Insert(const InsertRequest& request) {
@@ -43,6 +45,41 @@ StatusOr<DeleteResponse> IndexService::Delete(const DeleteRequest& request) {
   ZR_RETURN_IF_ERROR(
       server_->Delete(request.user, request.list, request.handle));
   return DeleteResponse{};
+}
+
+Status IndexService::Acl(const AclRequest& request) {
+  // Quiescent-only by contract (see ShardService::Acl); claim the server's
+  // capability on the caller's behalf.
+  zerber::IndexServer& server = *server_;
+  QuiescenceLock quiesced(server.quiescence());
+  switch (request.op) {
+    case AclRequest::Op::kAddGroup:
+      return server.acl().AddGroup(request.group);
+    case AclRequest::Op::kGrant:
+      return server.acl().GrantMembership(request.user, request.group);
+    case AclRequest::Op::kRevoke:
+      return server.acl().RevokeMembership(request.user, request.group);
+  }
+  return Status::InvalidArgument("unknown ACL op");
+}
+
+StatusOr<StatsResponse> IndexService::Stats() {
+  return StatsResponseOf(server_->stats());
+}
+
+StatsResponse StatsResponseOf(const zerber::ServerStats& stats) {
+  StatsResponse out;
+  out.fetch_requests = stats.fetch_requests;
+  out.insert_requests = stats.insert_requests;
+  out.insert_denied = stats.insert_denied;
+  out.delete_requests = stats.delete_requests;
+  out.delete_denied = stats.delete_denied;
+  out.elements_served = stats.elements_served;
+  out.bytes_served = stats.bytes_served;
+  out.fetch_latency_ns = stats.fetch_latency_ns;
+  out.insert_latency_ns = stats.insert_latency_ns;
+  out.delete_latency_ns = stats.delete_latency_ns;
+  return out;
 }
 
 }  // namespace zr::net

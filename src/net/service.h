@@ -19,9 +19,12 @@ namespace zr::net {
 
 /// The client<->server protocol, one virtual per message exchange.
 ///
-/// Implementations: IndexService (single-server backend),
-/// zerber::ShardedIndexService (thread-safe sharded backend),
-/// store::DurableIndexService (WAL-backed decorator over either), and the
+/// Implementations: IndexService (single-server backend), ShardRouter
+/// (one fan-out engine over N ShardService handles, net/shard_router.h)
+/// with its two deployments zerber::ShardedIndexService (in-process
+/// IndexService shards) and cluster::RouterService (cluster::ShardClient
+/// connections to shard processes), store::DurableIndexService (WAL-backed
+/// decorator over IndexService or ShardedIndexService), and the
 /// client-side stubs DirectTransport / LoopbackTransport / TcpTransport
 /// forwarding to a backend service (net/transport.h, net/tcp.h).
 ///
@@ -55,12 +58,29 @@ class ZerberService {
   virtual StatusOr<DeleteResponse> Delete(const DeleteRequest& request) = 0;
 };
 
+/// One shard behind a ShardRouter: the request protocol plus the
+/// operator's control-plane calls, which the router broadcasts (Acl) and
+/// sums (Stats). An in-process shard is an IndexService; a remote one is a
+/// cluster::ShardClient, whose calls cross the wire as AclRequest and
+/// StatsRequest frames.
+class ShardService : public ZerberService {
+ public:
+  /// Applies one ACL mutation. Requires quiescence.
+  virtual Status Acl(const AclRequest& request) = 0;
+
+  /// The shard's ServerStats counters.
+  virtual StatusOr<StatsResponse> Stats() = 0;
+};
+
+/// ServerStats flattened into its wire form (no registry dump).
+StatsResponse StatsResponseOf(const zerber::ServerStats& stats);
+
 /// Server-side implementation: adapts zerber::IndexServer to the service
 /// API. Lives next to the server; performs no serialization and no byte
 /// accounting (that is the transport's job). Thread-safe on the request
 /// path (IndexServer is); `server` is borrowed and must outlive the
 /// service.
-class IndexService : public ZerberService {
+class IndexService : public ShardService {
  public:
   /// `server` must outlive the service.
   explicit IndexService(zerber::IndexServer* server) : server_(server) {}
@@ -70,6 +90,8 @@ class IndexService : public ZerberService {
   StatusOr<MultiFetchResponse> MultiFetch(
       const MultiFetchRequest& request) override;
   StatusOr<DeleteResponse> Delete(const DeleteRequest& request) override;
+  Status Acl(const AclRequest& request) override;
+  StatusOr<StatsResponse> Stats() override;
 
   zerber::IndexServer* server() { return server_; }
 

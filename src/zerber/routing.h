@@ -1,10 +1,10 @@
 // Shared shard-routing math.
 //
-// ShardedIndexService (in-process shards) and cluster::RouterService (remote
-// shard processes) must agree bit-for-bit on how the global list space and
-// handle space map onto N shards — a shard server recovered from its WAL has
-// to land exactly where the router expects it. These helpers are that single
-// source of truth:
+// net::ShardRouter (the fan-out engine behind both ShardedIndexService and
+// cluster::RouterService) and the shard servers' stores must agree
+// bit-for-bit on how the global list space and handle space map onto N
+// shards — a shard server recovered from its WAL has to land exactly where
+// the router expects it. These helpers are that single source of truth:
 //
 //   * list  -> shard: global list L lives on shard L % N as local list L / N
 //     (round-robin keeps BFM's frequency-adjacent lists on different shards,

@@ -7,255 +7,60 @@
 
 namespace zr::zerber {
 
-ShardedIndexService::ShardedIndexService(size_t num_lists,
-                                         const Options& options)
-    : num_lists_(num_lists) {
+namespace {
+
+std::vector<std::unique_ptr<IndexServer>> MakeServers(
+    size_t num_lists, const ShardedIndexService::Options& options) {
   size_t num_shards = std::max<size_t>(1, options.num_shards);
-  shards_.reserve(num_shards);
+  std::vector<std::unique_ptr<IndexServer>> servers;
+  servers.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
-    shards_.push_back(std::make_unique<IndexServer>(
+    servers.push_back(std::make_unique<IndexServer>(
         ListsOnShard(num_lists, num_shards, s), options.placement,
         ShardSeed(options.seed, s), HandleSpace{num_shards, s}));
   }
-
-  size_t num_workers = options.num_workers;
-  if (num_workers == kAutoWorkers) {
-    size_t hardware = std::thread::hardware_concurrency();
-    if (hardware == 0) hardware = 2;
-    size_t target = std::min(num_shards, hardware);
-    num_workers = target > 0 ? target - 1 : 0;
-  }
-  workers_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  return servers;
 }
 
-ShardedIndexService::~ShardedIndexService() {
-  {
-    MutexLock lock(queue_mu_);
-    stopping_ = true;
+std::vector<std::unique_ptr<net::ShardService>> Handles(
+    const std::vector<std::unique_ptr<IndexServer>>& servers) {
+  std::vector<std::unique_ptr<net::ShardService>> handles;
+  handles.reserve(servers.size());
+  for (const auto& server : servers) {
+    handles.push_back(std::make_unique<net::IndexService>(server.get()));
   }
-  queue_cv_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
+  return handles;
 }
 
-void ShardedIndexService::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(queue_mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.Wait(queue_mu_);
-      if (queue_.empty()) return;  // stopping, queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
+}  // namespace
 
-void ShardedIndexService::Enqueue(std::function<void()> task) {
-  {
-    MutexLock lock(queue_mu_);
-    queue_.push_back(std::move(task));
-  }
-  queue_cv_.NotifyOne();
-}
+ShardedIndexService::ShardedIndexService(size_t num_lists,
+                                         const Options& options)
+    : ShardedIndexService(num_lists, options.num_workers,
+                          MakeServers(num_lists, options)) {}
 
-Status ShardedIndexService::CheckList(MergedListId list) const {
-  if (list >= num_lists_) {
-    return Status::OutOfRange("merged list " + std::to_string(list) +
-                              " does not exist");
-  }
-  return Status::OK();
-}
-
-// Single-exchange requests forward to the owning shard even when the global
-// list id is out of range: a global id >= num_lists always maps to a local
-// id >= that shard's list count (L = s + k*N is valid iff k < the shard's
-// count), so the shard rejects it with OutOfRange — and counts the request,
-// keeping ServerStats totals identical to the single-server backend under
-// the documented offered-load policy.
-
-StatusOr<net::InsertResponse> ShardedIndexService::Insert(
-    const net::InsertRequest& request) {
-  size_t s = ShardOfList(request.list);
-  ZR_ASSIGN_OR_RETURN(uint64_t handle,
-                      shards_[s]->Insert(request.user,
-                                         LocalListId(request.list),
-                                         request.element));
-  net::InsertResponse response;
-  response.handle = handle;
-  return response;
-}
-
-StatusOr<net::QueryResponse> ShardedIndexService::Fetch(
-    const net::QueryRequest& request) {
-  size_t s = ShardOfList(request.list);
-  ZR_ASSIGN_OR_RETURN(
-      FetchResult fetched,
-      shards_[s]->Fetch(request.user, LocalListId(request.list),
-                        static_cast<size_t>(request.offset),
-                        static_cast<size_t>(request.count)));
-  net::QueryResponse response;
-  response.elements = std::move(fetched.elements);
-  response.exhausted = fetched.exhausted;
-  return response;
-}
-
-StatusOr<net::MultiFetchResponse> ShardedIndexService::MultiFetch(
-    const net::MultiFetchRequest& request) {
-  const std::vector<net::FetchRange>& fetches = request.fetches;
-  // Validate every range upfront so the call fails atomically before any
-  // shard does work.
-  for (const net::FetchRange& f : fetches) {
-    ZR_RETURN_IF_ERROR(CheckList(f.list));
-  }
-
-  net::MultiFetchResponse response;
-  response.responses.resize(fetches.size());
-
-  // Group ranges by owning shard; one task per shard with work.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < fetches.size(); ++i) {
-    by_shard[ShardOfList(fetches[i].list)].push_back(i);
-  }
-  std::vector<size_t> active;
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (!by_shard[s].empty()) active.push_back(s);
-  }
-
-  Mutex error_mu;
-  size_t first_error_index = static_cast<size_t>(-1);
-  Status first_error = Status::OK();
-
-  auto run_shard = [&](size_t s) {
-    for (size_t idx : by_shard[s]) {
-      const net::FetchRange& f = fetches[idx];
-      auto fetched = shards_[s]->Fetch(request.user, LocalListId(f.list),
-                                       static_cast<size_t>(f.offset),
-                                       static_cast<size_t>(f.count));
-      if (!fetched.ok()) {
-        MutexLock lock(error_mu);
-        if (idx < first_error_index) {
-          first_error_index = idx;
-          first_error = fetched.status();
-        }
-        return;
-      }
-      net::QueryResponse& out = response.responses[idx];
-      out.elements = std::move(fetched->elements);
-      out.exhausted = fetched->exhausted;
-    }
-  };
-
-  if (active.size() <= 1 || workers_.empty()) {
-    for (size_t s : active) run_shard(s);
-  } else {
-    // Fan out: every shard batch but the first goes to the pool; the
-    // calling thread serves the first itself, then waits for the rest.
-    Mutex done_mu;
-    CondVar done_cv;
-    size_t remaining = active.size() - 1;
-    for (size_t i = 1; i < active.size(); ++i) {
-      size_t s = active[i];
-      Enqueue([&, s] {
-        run_shard(s);
-        // Notify *while holding the lock*: done_mu/done_cv live on the
-        // caller's stack, and the caller may destroy them as soon as it
-        // observes remaining == 0 — which it cannot do before this unlock.
-        MutexLock lock(done_mu);
-        --remaining;
-        done_cv.NotifyOne();
-      });
-    }
-    run_shard(active[0]);
-    MutexLock lock(done_mu);
-    while (remaining != 0) done_cv.Wait(done_mu);
-  }
-
-  if (first_error_index != static_cast<size_t>(-1)) return first_error;
-  return response;
-}
-
-StatusOr<net::DeleteResponse> ShardedIndexService::Delete(
-    const net::DeleteRequest& request) {
-  // Routes by list id alone — no broadcast. A handle whose residue class
-  // disagrees with the list's shard (ShardOfHandle != ShardOfList) cannot
-  // exist there, since shard s only ever assigns handles with h % N == s;
-  // the shard's own lookup reports it NotFound (and counts the request).
-  size_t s = ShardOfList(request.list);
-  ZR_RETURN_IF_ERROR(shards_[s]->Delete(request.user,
-                                        LocalListId(request.list),
-                                        request.handle));
-  return net::DeleteResponse{};
-}
-
-// The ACL broadcasts carry their own "Requires quiescence" contract (the
-// whole service must be idle, not just one shard), so each claims the
-// per-shard quiescence capability it is forwarding under.
-
-Status ShardedIndexService::AddGroup(crypto::GroupId group) {
-  for (auto& shard_ptr : shards_) {
-    IndexServer& shard = *shard_ptr;
-    QuiescenceLock quiesced(shard.quiescence());
-    ZR_RETURN_IF_ERROR(shard.acl().AddGroup(group));
-  }
-  return Status::OK();
-}
-
-Status ShardedIndexService::GrantMembership(UserId user,
-                                            crypto::GroupId group) {
-  for (auto& shard_ptr : shards_) {
-    IndexServer& shard = *shard_ptr;
-    QuiescenceLock quiesced(shard.quiescence());
-    ZR_RETURN_IF_ERROR(shard.acl().GrantMembership(user, group));
-  }
-  return Status::OK();
-}
-
-Status ShardedIndexService::RevokeMembership(UserId user,
-                                             crypto::GroupId group) {
-  for (auto& shard_ptr : shards_) {
-    IndexServer& shard = *shard_ptr;
-    QuiescenceLock quiesced(shard.quiescence());
-    ZR_RETURN_IF_ERROR(shard.acl().RevokeMembership(user, group));
-  }
-  return Status::OK();
-}
+// The router is built first, over handles borrowing `servers`; the servers
+// then move into this object, which outlives every request.
+ShardedIndexService::ShardedIndexService(
+    size_t num_lists, size_t num_workers,
+    std::vector<std::unique_ptr<IndexServer>> servers)
+    : ShardRouter(num_lists, Handles(servers), num_workers),
+      servers_(std::move(servers)) {}
 
 uint64_t ShardedIndexService::TotalElements() const {
   uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->TotalElements();
+  for (const auto& server : servers_) total += server->TotalElements();
   return total;
 }
 
 uint64_t ShardedIndexService::TotalWireSize() const {
   uint64_t total = 0;
-  for (const auto& shard : shards_) total += shard->TotalWireSize();
-  return total;
-}
-
-ServerStats ShardedIndexService::stats() const {
-  ServerStats total;
-  for (const auto& shard : shards_) {
-    ServerStats s = shard->stats();
-    total.fetch_requests += s.fetch_requests;
-    total.insert_requests += s.insert_requests;
-    total.insert_denied += s.insert_denied;
-    total.delete_requests += s.delete_requests;
-    total.delete_denied += s.delete_denied;
-    total.elements_served += s.elements_served;
-    total.bytes_served += s.bytes_served;
-    total.fetch_latency_ns += s.fetch_latency_ns;
-    total.insert_latency_ns += s.insert_latency_ns;
-    total.delete_latency_ns += s.delete_latency_ns;
-  }
+  for (const auto& server : servers_) total += server->TotalWireSize();
   return total;
 }
 
 void ShardedIndexService::ResetStats() {
-  for (auto& shard : shards_) shard->ResetStats();
+  for (auto& server : servers_) server->ResetStats();
 }
 
 StatusOr<const MergedList*> ShardedIndexService::GetList(
@@ -263,7 +68,7 @@ StatusOr<const MergedList*> ShardedIndexService::GetList(
   ZR_RETURN_IF_ERROR(CheckList(list));
   // Quiescent-only by contract (see the declaration); claim the owning
   // shard's capability on the caller's behalf.
-  const IndexServer& shard = *shards_[ShardOfList(list)];
+  const IndexServer& shard = *servers_[ShardOfList(list)];
   QuiescenceLock quiesced(shard.quiescence());
   return shard.GetList(LocalListId(list));
 }

@@ -9,7 +9,10 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "net/shard_router.h"
+#include "net/tcp.h"
 #include "net/transport.h"
+#include "obs/trace.h"
 
 namespace zr::zerber {
 namespace {
@@ -443,6 +446,160 @@ TEST_F(ShardedIndexTest, LoopbackTransportOverShardedBackend) {
   bogus.list = 0;
   bogus.handle = 12345u * 3u;  // right residue, no such element
   EXPECT_TRUE(loopback.Delete(bogus).status().IsNotFound());
+}
+
+// A traced MultiFetch served over TCP carries back, in its response frame,
+// the spans of every shard batch: the fan-out pool's threads record into
+// the request's trace too, not only the batch the dispatch thread runs.
+TEST_F(ShardedIndexTest, TracedMultiFetchOverTcpReturnsEveryShardsSpans) {
+  auto service = MakeService(8, 4, /*num_workers=*/3);
+  for (MergedListId list = 0; list < 4; ++list) {
+    ASSERT_TRUE(InsertVia(*service, kAlice, list, MakeElement(1, 0.5)).ok());
+  }
+  auto server = net::TcpServer::Start(service.get());
+  ASSERT_TRUE(server.ok()) << server.status();
+  net::TcpTransport tcp((*server)->address());
+
+  net::MultiFetchRequest batch;
+  batch.user = kAlice;
+  for (MergedListId list = 0; list < 4; ++list) {  // one range per shard
+    net::FetchRange range;
+    range.list = list;
+    range.count = 1;
+    batch.fetches.push_back(range);
+  }
+  for (uint64_t round = 0; round < 20; ++round) {
+    obs::ScopedTrace traced(obs::TraceContext{0x5EED00 + round, 1});
+    auto fetched = tcp.MultiFetch(batch);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    ASSERT_EQ(fetched->responses.size(), 4u);
+    size_t index_serves = 0;
+    std::multiset<uint64_t> fanout_shards;
+    for (const obs::SpanRecord& span : tcp.session().response_spans()) {
+      if (span.stage == obs::Stage::kIndexServe) ++index_serves;
+      if (span.stage == obs::Stage::kRouterFanout) {
+        fanout_shards.insert(span.detail);
+      }
+    }
+    EXPECT_EQ(index_serves, 4u) << "round " << round;
+    EXPECT_EQ(fanout_shards, (std::multiset<uint64_t>{0, 1, 2, 3}))
+        << "round " << round;
+  }
+  (*server)->Stop();
+}
+
+// --- The fan-out engine over scripted shards (no sockets, no index) ------
+
+/// A scripted shard handle: counts every call, answers MultiFetch with one
+/// empty response per range (minus `short_by`) unless `fail` is set, and
+/// answers ACL changes with `acl_status`.
+class FakeShard : public net::ShardService {
+ public:
+  StatusOr<net::InsertResponse> Insert(const net::InsertRequest&) override {
+    ++calls;
+    return net::InsertResponse{};
+  }
+  StatusOr<net::QueryResponse> Fetch(const net::QueryRequest&) override {
+    ++calls;
+    return net::QueryResponse{};
+  }
+  StatusOr<net::MultiFetchResponse> MultiFetch(
+      const net::MultiFetchRequest& request) override {
+    ++calls;
+    if (!fail.ok()) return fail;
+    net::MultiFetchResponse response;
+    response.responses.resize(request.fetches.size() - short_by);
+    return response;
+  }
+  StatusOr<net::DeleteResponse> Delete(const net::DeleteRequest&) override {
+    ++calls;
+    return net::DeleteResponse{};
+  }
+  Status Acl(const net::AclRequest&) override {
+    ++calls;
+    return acl_status;
+  }
+  StatusOr<net::StatsResponse> Stats() override {
+    ++calls;
+    return net::StatsResponse{};
+  }
+
+  std::atomic<int> calls{0};
+  Status fail = Status::OK();
+  size_t short_by = 0;
+  Status acl_status = Status::OK();
+};
+
+class ShardRouterTest : public ::testing::Test {
+ protected:
+  /// A router over `num_shards` fakes serving 2 lists per shard.
+  void Build(size_t num_shards, size_t num_workers) {
+    std::vector<std::unique_ptr<net::ShardService>> handles;
+    for (size_t s = 0; s < num_shards; ++s) {
+      auto fake = std::make_unique<FakeShard>();
+      fakes_.push_back(fake.get());
+      handles.push_back(std::move(fake));
+    }
+    router_ = std::make_unique<net::ShardRouter>(
+        2 * num_shards, std::move(handles), num_workers);
+  }
+
+  static net::MultiFetchRequest Ranges(std::vector<uint32_t> lists) {
+    net::MultiFetchRequest request;
+    for (uint32_t list : lists) {
+      net::FetchRange range;
+      range.list = list;
+      range.count = 1;
+      request.fetches.push_back(range);
+    }
+    return request;
+  }
+
+  std::vector<FakeShard*> fakes_;
+  std::unique_ptr<net::ShardRouter> router_;
+};
+
+TEST_F(ShardRouterTest, ShortShardResponseIsInternal) {
+  Build(/*num_shards=*/2, /*num_workers=*/1);
+  fakes_[1]->short_by = 1;
+  // Shard 1 owns lists 1 and 3 and answers only one of its two ranges.
+  auto fetched = router_->MultiFetch(Ranges({0, 1, 3}));
+  EXPECT_TRUE(fetched.status().IsInternal()) << fetched.status();
+  EXPECT_EQ(fakes_[0]->calls.load(), 1);
+  EXPECT_EQ(fakes_[1]->calls.load(), 1);
+}
+
+TEST_F(ShardRouterTest, FirstErrorIsThatOfTheEarliestStartingBatch) {
+  Build(/*num_shards=*/3, /*num_workers=*/2);
+  fakes_[1]->fail = Status::PermissionDenied("shard one");
+  fakes_[2]->fail = Status::NotFound("shard two");
+  for (int round = 0; round < 50; ++round) {
+    // Shard 2's batch starts at range 0, shard 1's at range 1.
+    Status first = router_->MultiFetch(Ranges({2, 1, 0, 4})).status();
+    EXPECT_TRUE(first.IsNotFound()) << first;
+    // Shard 1's batch starts at range 1, shard 2's at range 2.
+    Status second = router_->MultiFetch(Ranges({0, 1, 2, 5})).status();
+    EXPECT_TRUE(second.IsPermissionDenied()) << second;
+  }
+}
+
+TEST_F(ShardRouterTest, OutOfRangeListFailsBeforeAnyShardIsCalled) {
+  Build(/*num_shards=*/2, /*num_workers=*/1);
+  // Lists 0..3 exist; 4 does not, and it comes last.
+  EXPECT_TRUE(router_->MultiFetch(Ranges({0, 1, 4})).status().IsOutOfRange());
+  EXPECT_EQ(fakes_[0]->calls.load(), 0);
+  EXPECT_EQ(fakes_[1]->calls.load(), 0);
+}
+
+TEST_F(ShardRouterTest, AclBroadcastStopsAtTheFirstFailingShard) {
+  Build(/*num_shards=*/3, /*num_workers=*/0);
+  fakes_[1]->acl_status = Status::Unavailable("shard one down");
+  Status granted = router_->GrantMembership(/*user=*/7, /*group=*/1);
+  EXPECT_TRUE(granted.IsUnavailable()) << granted;
+  EXPECT_EQ(granted.message(), "shard one down");
+  EXPECT_EQ(fakes_[0]->calls.load(), 1);
+  EXPECT_EQ(fakes_[1]->calls.load(), 1);
+  EXPECT_EQ(fakes_[2]->calls.load(), 0);
 }
 
 }  // namespace

@@ -36,6 +36,7 @@
 #include <string>
 
 #include "net/messages.h"
+#include "net/service.h"
 #include "net/tcp.h"
 #include "obs/registry.h"
 #include "obs/slow_op_log.h"
@@ -181,18 +182,7 @@ int main(int argc, char** argv) {
           .WithLoops(std::strtoull(loops.c_str(), nullptr, 10))
           .WithServerId(options.cluster_shard);
   server_config.WithStatsSource([&service] {
-    zerber::ServerStats s = service.partition(0).stats();
-    net::StatsResponse out;
-    out.fetch_requests = s.fetch_requests;
-    out.insert_requests = s.insert_requests;
-    out.insert_denied = s.insert_denied;
-    out.delete_requests = s.delete_requests;
-    out.delete_denied = s.delete_denied;
-    out.elements_served = s.elements_served;
-    out.bytes_served = s.bytes_served;
-    out.fetch_latency_ns = s.fetch_latency_ns;
-    out.insert_latency_ns = s.insert_latency_ns;
-    out.delete_latency_ns = s.delete_latency_ns;
+    net::StatsResponse out = net::StatsResponseOf(service.partition(0).stats());
     // v2 scrape plane: the whole metrics registry (index histograms, WAL
     // append latency, TCP counters, slow-op count) rides along in
     // Prometheus text form. Metric names and numbers only — the
