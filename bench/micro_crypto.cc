@@ -1,17 +1,24 @@
 // Microbenchmarks: crypto substrate throughput (google-benchmark).
 //
-// Not a paper figure; establishes that posting-element sealing is not the
-// bottleneck of the experiment harness and documents implementation speed.
+// Not a paper figure; documents implementation speed and the per-element
+// cost the client pays. The BM_*PreparedKey benches time crypto::Seal/Open
+// alone under a key prepared once; the BM_KeyStore* benches time the path a
+// client takes for each posting element, zerber::SealPostingElement /
+// OpenPostingElement, which also look the group's key up in a KeyStore and
+// (de)serialize the payload.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "crypto/aes.h"
 #include "crypto/ctr.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/keys.h"
 #include "crypto/sha256.h"
+#include "zerber/posting_element.h"
 
 namespace {
 
@@ -49,26 +56,71 @@ void BM_HmacSha256(benchmark::State& state) {
 }
 BENCHMARK(BM_HmacSha256)->Arg(32)->Arg(1024);
 
-void BM_SealPostingElementSizedPayload(benchmark::State& state) {
-  std::string enc_key(16, 'e'), mac_key(32, 'm');
+void BM_SealPreparedKey(benchmark::State& state) {
+  auto key = zr::crypto::SealingKey::Create(std::string(16, 'e'),
+                                            std::string(32, 'm'));
   std::string payload(static_cast<size_t>(state.range(0)), 'p');
   uint64_t nonce = 0;
   for (auto _ : state) {
-    auto sealed = zr::crypto::Seal(enc_key, mac_key, nonce++, payload);
+    auto sealed = zr::crypto::Seal(*key, nonce++, payload);
     benchmark::DoNotOptimize(sealed);
   }
 }
-BENCHMARK(BM_SealPostingElementSizedPayload)->Arg(13)->Arg(64);
+BENCHMARK(BM_SealPreparedKey)->Arg(13)->Arg(64);
 
-void BM_OpenPostingElement(benchmark::State& state) {
-  std::string enc_key(16, 'e'), mac_key(32, 'm');
-  auto sealed = zr::crypto::Seal(enc_key, mac_key, 7, "typical-payload");
+void BM_OpenPreparedKey(benchmark::State& state) {
+  auto key = zr::crypto::SealingKey::Create(std::string(16, 'e'),
+                                            std::string(32, 'm'));
+  std::string sealed = zr::crypto::Seal(*key, 7, "typical-payload");
   for (auto _ : state) {
-    auto opened = zr::crypto::Open(enc_key, mac_key, *sealed);
+    auto opened = zr::crypto::Open(*key, sealed);
     benchmark::DoNotOptimize(opened);
   }
 }
-BENCHMARK(BM_OpenPostingElement);
+BENCHMARK(BM_OpenPreparedKey);
+
+// A store with as many groups as the StudIP preset at scale 1 (60), so the
+// per-element key lookup searches a realistically sized map.
+constexpr zr::crypto::GroupId kBenchGroups = 60;
+
+void MakeBenchGroups(zr::crypto::KeyStore* keys) {
+  for (zr::crypto::GroupId g = 0; g < kBenchGroups; ++g) {
+    (void)keys->CreateGroup(g);
+  }
+}
+
+void BM_KeyStoreSealPostingElement(benchmark::State& state) {
+  zr::crypto::KeyStore keys("bench");
+  MakeBenchGroups(&keys);
+  uint32_t i = 0;
+  for (auto _ : state) {
+    auto element = zr::zerber::SealPostingElement(
+        zr::zerber::PostingPayload{i, i * 7, 0.25}, i % kBenchGroups, 0.5,
+        &keys);
+    benchmark::DoNotOptimize(element);
+    ++i;
+  }
+}
+BENCHMARK(BM_KeyStoreSealPostingElement);
+
+void BM_KeyStoreOpenPostingElement(benchmark::State& state) {
+  zr::crypto::KeyStore keys("bench");
+  MakeBenchGroups(&keys);
+  std::vector<zr::zerber::EncryptedPostingElement> elements;
+  for (uint32_t i = 0; i < 256; ++i) {
+    elements.push_back(zr::zerber::SealPostingElement(
+                           zr::zerber::PostingPayload{i, i * 7, 0.25},
+                           i % kBenchGroups, 0.5, &keys)
+                           .value());
+  }
+  size_t i = 0;
+  for (auto _ : state) {
+    auto payload =
+        zr::zerber::OpenPostingElement(elements[i++ % elements.size()], keys);
+    benchmark::DoNotOptimize(payload);
+  }
+}
+BENCHMARK(BM_KeyStoreOpenPostingElement);
 
 void BM_DrbgBytes(benchmark::State& state) {
   zr::crypto::Drbg drbg("bench");

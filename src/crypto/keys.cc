@@ -1,42 +1,51 @@
 #include "crypto/keys.h"
 
-#include "crypto/hmac.h"
-
 namespace zr::crypto {
 
-KeyStore::KeyStore(std::string_view seed) : drbg_(seed) {
-  directory_key_ = drbg_.GenerateBytes(32);
-  nonce_salt_ = drbg_.NextU64();
-}
+KeyStore::KeyStore(std::string_view seed)
+    : drbg_(seed),
+      directory_(drbg_.GenerateBytes(32)),
+      nonce_salt_(drbg_.NextU64()) {}
 
 Status KeyStore::CreateGroup(GroupId group) {
-  if (master_keys_.count(group) > 0) {
+  if (groups_.count(group) > 0) {
     return Status::AlreadyExists("group " + std::to_string(group) +
                                  " already registered");
   }
-  master_keys_[group] = drbg_.GenerateBytes(32);
+  const std::string master = drbg_.GenerateBytes(32);
+  Sha256Digest enc = DeriveKey(master, "zerber-enc", "");
+  Sha256Digest mac = DeriveKey(master, "zerber-mac", "");
+  GroupKeys keys;
+  keys.enc_key.assign(reinterpret_cast<const char*>(enc.data()), 16);
+  keys.mac_key.assign(reinterpret_cast<const char*>(mac.data()), 32);
+  ZR_ASSIGN_OR_RETURN(SealingKey sealing,
+                      SealingKey::Create(keys.enc_key, keys.mac_key));
+  groups_.emplace(group, Group{std::move(keys), sealing});
   return Status::OK();
 }
 
 bool KeyStore::HasGroup(GroupId group) const {
-  return master_keys_.count(group) > 0;
+  return groups_.count(group) > 0;
 }
 
 StatusOr<GroupKeys> KeyStore::GetGroupKeys(GroupId group) const {
-  auto it = master_keys_.find(group);
-  if (it == master_keys_.end()) {
+  auto it = groups_.find(group);
+  if (it == groups_.end()) {
     return Status::NotFound("no keys for group " + std::to_string(group));
   }
-  GroupKeys keys;
-  Sha256Digest enc = DeriveKey(it->second, "zerber-enc", "");
-  Sha256Digest mac = DeriveKey(it->second, "zerber-mac", "");
-  keys.enc_key.assign(reinterpret_cast<const char*>(enc.data()), 16);
-  keys.mac_key.assign(reinterpret_cast<const char*>(mac.data()), 32);
-  return keys;
+  return it->second.keys;
+}
+
+StatusOr<const SealingKey*> KeyStore::SealingKeyOf(GroupId group) const {
+  auto it = groups_.find(group);
+  if (it == groups_.end()) {
+    return Status::NotFound("no keys for group " + std::to_string(group));
+  }
+  return &it->second.sealing;
 }
 
 uint64_t KeyStore::TermPseudonym(std::string_view term) const {
-  return HmacSha256Trunc64(directory_key_, term);
+  return directory_.MacTrunc64(term);
 }
 
 double KeyStore::DeterministicUnit(std::string_view term,
@@ -46,7 +55,7 @@ double KeyStore::DeterministicUnit(std::string_view term,
   for (int i = 0; i < 8; ++i) {
     message.push_back(static_cast<char>(context >> (56 - 8 * i)));
   }
-  uint64_t v = HmacSha256Trunc64(directory_key_, message);
+  uint64_t v = directory_.MacTrunc64(message);
   return static_cast<double>(v >> 11) * 0x1.0p-53;
 }
 

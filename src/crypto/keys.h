@@ -15,7 +15,9 @@
 #include <string>
 #include <string_view>
 
+#include "crypto/ctr.h"
 #include "crypto/drbg.h"
+#include "crypto/hmac.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -32,14 +34,26 @@ struct GroupKeys {
 
 /// Client-side key store. The index server has no access to an instance of
 /// this class; it only ever handles sealed bytes and pseudonymous IDs.
+///
+/// Every key is derived and prepared once: the directory key's HMAC
+/// midstates at construction, a group's subkeys and its SealingKey in
+/// CreateGroup. Seal and open paths then only look keys up.
+///
+/// Thread-safety contract: CreateGroup mutates the store and must happen
+/// before any concurrent seal or open (in practice: register every group
+/// while building the deployment, before serving). After that the prepared
+/// keys are read-only, so SealingKeyOf, TermPseudonym, DeterministicUnit
+/// and GetGroupKeys may run on any number of threads, and NextNonce is
+/// atomic.
 class KeyStore {
  public:
   /// Creates a store whose keys are derived deterministically from `seed`
   /// (reproducible experiments). Use a high-entropy seed in production.
   explicit KeyStore(std::string_view seed);
 
-  /// Registers a group and generates its master secret.
-  /// AlreadyExists if the group was registered before.
+  /// Registers a group, generates its master secret, and derives and
+  /// prepares its keys. AlreadyExists if the group was registered before.
+  /// Not safe to run concurrently with any other call (see above).
   Status CreateGroup(GroupId group);
 
   /// True if the group exists.
@@ -47,6 +61,11 @@ class KeyStore {
 
   /// Derived encryption + MAC keys for a group. NotFound if unknown.
   StatusOr<GroupKeys> GetGroupKeys(GroupId group) const;
+
+  /// The group's prepared sealing key, built in CreateGroup from the keys
+  /// GetGroupKeys returns. NotFound if unknown. The pointer stays valid for
+  /// the store's lifetime.
+  StatusOr<const SealingKey*> SealingKeyOf(GroupId group) const;
 
   /// Deterministic pseudonym of a term under the directory key. The server
   /// observes pseudonyms (as posting-list lookup keys), never terms.
@@ -63,11 +82,18 @@ class KeyStore {
   uint64_t NextNonce();
 
  private:
-  std::string directory_key_;
-  std::map<GroupId, std::string> master_keys_;
+  struct Group {
+    GroupKeys keys;
+    SealingKey sealing;
+  };
+
+  // Declaration order is initialization order: the directory key and the
+  // nonce salt are the DRBG's first two draws.
   Drbg drbg_;
+  HmacKey directory_;
+  uint64_t nonce_salt_;
+  std::map<GroupId, Group> groups_;
   std::atomic<uint64_t> nonce_counter_{0};
-  uint64_t nonce_salt_ = 0;
 };
 
 }  // namespace zr::crypto

@@ -56,17 +56,19 @@ void Sha256::Update(const uint8_t* data, size_t len) {
 }
 
 Sha256Digest Sha256::Finish() {
-  // Padding: 0x80, zeros, 64-bit big-endian length.
-  uint64_t bits = bit_count_;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+  // Padding: 0x80, zeros, 64-bit big-endian length. Update never leaves a
+  // full buffer, so the 0x80 always fits; when fewer than 8 bytes remain
+  // after it, the length goes into a second block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, sizeof(buffer_) - buffer_len_);
+    ProcessBlock(buffer_);
+    buffer_len_ = 0;
   }
-  std::memcpy(buffer_ + 56, len_be, 8);
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
+  }
   ProcessBlock(buffer_);
   buffer_len_ = 0;
 

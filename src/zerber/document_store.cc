@@ -46,24 +46,23 @@ uint64_t DocumentStore::TotalWireSize() const {
 StatusOr<SealedSnippet> SealSnippet(std::string_view snippet_text,
                                     crypto::GroupId group,
                                     crypto::KeyStore* keys) {
-  ZR_ASSIGN_OR_RETURN(crypto::GroupKeys gk, keys->GetGroupKeys(group));
-  ZR_ASSIGN_OR_RETURN(std::string sealed,
-                      crypto::Seal(gk.enc_key, gk.mac_key, keys->NextNonce(),
-                                   snippet_text));
+  ZR_ASSIGN_OR_RETURN(const crypto::SealingKey* key,
+                      keys->SealingKeyOf(group));
   SealedSnippet snippet;
   snippet.group = group;
-  snippet.sealed = SealedBytes::Adopt(std::move(sealed));
+  snippet.sealed =
+      SealedBytes::Adopt(crypto::Seal(*key, keys->NextNonce(), snippet_text));
   return snippet;
 }
 
 StatusOr<std::string> OpenSnippet(const SealedSnippet& snippet,
                                   const crypto::KeyStore& keys) {
-  auto gk = keys.GetGroupKeys(snippet.group);
-  if (!gk.ok()) {
+  auto key = keys.SealingKeyOf(snippet.group);
+  if (!key.ok()) {
     return Status::PermissionDenied("no keys for group " +
                                     std::to_string(snippet.group));
   }
-  return crypto::Open(gk->enc_key, gk->mac_key, snippet.sealed);
+  return crypto::Open(**key, snippet.sealed);
 }
 
 }  // namespace zr::zerber

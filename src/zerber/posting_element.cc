@@ -32,27 +32,24 @@ StatusOr<PostingPayload> ParsePayload(std::string_view data) {
 StatusOr<EncryptedPostingElement> SealPostingElement(
     const PostingPayload& payload, crypto::GroupId group, double trs,
     crypto::KeyStore* keys) {
-  ZR_ASSIGN_OR_RETURN(crypto::GroupKeys gk, keys->GetGroupKeys(group));
-  ZR_ASSIGN_OR_RETURN(
-      std::string sealed,
-      crypto::Seal(gk.enc_key, gk.mac_key, keys->NextNonce(),
-                   SerializePayload(payload)));
+  ZR_ASSIGN_OR_RETURN(const crypto::SealingKey* key,
+                      keys->SealingKeyOf(group));
   EncryptedPostingElement element;
   element.group = group;
   element.trs = trs;
-  element.sealed = SealedBytes::Adopt(std::move(sealed));
+  element.sealed = SealedBytes::Adopt(
+      crypto::Seal(*key, keys->NextNonce(), SerializePayload(payload)));
   return element;
 }
 
 StatusOr<PostingPayload> OpenPostingElement(
     const EncryptedPostingElement& element, const crypto::KeyStore& keys) {
-  auto gk = keys.GetGroupKeys(element.group);
-  if (!gk.ok()) {
+  auto key = keys.SealingKeyOf(element.group);
+  if (!key.ok()) {
     return Status::PermissionDenied("no keys for group " +
                                     std::to_string(element.group));
   }
-  ZR_ASSIGN_OR_RETURN(std::string plain,
-                      crypto::Open(gk->enc_key, gk->mac_key, element.sealed));
+  ZR_ASSIGN_OR_RETURN(std::string plain, crypto::Open(**key, element.sealed));
   return ParsePayload(plain);
 }
 

@@ -89,7 +89,7 @@ struct EncryptedPostingElement {
   /// Transformed relevance score in [0, 1] (server-visible sort key).
   double trs = 0.0;
 
-  /// Seal(enc_key, mac_key, nonce, serialized PostingPayload).
+  /// Seal(group's SealingKey, nonce, serialized PostingPayload).
   SealedBytes sealed;
 
   /// Serialized wire size in bytes.

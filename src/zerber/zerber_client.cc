@@ -6,6 +6,9 @@
 namespace zr::zerber {
 
 StatusOr<MergedListId> ZerberClient::ListOf(text::TermId term) const {
+  // Only a term the plan does not hold needs its pseudonym (the fallback).
+  auto it = plan_->term_to_list.find(term);
+  if (it != plan_->term_to_list.end()) return it->second;
   ZR_ASSIGN_OR_RETURN(std::string term_string, vocab_->TermOf(term));
   return plan_->ListOf(term, keys_->TermPseudonym(term_string));
 }

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "crypto/ctr.h"
 #include "util/stats.h"
 
 namespace zr::crypto {
@@ -88,6 +91,84 @@ TEST(KeyStoreTest, DeterministicUnitIsStable) {
   EXPECT_EQ(ks.DeterministicUnit("t", 1), ks.DeterministicUnit("t", 1));
   EXPECT_NE(ks.DeterministicUnit("t", 1), ks.DeterministicUnit("t", 2));
   EXPECT_NE(ks.DeterministicUnit("t", 1), ks.DeterministicUnit("u", 1));
+}
+
+TEST(KeyStoreTest, SealingKeyOfUnknownGroupIsNotFound) {
+  KeyStore ks("seed");
+  ASSERT_TRUE(ks.CreateGroup(1).ok());
+  EXPECT_TRUE(ks.SealingKeyOf(9).status().IsNotFound());
+}
+
+TEST(KeyStoreTest, SealingKeyIsPreparedFromGroupKeys) {
+  KeyStore ks("seed");
+  ASSERT_TRUE(ks.CreateGroup(1).ok());
+  auto prepared = ks.SealingKeyOf(1);
+  auto keys = ks.GetGroupKeys(1);
+  ASSERT_TRUE(prepared.ok() && keys.ok());
+  auto rebuilt = SealingKey::Create(keys->enc_key, keys->mac_key);
+  ASSERT_TRUE(rebuilt.ok());
+  const std::string sealed = Seal(**prepared, 17, "payload");
+  EXPECT_EQ(sealed, Seal(*rebuilt, 17, "payload"));
+  auto opened = Open(*rebuilt, sealed);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, "payload");
+}
+
+TEST(KeyStoreTest, SealingKeyPointerSurvivesLaterGroups) {
+  KeyStore ks("seed");
+  ASSERT_TRUE(ks.CreateGroup(1).ok());
+  auto first = ks.SealingKeyOf(1);
+  ASSERT_TRUE(first.ok());
+  for (GroupId g = 2; g < 50; ++g) ASSERT_TRUE(ks.CreateGroup(g).ok());
+  auto again = ks.SealingKeyOf(1);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(*first, *again);
+}
+
+// Every group is registered first; then 4 threads seal and open through the
+// one store at once, as load::LoadDriver workers do. Run under TSan in CI.
+TEST(KeyStoreTest, ConcurrentSealAndOpenThroughOneStore) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  constexpr GroupId kGroups = 3;
+  KeyStore ks("seed");
+  for (GroupId g = 0; g < kGroups; ++g) ASSERT_TRUE(ks.CreateGroup(g).ok());
+
+  struct Sealed {
+    GroupId group;
+    std::string plaintext;
+    std::string bytes;
+  };
+  std::vector<std::vector<Sealed>> per_thread(kThreads);
+  std::vector<int> open_failures(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&ks, &per_thread, &open_failures, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        const GroupId group = static_cast<GroupId>(i) % kGroups;
+        const SealingKey* key = ks.SealingKeyOf(group).value();
+        std::string plaintext = std::to_string(t * kPerThread + i);
+        std::string bytes = Seal(*key, ks.NextNonce(), plaintext);
+        // Open right away, while the other threads keep sealing.
+        auto opened = Open(*key, bytes);
+        if (!opened.ok() || *opened != plaintext) ++open_failures[t];
+        per_thread[t].push_back({group, std::move(plaintext), std::move(bytes)});
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::set<std::string> nonces;
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(open_failures[t], 0) << "thread " << t;
+    for (const Sealed& s : per_thread[t]) {
+      nonces.insert(s.bytes.substr(0, kSealNonceSize));
+      auto opened = Open(*ks.SealingKeyOf(s.group).value(), s.bytes);
+      ASSERT_TRUE(opened.ok());
+      EXPECT_EQ(*opened, s.plaintext);
+    }
+  }
+  EXPECT_EQ(nonces.size(), static_cast<size_t>(kThreads * kPerThread));
 }
 
 TEST(KeyStoreTest, NoncesNeverRepeat) {

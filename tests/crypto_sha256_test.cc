@@ -76,6 +76,43 @@ TEST(Sha256Test, ExactBlockSizeMessage) {
   EXPECT_EQ(DigestToHex(a.Finish()), DigestToHex(b.Finish()));
 }
 
+// Messages of n 'a' bytes around the padding boundaries: 55 bytes is the
+// longest that pads within its block, 56..63 push the length into a second
+// block, and 119/120 repeat both cases one block later. Digests computed
+// offline with Python's hashlib.sha256(b"a" * n).
+TEST(Sha256Test, PaddingBoundaryKnownAnswers) {
+  const struct {
+    size_t length;
+    const char* hex;
+  } kVectors[] = {
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119, "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+      {120, "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c"},
+  };
+  for (const auto& v : kVectors) {
+    EXPECT_EQ(HexOf(std::string(v.length, 'a')), v.hex) << v.length << " bytes";
+  }
+}
+
+TEST(Sha256Test, EverySplitPointEqualsOneShot) {
+  std::string msg;
+  for (size_t i = 0; i < 129; ++i) msg.push_back(static_cast<char>(i * 37 + 11));
+  for (size_t len = 0; len <= msg.size(); ++len) {
+    std::string_view prefix(msg.data(), len);
+    const std::string want = HexOf(prefix);
+    for (size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.Update(prefix.substr(0, split));
+      h.Update(prefix.substr(split));
+      ASSERT_EQ(DigestToHex(h.Finish()), want)
+          << "length " << len << ", split at " << split;
+    }
+  }
+}
+
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(HexOf("abc"), HexOf("abd"));
   EXPECT_NE(HexOf("abc"), HexOf("abc "));

@@ -2,8 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 namespace zr::zerber {
 namespace {
+
+std::string HexOf(std::string_view bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kHex[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kHex[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
+
+// Known answer: the first element a fresh KeyStore("seed") seals for group
+// 1. The bytes were captured before keys were prepared once per group; any
+// change to key derivation, nonces or the seal format moves them, and with
+// them every committed baseline.
+TEST(PostingElementGoldenTest, FirstSealIsByteIdentical) {
+  crypto::KeyStore keys("seed");
+  ASSERT_TRUE(keys.CreateGroup(1).ok());
+  const PostingPayload payload{1, 2, 0.5};
+  auto element = SealPostingElement(payload, 1, 0.5, &keys);
+  ASSERT_TRUE(element.ok());
+  EXPECT_EQ(HexOf(element->sealed.view()),
+            "7828dcb30d5f38ef6dabf328574baf1ce7b7bfe9b8dc48abfa6c");
+  auto opened = OpenPostingElement(*element, keys);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, payload);
+}
 
 class PostingElementTest : public ::testing::Test {
  protected:
