@@ -6,6 +6,11 @@
 // client takes for each posting element, zerber::SealPostingElement /
 // OpenPostingElement, which also look the group's key up in a KeyStore and
 // (de)serialize the payload.
+//
+// BM_AesEncryptBlock and BM_Sha256Block time the block routine CPUID chose
+// for this host; the *Portable benches beside them time the portable
+// routine. The context keys crypto.aes and crypto.sha256 name the chosen
+// routine, so a report says which path it measured.
 
 #include <benchmark/benchmark.h>
 
@@ -16,6 +21,7 @@
 #include "crypto/ctr.h"
 #include "crypto/drbg.h"
 #include "crypto/hmac.h"
+#include "crypto/internal.h"
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
 #include "zerber/posting_element.h"
@@ -32,6 +38,44 @@ void BM_AesEncryptBlock(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 16);
 }
 BENCHMARK(BM_AesEncryptBlock);
+
+void BM_AesEncryptBlockPortable(benchmark::State& state) {
+  auto aes = zr::crypto::Aes::Create(std::string(16, 'k'));
+  zr::crypto::AesBlock block{};
+  for (auto _ : state) {
+    zr::crypto::internal::AesEncryptBlockPortable(aes->round_keys(),
+                                                  aes->rounds(), block.data());
+    benchmark::DoNotOptimize(block);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 16);
+}
+BENCHMARK(BM_AesEncryptBlockPortable);
+
+// One SHA-256 compression with `routine`.
+void Sha256Block(benchmark::State& state,
+                 zr::crypto::internal::Sha256BlockRoutine routine) {
+  uint32_t digest_state[8] = {};
+  uint8_t block[64] = {};
+  for (auto _ : state) {
+    routine(digest_state, block);
+    benchmark::DoNotOptimize(digest_state);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 64);
+}
+
+void BM_Sha256Block(benchmark::State& state) {
+  zr::crypto::internal::Sha256BlockRoutine routine =
+      zr::crypto::internal::ShaNiRoutine();
+  Sha256Block(state, routine != nullptr
+                         ? routine
+                         : &zr::crypto::internal::Sha256ProcessBlockPortable);
+}
+BENCHMARK(BM_Sha256Block);
+
+void BM_Sha256BlockPortable(benchmark::State& state) {
+  Sha256Block(state, &zr::crypto::internal::Sha256ProcessBlockPortable);
+}
+BENCHMARK(BM_Sha256BlockPortable);
 
 void BM_Sha256(benchmark::State& state) {
   std::string data(static_cast<size_t>(state.range(0)), 'x');
@@ -137,4 +181,18 @@ BENCHMARK(BM_DrbgBytes)->Arg(256);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext(
+      "crypto.aes", zr::crypto::internal::AesNiRoutine() != nullptr
+                        ? "aes-ni"
+                        : "portable");
+  benchmark::AddCustomContext(
+      "crypto.sha256", zr::crypto::internal::ShaNiRoutine() != nullptr
+                           ? "sha-ni"
+                           : "portable");
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,6 +1,14 @@
 #include "crypto/aes.h"
 
 #include <cstring>
+#include <utility>
+
+#include "crypto/internal.h"
+
+#if defined(__x86_64__) || defined(__i386__)
+#include <cpuid.h>
+#include <wmmintrin.h>
+#endif
 
 namespace zr::crypto {
 
@@ -35,71 +43,51 @@ constexpr uint8_t kSbox[256] = {
 constexpr uint8_t kRcon[11] = {0x00, 0x01, 0x02, 0x04, 0x08, 0x10,
                                0x20, 0x40, 0x80, 0x1b, 0x36};
 
-inline uint32_t SubWord(uint32_t w) {
-  return (static_cast<uint32_t>(kSbox[(w >> 24) & 0xff]) << 24) |
-         (static_cast<uint32_t>(kSbox[(w >> 16) & 0xff]) << 16) |
-         (static_cast<uint32_t>(kSbox[(w >> 8) & 0xff]) << 8) |
-         static_cast<uint32_t>(kSbox[w & 0xff]);
-}
-
-inline uint32_t RotWord(uint32_t w) { return (w << 8) | (w >> 24); }
-
 // Multiply by x in GF(2^8) modulo x^8 + x^4 + x^3 + x + 1.
 inline uint8_t XTime(uint8_t a) {
   return static_cast<uint8_t>((a << 1) ^ ((a & 0x80) ? 0x1b : 0x00));
 }
 
+#if defined(__x86_64__) || defined(__i386__)
+
+// CPUID leaf 1, ECX bit 25.
+bool CpuHasAesNi() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 && (ecx & bit_AES) != 0;
+}
+
+// The round keys are in state order, the byte order AESENC takes them in,
+// so each round is one unaligned load and one instruction.
+__attribute__((target("aes,sse2"))) void AesEncryptBlockAesNi(
+    const uint8_t* round_keys, int rounds, uint8_t* block) {
+  const auto* keys = reinterpret_cast<const __m128i*>(round_keys);
+  __m128i s = _mm_xor_si128(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(block)),
+      _mm_loadu_si128(keys));
+  for (int round = 1; round < rounds; ++round) {
+    s = _mm_aesenc_si128(s, _mm_loadu_si128(keys + round));
+  }
+  s = _mm_aesenclast_si128(s, _mm_loadu_si128(keys + rounds));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(block), s);
+}
+
+#endif
+
 }  // namespace
 
-StatusOr<Aes> Aes::Create(std::string_view key) {
-  if (key.size() != 16 && key.size() != 32) {
-    return Status::InvalidArgument(
-        "AES key must be 16 (AES-128) or 32 (AES-256) bytes, got " +
-        std::to_string(key.size()));
-  }
-  Aes aes;
-  aes.ExpandKey(reinterpret_cast<const uint8_t*>(key.data()), key.size());
-  return aes;
-}
+namespace internal {
 
-void Aes::ExpandKey(const uint8_t* key, size_t key_len) {
-  const int nk = static_cast<int>(key_len / 4);  // 4 or 8 words
-  rounds_ = nk + 6;                              // 10 or 14
-  const int total_words = 4 * (rounds_ + 1);
-
-  for (int i = 0; i < nk; ++i) {
-    round_keys_[i] = (static_cast<uint32_t>(key[4 * i]) << 24) |
-                     (static_cast<uint32_t>(key[4 * i + 1]) << 16) |
-                     (static_cast<uint32_t>(key[4 * i + 2]) << 8) |
-                     static_cast<uint32_t>(key[4 * i + 3]);
-  }
-  for (int i = nk; i < total_words; ++i) {
-    uint32_t temp = round_keys_[i - 1];
-    if (i % nk == 0) {
-      temp = SubWord(RotWord(temp)) ^
-             (static_cast<uint32_t>(kRcon[i / nk]) << 24);
-    } else if (nk > 6 && i % nk == 4) {
-      temp = SubWord(temp);
-    }
-    round_keys_[i] = round_keys_[i - nk] ^ temp;
-  }
-}
-
-void Aes::EncryptBlock(AesBlock* block) const {
-  uint8_t* s = block->data();
+void AesEncryptBlockPortable(const uint8_t* round_keys, int rounds,
+                             uint8_t* block) {
+  uint8_t* s = block;
 
   auto add_round_key = [&](int round) {
-    for (int c = 0; c < 4; ++c) {
-      uint32_t w = round_keys_[4 * round + c];
-      s[4 * c] ^= static_cast<uint8_t>(w >> 24);
-      s[4 * c + 1] ^= static_cast<uint8_t>(w >> 16);
-      s[4 * c + 2] ^= static_cast<uint8_t>(w >> 8);
-      s[4 * c + 3] ^= static_cast<uint8_t>(w);
-    }
+    const uint8_t* k = round_keys + kAesBlockSize * round;
+    for (size_t i = 0; i < kAesBlockSize; ++i) s[i] ^= k[i];
   };
 
   auto sub_bytes = [&] {
-    for (int i = 0; i < 16; ++i) s[i] = kSbox[s[i]];
+    for (size_t i = 0; i < kAesBlockSize; ++i) s[i] = kSbox[s[i]];
   };
 
   // State is column-major: s[4c + r] is row r, column c.
@@ -127,7 +115,7 @@ void Aes::EncryptBlock(AesBlock* block) const {
   };
 
   add_round_key(0);
-  for (int round = 1; round < rounds_; ++round) {
+  for (int round = 1; round < rounds; ++round) {
     sub_bytes();
     shift_rows();
     mix_columns();
@@ -135,7 +123,65 @@ void Aes::EncryptBlock(AesBlock* block) const {
   }
   sub_bytes();
   shift_rows();
-  add_round_key(rounds_);
+  add_round_key(rounds);
+}
+
+AesBlockRoutine AesNiRoutine() {
+#if defined(__x86_64__) || defined(__i386__)
+  static const bool available = CpuHasAesNi();
+  return available ? &AesEncryptBlockAesNi : nullptr;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace internal
+
+StatusOr<Aes> Aes::Create(std::string_view key) {
+  if (key.size() != 16 && key.size() != 32) {
+    return Status::InvalidArgument(
+        "AES key must be 16 (AES-128) or 32 (AES-256) bytes, got " +
+        std::to_string(key.size()));
+  }
+  Aes aes;
+  aes.ExpandKey(reinterpret_cast<const uint8_t*>(key.data()), key.size());
+  return aes;
+}
+
+// FIPS-197 5.2 on bytes: word i of the schedule is round_keys_[4i..4i+3],
+// which puts every round key in state order.
+void Aes::ExpandKey(const uint8_t* key, size_t key_len) {
+  const size_t nk = key_len / 4;       // 4 or 8 words
+  rounds_ = static_cast<int>(nk) + 6;  // 10 or 14
+  const size_t total_words = 4 * (nk + 7);
+  uint8_t* w = round_keys_.data();
+
+  std::memcpy(w, key, key_len);
+  for (size_t i = nk; i < total_words; ++i) {
+    uint8_t t[4] = {};
+    std::memcpy(t, w + 4 * (i - 1), 4);
+    if (i % nk == 0) {
+      // SubWord(RotWord(t)) ^ Rcon.
+      const uint8_t first = t[0];
+      t[0] = static_cast<uint8_t>(kSbox[t[1]] ^ kRcon[i / nk]);
+      t[1] = kSbox[t[2]];
+      t[2] = kSbox[t[3]];
+      t[3] = kSbox[first];
+    } else if (nk > 6 && i % nk == 4) {
+      for (uint8_t& b : t) b = kSbox[b];
+    }
+    for (size_t j = 0; j < 4; ++j) {
+      w[4 * i + j] = static_cast<uint8_t>(w[4 * (i - nk) + j] ^ t[j]);
+    }
+  }
+}
+
+void Aes::EncryptBlock(AesBlock* block) const {
+  static const internal::AesBlockRoutine routine = [] {
+    const internal::AesBlockRoutine hardware = internal::AesNiRoutine();
+    return hardware != nullptr ? hardware : &internal::AesEncryptBlockPortable;
+  }();
+  routine(round_keys_.data(), rounds_, block->data());
 }
 
 }  // namespace zr::crypto

@@ -5,9 +5,13 @@
 // *encryption* is implemented because CTR mode never decrypts blocks.
 // Validated against the FIPS-197 Appendix C known-answer vectors.
 //
-// Note: this is a portable table-free implementation meant for correctness
-// and reproducibility of the paper's system, not a constant-time production
-// cipher.
+// EncryptBlock has two routines (crypto/internal.h): AES-NI rounds, and a
+// portable one for CPUs and architectures without them. CPUID picks one
+// once per process; nothing else does. Both produce the same bytes. The
+// AES-NI path runs in constant time. The portable fallback indexes a
+// 256-byte S-box table, so its timing depends on key and data: it is meant
+// for correctness and reproducibility of the paper's system, not as a
+// constant-time production cipher.
 
 #ifndef ZERBERR_CRYPTO_AES_H_
 #define ZERBERR_CRYPTO_AES_H_
@@ -40,12 +44,16 @@ class Aes {
   /// Number of rounds (10 for AES-128, 14 for AES-256).
   int rounds() const { return rounds_; }
 
+  /// The expanded key: rounds() + 1 round keys of 16 bytes each, in state
+  /// order. Both block routines read this one schedule.
+  const uint8_t* round_keys() const { return round_keys_.data(); }
+
  private:
   Aes() = default;
   void ExpandKey(const uint8_t* key, size_t key_len);
 
   // Max schedule: AES-256 needs 15 round keys of 16 bytes.
-  std::array<uint32_t, 60> round_keys_{};
+  std::array<uint8_t, 15 * kAesBlockSize> round_keys_{};
   int rounds_ = 0;
 };
 

@@ -1,7 +1,14 @@
 // SHA-256 (FIPS 180-4), implemented from scratch.
 //
-// Used for HMAC (term pseudonyms, key derivation) and message integrity.
-// Validated against the NIST test vectors in tests/crypto_sha256_test.cc.
+// Used for HMAC (term pseudonyms, key derivation, the sealing MAC) and for
+// the WAL and snapshot checksums. Validated against the NIST test vectors
+// in tests/crypto_sha256_test.cc.
+//
+// The block compression has two routines (crypto/internal.h): SHA-NI
+// (SHA256RNDS2/MSG1/MSG2), and a portable one for CPUs and architectures
+// without it. CPUID picks one once per process; nothing else does. Both
+// produce the same digests, so stores and baselines written on one kind of
+// host read back on the other.
 
 #ifndef ZERBERR_CRYPTO_SHA256_H_
 #define ZERBERR_CRYPTO_SHA256_H_

@@ -4,6 +4,7 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -12,6 +13,34 @@
 
 namespace zr::crypto {
 namespace {
+
+std::string HexOf(std::string_view bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kHex[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kHex[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
+
+// Golden values of the KeyStore's SHA-256 consumers: the directory key's
+// pseudonyms and deterministic units, and a group's derived subkeys. They
+// were captured with the portable block routines alone. Every host, with or
+// without AES-NI and SHA-NI, must reproduce them, or elements sealed on one
+// host would not open on another.
+TEST(KeyStoreGoldenTest, DerivedValuesAreByteIdentical) {
+  KeyStore ks("seed");
+  ASSERT_TRUE(ks.CreateGroup(1).ok());
+  EXPECT_EQ(ks.TermPseudonym("apple"), 0x47564a7920daeb97ULL);
+  EXPECT_EQ(ks.DeterministicUnit("apple", 42), 0x1.667558d2f61f6p-2);
+  auto keys = ks.GetGroupKeys(1);
+  ASSERT_TRUE(keys.ok());
+  EXPECT_EQ(HexOf(keys->enc_key), "10ecb3499ad0988105fd08260f35fac4");
+  EXPECT_EQ(HexOf(keys->mac_key),
+            "650edef8e633f3a64135e33c07705ef1"
+            "4d5f7e578868ee14b6f61bba89db915c");
+}
 
 TEST(KeyStoreTest, CreateGroupOnceOnly) {
   KeyStore ks("seed");

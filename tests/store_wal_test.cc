@@ -6,6 +6,8 @@
 #include <atomic>
 #include <filesystem>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,16 @@ namespace zr::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+std::string HexOf(std::string_view bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kHex[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kHex[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
 
 class WalTest : public ::testing::Test {
  protected:
@@ -99,6 +111,16 @@ TEST_F(WalTest, EncodeDecodeRoundTripsEveryRecordType) {
   EXPECT_EQ(scanned.records[3].type, WalRecord::Type::kGrantMembership);
   EXPECT_EQ(scanned.records[3].user, 11u);
   EXPECT_EQ(scanned.records[4].type, WalRecord::Type::kRevokeMembership);
+}
+
+// Golden bytes of one insert record: its sealed element (AES-CTR, HMAC)
+// and its SHA-256 checksum. Captured with the portable block routines
+// alone; every host must reproduce them, so a WAL written on a host without
+// AES-NI and SHA-NI replays on one with them, and the reverse.
+TEST_F(WalTest, EncodedInsertRecordIsByteIdentical) {
+  EXPECT_EQ(HexOf(EncodeWalRecord(InsertRecord(3, 42, 0.25))),
+            "270103012a000000000000d03f1a7555e49d9a0541211886b3ba42b2625ca106"
+            "f84c6a63ee2e2f7e23bbcf5354d4943f");
 }
 
 TEST_F(WalTest, ScanStopsCleanlyAtEveryTruncationPoint) {

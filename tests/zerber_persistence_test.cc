@@ -6,9 +6,21 @@
 #include <cstdio>
 #include <filesystem>
 #include <map>
+#include <string>
+#include <string_view>
 
 namespace zr::zerber {
 namespace {
+
+std::string HexOf(std::string_view bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kHex[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kHex[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
 
 class PersistenceTest : public ::testing::Test {
  protected:
@@ -220,6 +232,32 @@ TEST_F(PersistenceTest, RestoreWithHandleSpacePreservesResidueClass) {
   ASSERT_TRUE(handle.ok());
   EXPECT_EQ(*handle % 4, 2u);       // still in the shard's residue class
   EXPECT_GT(*handle, max_handle);   // and past every restored handle
+}
+
+// Golden bytes of a two-element snapshot: sealed elements (AES-CTR, HMAC)
+// and the SHA-256 checksum. Captured with the portable block routines
+// alone; every host must reproduce them, so a snapshot written on a host
+// without AES-NI and SHA-NI restores on one with them, and the reverse.
+TEST_F(PersistenceTest, TwoElementSnapshotIsByteIdentical) {
+  IndexServer server(2, Placement::kTrsSorted, 11);
+  {
+    // Provisioning before the test issues any traffic: quiescent.
+    QuiescenceLock quiesced(server.quiescence());
+    ASSERT_TRUE(server.acl().AddGroup(1).ok());
+    ASSERT_TRUE(server.acl().AddGroup(2).ok());
+    ASSERT_TRUE(server.acl().GrantMembership(7, 1).ok());
+    ASSERT_TRUE(server.acl().GrantMembership(7, 2).ok());
+    auto a = SealPostingElement(PostingPayload{1, 10, 0.25}, 1, 0.5, &keys_);
+    auto b = SealPostingElement(PostingPayload{2, 20, 0.75}, 2, 0.25, &keys_);
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(server.Insert(7, 0, *a).ok());
+    ASSERT_TRUE(server.Insert(7, 1, *b).ok());
+  }
+  EXPECT_EQ(HexOf(SerializeIndexSnapshot(server)),
+            "5a425249445830310102010101000000000000e03f1a27e3cbb20e0941ecca8d"
+            "713c4ade0ea8de39ecc27b870d3fc656010202000000000000d03f1a27e3cbb2"
+            "0e0941ed0157aa7ecb93058457787ec1e67bbd4021030201010702010722b761"
+            "29c2a2fedffdb5f062e866959af5fe73cdd990e277b3b862e62f97e03e");
 }
 
 TEST_F(PersistenceTest, SealedElementsStillOpenAfterRestore) {
