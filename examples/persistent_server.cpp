@@ -47,10 +47,15 @@ int main() {
     return 1;
   }
   core::Pipeline& p = **built;
+  auto total_elements = [](store::DurableIndexService& durable) {
+    unsigned long long total = 0;
+    for (size_t s = 0; s < durable.num_partitions(); ++s) {
+      total += durable.partition(s).TotalElements();
+    }
+    return total;
+  };
   std::printf("durable deployment up: %zu shards, %llu elements, WAL sync %s\n",
-              p.durable->num_partitions(),
-              static_cast<unsigned long long>(
-                  p.durable->sharded()->TotalElements()),
+              p.durable->num_partitions(), total_elements(*p.durable),
               store::WalSyncModeName(options.wal_sync_mode));
 
   // Mid-workload mutations: a handful of extra inserts (all acked, all
@@ -102,9 +107,7 @@ int main() {
   }
   std::printf("recovered: %llu elements across %zu shards "
               "(epochs %llu, %llu)\n",
-              static_cast<unsigned long long>(
-                  (*recovered)->sharded()->TotalElements()),
-              (*recovered)->num_partitions(),
+              total_elements(**recovered), (*recovered)->num_partitions(),
               static_cast<unsigned long long>((*recovered)->epoch(0)),
               static_cast<unsigned long long>((*recovered)->epoch(1)));
 

@@ -5,7 +5,7 @@
 // the routing, the MultiFetch fan-out, the ACL broadcast and the stats sum):
 // each shard handle is a fault-tolerant cluster::ShardClient connection to
 // an independent shard-server process (tools/shard_server.cc:
-// store::DurableIndexService behind a net::TcpServer). This is the paper's
+// store::DurableShard behind a net::TcpServer). This is the paper's
 // deployment model made literal — the confidential index lives on
 // untrusted, distributed servers, and the router holds no index state at
 // all: every byte of posting data, every ACL bit, lives behind the wire.

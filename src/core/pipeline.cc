@@ -97,7 +97,7 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
 
   // 6. Server with ACLs; the experiment user may read every group. One
   // IndexServer when unsharded, a ShardedIndexService otherwise; with
-  // data_dir set, a DurableIndexService owning either shape (ACL
+  // data_dir set, a DurableIndexService over num_shards durable shards (ACL
   // provisioning goes through it so the grants are WAL-logged too).
   net::ZerberService* backend = nullptr;
   if (client_only) {

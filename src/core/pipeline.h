@@ -98,7 +98,8 @@ struct PipelineOptions {
   size_t num_shards = 1;
 
   /// MultiFetch worker threads of the fan-out backend (net::ShardRouter):
-  /// the sharded one when num_shards > 1, or the cluster router.
+  /// the sharded one when num_shards > 1, the durable one, or the cluster
+  /// router.
   /// kAutoWorkers sizes the pool from the hardware.
   size_t num_shard_workers = zerber::ShardedIndexService::kAutoWorkers;
 
@@ -126,12 +127,12 @@ struct PipelineOptions {
   cluster::ShardClientOptions cluster_client;
 
   /// Durable storage engine root. Empty (the default) serves in memory
-  /// only; non-empty wraps the backend (single or sharded) in a
-  /// DurableIndexService (store/durable_service.h): every acked mutation is
-  /// WAL-logged, snapshots rotate at a size threshold, and a crashed
-  /// deployment recovers from the directory. Intended for a fresh directory
-  /// — BuildPipeline re-inserts the corpus; reopen an existing store with
-  /// DurableIndexService::Open directly.
+  /// only; non-empty deploys a DurableIndexService (store/durable_service.h,
+  /// Pipeline::durable): a net::ShardRouter over num_shards durable shards,
+  /// each WAL-logging every acked mutation, rotating snapshots at a size
+  /// threshold and recovering from its own subdirectory after a crash.
+  /// Intended for a fresh directory — BuildPipeline re-inserts the corpus;
+  /// reopen an existing store with DurableIndexService::Open directly.
   std::string data_dir;
 
   /// When an acked mutation is durable (only with data_dir set).
@@ -171,7 +172,8 @@ struct Pipeline {
   /// Backend (exactly one is set). In-memory deployments set `server`
   /// (single, behind an IndexService adapter) or `sharded` by
   /// options.num_shards; durable deployments (options.data_dir non-empty)
-  /// set `durable` instead, which owns the single/sharded backend itself.
+  /// set `durable` instead, a router over options.num_shards (>= 1)
+  /// durable shards that own their IndexServers.
   std::unique_ptr<zerber::IndexServer> server;
   std::unique_ptr<zerber::ShardedIndexService> sharded;
   std::unique_ptr<store::DurableIndexService> durable;
@@ -183,12 +185,12 @@ struct Pipeline {
   /// Service boundary: the server behind the typed ZerberService API, and
   /// the transport the client's traffic is routed through. The channel
   /// accumulates that traffic under the paper's user link model (56 kb/s).
-  /// `service` is null in sharded deployments (ShardedIndexService is
-  /// itself the ZerberService backend). `tcp_server` is set only when
-  /// options.transport == kTcp with no connect_addr: the deployment's
-  /// backend served over a real socket (declared before channel/transport
-  /// so the client side tears down first, then the server, then the
-  /// backend it dispatches into).
+  /// `service` is null in sharded, durable and cluster deployments (their
+  /// net::ShardRouter is itself the ZerberService backend). `tcp_server`
+  /// is set only when options.transport == kTcp with no connect_addr: the
+  /// deployment's backend served over a real socket (declared before
+  /// channel/transport so the client side tears down first, then the
+  /// server, then the backend it dispatches into).
   std::unique_ptr<net::IndexService> service;
   std::unique_ptr<net::TcpServer> tcp_server;
   std::unique_ptr<net::SimChannel> channel;

@@ -569,9 +569,11 @@ Deployment DeploymentFromPipeline(core::Pipeline* pipeline) {
   }
   d.groups.assign(groups.begin(), groups.end());
 
-  // Both fan-out deployments (in-process shards or shard processes) are a
-  // net::ShardRouter; only the cluster adds fault-handling counters.
+  // Every fan-out deployment (in-process shards, durable shards or shard
+  // processes) is a net::ShardRouter; only the cluster adds fault-handling
+  // counters.
   net::ShardRouter* shards = pipeline->sharded.get();
+  if (pipeline->durable) shards = pipeline->durable.get();
   if (pipeline->router) {
     cluster::RouterService* router = pipeline->router.get();
     shards = router;
@@ -583,19 +585,6 @@ Deployment DeploymentFromPipeline(core::Pipeline* pipeline) {
       return shards->GrantMembership(user, group);
     };
     d.server_stats = [shards] { return shards->stats(); };
-  } else if (pipeline->durable) {
-    store::DurableIndexService* durable = pipeline->durable.get();
-    d.backend = durable;
-    d.grant = [durable](zerber::UserId user, crypto::GroupId group) {
-      return durable->GrantMembership(user, group);
-    };
-    if (durable->sharded() != nullptr) {
-      zerber::ShardedIndexService* sharded = durable->sharded();
-      d.server_stats = [sharded] { return sharded->stats(); };
-    } else {
-      zerber::IndexServer* single = durable->single();
-      d.server_stats = [single] { return single->stats(); };
-    }
   } else {
     zerber::IndexServer* server = pipeline->server.get();
     d.backend = pipeline->service.get();

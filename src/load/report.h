@@ -45,8 +45,8 @@ struct ObsReport {
   /// (kClientOp + kRouterFanout + kShardServe + kWalAppend spans). Only
   /// traced mutations that cross a net::ShardRouter, a framed serving hop
   /// and a WAL can be complete by this definition — a cluster deployment,
-  /// or a durable sharded backend served over TCP; other deployments
-  /// report 0.
+  /// or a durable backend (any shard count, each one a router over durable
+  /// shards) served over TCP; other deployments report 0.
   uint64_t complete_traces = 0;
 
   uint64_t spans = 0;          ///< span records drained

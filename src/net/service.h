@@ -21,12 +21,13 @@ namespace zr::net {
 ///
 /// Implementations: IndexService (single-server backend), ShardRouter
 /// (one fan-out engine over N ShardService handles, net/shard_router.h)
-/// with its two deployments zerber::ShardedIndexService (in-process
-/// IndexService shards) and cluster::RouterService (cluster::ShardClient
-/// connections to shard processes), store::DurableIndexService (WAL-backed
-/// decorator over IndexService or ShardedIndexService), and the
-/// client-side stubs DirectTransport / LoopbackTransport / TcpTransport
-/// forwarding to a backend service (net/transport.h, net/tcp.h).
+/// with its three deployments zerber::ShardedIndexService (in-process
+/// IndexService shards), store::DurableIndexService (store::DurableShard
+/// handles: WAL-backed shards serving through an IndexService) and
+/// cluster::RouterService (cluster::ShardClient connections to shard
+/// processes, each serving a DurableShard), and the client-side stubs
+/// DirectTransport / LoopbackTransport / TcpTransport forwarding to a
+/// backend service (net/transport.h, net/tcp.h).
 ///
 /// Threading: the request path of every *server-side* implementation
 /// (Insert/Fetch/MultiFetch/Delete) is safe from any number of threads —
@@ -34,10 +35,10 @@ namespace zr::net {
 /// transport stubs are single-threaded (one per client thread).
 ///
 /// Ownership: implementations borrow the objects they adapt (IndexService
-/// borrows its IndexServer) unless documented otherwise
-/// (DurableIndexService owns its backend); callers keep requests alive
-/// only for the duration of the call, and responses are returned by
-/// value.
+/// borrows its IndexServer) unless documented otherwise (a ShardRouter
+/// owns its handles, a DurableShard its IndexServer); callers keep
+/// requests alive only for the duration of the call, and responses are
+/// returned by value.
 class ZerberService {
  public:
   virtual ~ZerberService() = default;
@@ -60,9 +61,9 @@ class ZerberService {
 
 /// One shard behind a ShardRouter: the request protocol plus the
 /// operator's control-plane calls, which the router broadcasts (Acl) and
-/// sums (Stats). An in-process shard is an IndexService; a remote one is a
-/// cluster::ShardClient, whose calls cross the wire as AclRequest and
-/// StatsRequest frames.
+/// sums (Stats). An in-process shard is an IndexService or a
+/// store::DurableShard; a remote one is a cluster::ShardClient, whose calls
+/// cross the wire as AclRequest and StatsRequest frames.
 class ShardService : public ZerberService {
  public:
   /// Applies one ACL mutation. Requires quiescence.

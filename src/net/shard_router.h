@@ -6,7 +6,8 @@
 // ShardRouter spreads the global list space over N net::ShardService
 // handles and serves the ZerberService protocol over them. The handle type
 // is the deployment: zerber::ShardedIndexService builds in-process
-// IndexService shards, cluster::RouterService builds cluster::ShardClient
+// IndexService shards, store::DurableIndexService builds WAL-backed
+// store::DurableShards, cluster::RouterService builds cluster::ShardClient
 // connections to shard-server processes. Everything else exists once, here:
 //
 //  * Routing (zerber/routing.h): global list L lives on shard L % N as

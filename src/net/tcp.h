@@ -2,8 +2,8 @@
 //
 // The third TransportKind: typed wire messages (net/messages.h) framed over
 // a TCP socket, so every backend in the repo — single IndexService,
-// ShardedIndexService, DurableIndexService — can be served as an actual
-// remote process instead of an in-process stub.
+// ShardedIndexService, DurableIndexService, one DurableShard — can be
+// served as an actual remote process instead of an in-process stub.
 //
 // Framing: every message (request or response) travels as one frame of
 //

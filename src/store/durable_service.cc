@@ -78,6 +78,11 @@ constexpr char kSnapshotSuffix[] = ".idx";
 constexpr char kWalPrefix[] = "wal-";
 constexpr char kWalSuffix[] = ".log";
 
+/// N: a store has at least one shard.
+size_t ShardCount(const DurableOptions& options) {
+  return std::max<size_t>(1, options.num_shards);
+}
+
 }  // namespace
 
 std::string DurableIndexService::PartitionDir(const std::string& data_dir,
@@ -103,92 +108,34 @@ std::string DurableIndexService::WalPath(const std::string& dir,
   return dir + buf;
 }
 
-DurableIndexService::DurableIndexService(const DurableOptions& options)
-    : options_(options) {}
+DurableShard::DurableShard(const DurableOptions& options, size_t s,
+                           std::string dir)
+    : dir_(std::move(dir)),
+      sync_mode_(options.sync_mode),
+      snapshot_threshold_bytes_(options.snapshot_threshold_bytes),
+      server_(zerber::ListsOnShard(options.num_lists, ShardCount(options), s),
+              options.placement,
+              ShardCount(options) > 1 ? zerber::ShardSeed(options.seed, s)
+                                      : options.seed,
+              zerber::HandleSpace{ShardCount(options), s}) {}
 
-StatusOr<std::unique_ptr<DurableIndexService>> DurableIndexService::Open(
-    const DurableOptions& options) {
-  if (options.data_dir.empty()) {
-    return Status::InvalidArgument("DurableOptions.data_dir is empty");
+StatusOr<std::unique_ptr<DurableShard>> DurableShard::Open(
+    const DurableOptions& options, size_t s, std::string dir) {
+  if (s >= ShardCount(options)) {
+    return Status::InvalidArgument("shard " + std::to_string(s) +
+                                   " out of range");
   }
-  auto service =
-      std::unique_ptr<DurableIndexService>(new DurableIndexService(options));
-
-  // Backend + partition skeletons.
-  if (options.cluster_shards > 1 && options.num_shards > 1) {
-    return Status::InvalidArgument(
-        "cluster_shards and num_shards are mutually exclusive");
-  }
-  if (options.cluster_shard >= std::max<size_t>(1, options.cluster_shards)) {
-    return Status::InvalidArgument("cluster_shard out of range");
-  }
-  size_t num_partitions = std::max<size_t>(1, options.num_shards);
-  if (options.cluster_shards > 1) {
-    // One shard of a cluster: a single partition in the shard's cluster
-    // coordinates (local list count, derived seed, handle residue class).
-    service->single_ = std::make_unique<zerber::IndexServer>(
-        zerber::ListsOnShard(options.num_lists, options.cluster_shards,
-                             options.cluster_shard),
-        options.placement,
-        zerber::ShardSeed(options.seed, options.cluster_shard),
-        zerber::HandleSpace{options.cluster_shards, options.cluster_shard});
-    service->single_service_ =
-        std::make_unique<net::IndexService>(service->single_.get());
-    service->backend_ = service->single_service_.get();
-  } else if (options.num_shards > 1) {
-    zerber::ShardedIndexService::Options sharding;
-    sharding.num_shards = options.num_shards;
-    sharding.num_workers = options.num_shard_workers;
-    sharding.placement = options.placement;
-    sharding.seed = options.seed;
-    service->sharded_ = std::make_unique<zerber::ShardedIndexService>(
-        options.num_lists, sharding);
-    service->backend_ = service->sharded_.get();
-  } else {
-    service->single_ = std::make_unique<zerber::IndexServer>(
-        options.num_lists, options.placement, options.seed);
-    service->single_service_ =
-        std::make_unique<net::IndexService>(service->single_.get());
-    service->backend_ = service->single_service_.get();
-  }
-  for (size_t p = 0; p < num_partitions; ++p) {
-    auto partition = std::make_unique<Partition>();
-    partition->dir = PartitionDir(options.data_dir, p);
-    partition->server = service->sharded_ ? &service->sharded_->shard(p)
-                                          : service->single_.get();
-    service->partitions_.push_back(std::move(partition));
-  }
-
   std::error_code ec;
-  for (const auto& partition : service->partitions_) {
-    fs::create_directories(partition->dir, ec);
-    if (ec) {
-      return Status::Internal("cannot create " + partition->dir + ": " +
-                              ec.message());
-    }
-  }
-
-  // Recover partitions in parallel (each one is fully self-contained:
-  // its snapshot carries the shard's lists and ACL, its WAL the tail).
-  std::vector<Status> results(num_partitions, Status::OK());
-  if (num_partitions == 1) {
-    results[0] = service->RecoverPartition(0);
-  } else {
-    std::vector<std::thread> recoverers;
-    recoverers.reserve(num_partitions);
-    for (size_t p = 0; p < num_partitions; ++p) {
-      recoverers.emplace_back(
-          [&service, &results, p] { results[p] = service->RecoverPartition(p); });
-    }
-    for (std::thread& t : recoverers) t.join();
-  }
-  for (const Status& s : results) ZR_RETURN_IF_ERROR(s);
-
-  service->rotator_ = std::thread([svc = service.get()] { svc->RotatorLoop(); });
-  return service;
+  fs::create_directories(dir, ec);
+  if (ec) return Status::Internal("cannot create " + dir + ": " + ec.message());
+  std::unique_ptr<DurableShard> shard(
+      new DurableShard(options, s, std::move(dir)));
+  ZR_RETURN_IF_ERROR(shard->Recover());
+  shard->rotator_ = std::thread([raw = shard.get()] { raw->RotatorLoop(); });
+  return shard;
 }
 
-DurableIndexService::~DurableIndexService() {
+DurableShard::~DurableShard() {
   if (rotator_.joinable()) {
     {
       MutexLock lock(rot_mu_);
@@ -197,27 +144,14 @@ DurableIndexService::~DurableIndexService() {
     rot_cv_.NotifyAll();
     rotator_.join();
   }
-  for (const auto& partition : partitions_) {
-    WriterMutexLock gate(partition->gate);
-    if (partition->wal) (void)partition->wal->Close();
-  }
+  WriterMutexLock gate(gate_);
+  if (wal_) (void)wal_->Close();
 }
 
-size_t DurableIndexService::PartitionOfList(zerber::MergedListId list) const {
-  return sharded_ ? sharded_->ShardOfList(list) : 0;
-}
-
-uint32_t DurableIndexService::LocalList(zerber::MergedListId list) const {
-  return sharded_ ? sharded_->LocalListId(list) : list;
-}
-
-Status DurableIndexService::RecoverPartition(size_t p) {
-  Partition& partition = *partitions_[p];
-  // Recovery runs before Open() returns: nothing serves this partition yet
-  // (Open recovers partitions on dedicated threads, one per partition), so
+Status DurableShard::Recover() {
+  // Recovery runs before Open() returns: nothing serves this shard yet, so
   // the replay loop below legitimately owns the server's quiescence.
-  zerber::IndexServer& server = *partition.server;
-  QuiescenceLock quiesced(server.quiescence());
+  QuiescenceLock quiesced(server_.quiescence());
 
   // 1. Newest snapshot generation that validates becomes the base state.
   //    Validation happens before any mutation (RestoreSnapshotInto parses
@@ -225,14 +159,13 @@ Status DurableIndexService::RecoverPartition(size_t p) {
   uint64_t base_epoch = 0;
   bool restored = false;
   std::vector<uint64_t> snapshots =
-      ListEpochs(partition.dir, kSnapshotPrefix, kSnapshotSuffix);
+      ListEpochs(dir_, kSnapshotPrefix, kSnapshotSuffix);
   Status last_error = Status::OK();
   for (uint64_t epoch : snapshots) {
     StatusOr<std::string> bytes =
-        ReadFileToString(SnapshotPath(partition.dir, epoch));
-    Status attempt = bytes.ok()
-        ? zerber::RestoreSnapshotInto(partition.server, *bytes)
-        : bytes.status();
+        ReadFileToString(DurableIndexService::SnapshotPath(dir_, epoch));
+    Status attempt = bytes.ok() ? zerber::RestoreSnapshotInto(&server_, *bytes)
+                                : bytes.status();
     if (attempt.ok()) {
       base_epoch = epoch;
       restored = true;
@@ -241,10 +174,10 @@ Status DurableIndexService::RecoverPartition(size_t p) {
     last_error = attempt;
   }
   if (!restored && !snapshots.empty()) {
-    return Status::Corruption("no valid snapshot in " + partition.dir + ": " +
+    return Status::Corruption("no valid snapshot in " + dir_ + ": " +
                               last_error.ToString());
   }
-  partition.epoch.store(base_epoch, std::memory_order_relaxed);
+  epoch_.store(base_epoch, std::memory_order_relaxed);
 
   // 2. Replay the WAL chain from the base epoch upward, stopping at the
   //    first torn/corrupt record or missing link — everything before the
@@ -256,7 +189,8 @@ Status DurableIndexService::RecoverPartition(size_t p) {
   bool base_wal_exists = false;
   bool chain_clean = true;
   for (uint64_t e = base_epoch;; ++e) {
-    StatusOr<std::string> wal_bytes = ReadWalBytes(WalPath(partition.dir, e));
+    StatusOr<std::string> wal_bytes =
+        ReadWalBytes(DurableIndexService::WalPath(dir_, e));
     if (!wal_bytes.ok()) {
       if (wal_bytes.status().IsNotFound()) break;  // end of the chain
       return wal_bytes.status();
@@ -267,21 +201,21 @@ Status DurableIndexService::RecoverPartition(size_t p) {
       switch (record.type) {
         case WalRecord::Type::kInsert:
           ZR_RETURN_IF_ERROR(
-              server.ReplayInsert(record.list, std::move(record.element)));
+              server_.ReplayInsert(record.list, std::move(record.element)));
           break;
         case WalRecord::Type::kDelete:
-          ZR_RETURN_IF_ERROR(server.ReplayDelete(record.list, record.handle));
+          ZR_RETURN_IF_ERROR(server_.ReplayDelete(record.list, record.handle));
           break;
         case WalRecord::Type::kAddGroup:
-          ZR_RETURN_IF_ERROR(server.acl().AddGroup(record.group));
+          ZR_RETURN_IF_ERROR(server_.acl().AddGroup(record.group));
           break;
         case WalRecord::Type::kGrantMembership:
           ZR_RETURN_IF_ERROR(
-              server.acl().GrantMembership(record.user, record.group));
+              server_.acl().GrantMembership(record.user, record.group));
           break;
         case WalRecord::Type::kRevokeMembership:
           ZR_RETURN_IF_ERROR(
-              server.acl().RevokeMembership(record.user, record.group));
+              server_.acl().RevokeMembership(record.user, record.group));
           break;
       }
       ++replayed;
@@ -297,256 +231,240 @@ Status DurableIndexService::RecoverPartition(size_t p) {
   //    its own WAL exists, is clean and empty, and no later epoch lingers.
   bool base_is_newest = !snapshots.empty() && snapshots.front() == base_epoch;
   bool no_later_wal = true;
-  for (uint64_t e : ListEpochs(partition.dir, kWalPrefix, kWalSuffix)) {
+  for (uint64_t e : ListEpochs(dir_, kWalPrefix, kWalSuffix)) {
     if (e > base_epoch) no_later_wal = false;
   }
   if (restored && base_is_newest && base_wal_exists && chain_clean &&
       replayed == 0 && no_later_wal) {
-    WriterMutexLock gate(partition.gate);
-    ZR_ASSIGN_OR_RETURN(partition.wal,
-                        WalWriter::Open(WalPath(partition.dir, base_epoch),
-                                        options_.sync_mode));
+    WriterMutexLock gate(gate_);
+    ZR_ASSIGN_OR_RETURN(
+        wal_, WalWriter::Open(DurableIndexService::WalPath(dir_, base_epoch),
+                              sync_mode_));
     return Status::OK();
   }
-  return RotatePartition(p);
+  return Rotate();
 }
 
-Status DurableIndexService::RotatePartition(size_t p) {
-  Partition& partition = *partitions_[p];
-  WriterMutexLock gate(partition.gate);
-  // Clearing pending inside the gate: a concurrent scheduler either sees
-  // the flag still set (skips) or queues a fresh rotation that runs after
-  // this one — never a lost trigger.
-  partition.rotation_pending.store(false, std::memory_order_relaxed);
+Status DurableShard::Rotate() {
+  WriterMutexLock gate(gate_);
+  {
+    // Clearing pending inside the gate: a concurrent scheduler either sees
+    // the flag still set or sets it afresh for a rotation that runs after
+    // this one — never a lost trigger.
+    MutexLock lock(rot_mu_);
+    rotation_pending_ = false;
+  }
 
   // Fail-stop: once the WAL hit an IO error, some applied mutation was
   // reported failed to its client. Snapshotting the live server now would
-  // make that unacked mutation durable, so the partition must not rotate
+  // make that unacked mutation durable, so the shard must not rotate
   // again — recovery from the on-disk state is the only way forward.
-  if (partition.wal) {
-    Status wal_status = partition.wal->status();
-    if (!wal_status.ok()) return wal_status;
-  }
+  if (wal_) ZR_RETURN_IF_ERROR(wal_->status());
 
-  uint64_t prev = partition.epoch.load(std::memory_order_relaxed);
+  uint64_t prev = epoch_.load(std::memory_order_relaxed);
   // Never reuse any epoch present on disk: after a fallback recovery the
   // directory can hold generations newer than the one restored, and their
   // stale WALs must not pair with the new snapshot.
   uint64_t next = prev + 1;
-  for (uint64_t e : ListEpochs(partition.dir, kSnapshotPrefix,
-                               kSnapshotSuffix)) {
+  for (uint64_t e : ListEpochs(dir_, kSnapshotPrefix, kSnapshotSuffix)) {
     next = std::max(next, e + 1);
   }
-  for (uint64_t e : ListEpochs(partition.dir, kWalPrefix, kWalSuffix)) {
+  for (uint64_t e : ListEpochs(dir_, kWalPrefix, kWalSuffix)) {
     next = std::max(next, e + 1);
   }
 
   // Publish snapshot e+1, then its empty WAL; only then retire epoch e.
-  std::string snapshot = zerber::SerializeIndexSnapshot(*partition.server);
-  ZR_RETURN_IF_ERROR(WriteFileAtomic(SnapshotPath(partition.dir, next),
-                                     snapshot, /*sync=*/true));
-  ZR_ASSIGN_OR_RETURN(std::unique_ptr<WalWriter> wal,
-                      WalWriter::Open(WalPath(partition.dir, next),
-                                      options_.sync_mode));
-  ZR_RETURN_IF_ERROR(SyncDirectory(partition.dir));
+  std::string snapshot = zerber::SerializeIndexSnapshot(server_);
+  ZR_RETURN_IF_ERROR(WriteFileAtomic(
+      DurableIndexService::SnapshotPath(dir_, next), snapshot, /*sync=*/true));
+  ZR_ASSIGN_OR_RETURN(
+      std::unique_ptr<WalWriter> wal,
+      WalWriter::Open(DurableIndexService::WalPath(dir_, next), sync_mode_));
+  ZR_RETURN_IF_ERROR(SyncDirectory(dir_));
 
-  if (partition.wal) (void)partition.wal->Close();
-  partition.wal = std::move(wal);
-  partition.epoch.store(next, std::memory_order_relaxed);
+  if (wal_) (void)wal_->Close();
+  wal_ = std::move(wal);
+  epoch_.store(next, std::memory_order_relaxed);
 
   // Best-effort cleanup: keep the new generation and its predecessor —
   // snapshot AND WAL, since wal-prev is exactly the delta that makes a
   // fallback from a rotted snapshot-next lossless — and drop the rest.
   std::error_code ec;
-  for (uint64_t e : ListEpochs(partition.dir, kWalPrefix, kWalSuffix)) {
-    if (e != next && e != prev) fs::remove(WalPath(partition.dir, e), ec);
+  for (uint64_t e : ListEpochs(dir_, kWalPrefix, kWalSuffix)) {
+    if (e != next && e != prev) {
+      fs::remove(DurableIndexService::WalPath(dir_, e), ec);
+    }
   }
-  for (uint64_t e : ListEpochs(partition.dir, kSnapshotPrefix,
-                               kSnapshotSuffix)) {
-    if (e != next && e != prev) fs::remove(SnapshotPath(partition.dir, e), ec);
+  for (uint64_t e : ListEpochs(dir_, kSnapshotPrefix, kSnapshotSuffix)) {
+    if (e != next && e != prev) {
+      fs::remove(DurableIndexService::SnapshotPath(dir_, e), ec);
+    }
   }
   return Status::OK();
 }
 
-void DurableIndexService::ScheduleRotation(size_t p) {
-  Partition& partition = *partitions_[p];
-  bool expected = false;
-  if (!partition.rotation_pending.compare_exchange_strong(expected, true)) {
-    return;  // already queued
-  }
-  {
-    MutexLock lock(rot_mu_);
-    rot_queue_.push_back(p);
-  }
+void DurableShard::ScheduleRotation() {
+  MutexLock lock(rot_mu_);
+  rotation_pending_ = true;
   rot_cv_.NotifyOne();
 }
 
-void DurableIndexService::RotatorLoop() {
+void DurableShard::RotatorLoop() {
+  MutexLock lock(rot_mu_);
   for (;;) {
-    size_t p;
-    {
-      MutexLock lock(rot_mu_);
-      while (!stopping_ && rot_queue_.empty()) rot_cv_.Wait(rot_mu_);
-      if (rot_queue_.empty()) return;  // stopping, queue drained
-      p = rot_queue_.front();
-      rot_queue_.pop_front();
-    }
+    while (!stopping_ && !rotation_pending_) rot_cv_.Wait(rot_mu_);
+    if (!rotation_pending_) return;  // stopping, nothing pending
+    lock.Unlock();
     // A failed background rotation leaves the current epoch serving; the
-    // next threshold crossing re-queues it.
-    (void)RotatePartition(p);
+    // next threshold crossing schedules another.
+    (void)Rotate();
+    lock.Relock();
   }
 }
 
-uint64_t DurableIndexService::wal_bytes(size_t p) const {
-  Partition& partition = *partitions_[p];
-  ReaderMutexLock gate(partition.gate);
-  return partition.wal ? partition.wal->SizeBytes() : 0;
+uint64_t DurableShard::wal_bytes() const {
+  ReaderMutexLock gate(gate_);
+  return wal_ ? wal_->SizeBytes() : 0;
 }
 
-uint64_t DurableIndexService::epoch(size_t p) const {
-  return partitions_[p]->epoch.load(std::memory_order_relaxed);
+Status DurableShard::Flush() {
+  ReaderMutexLock gate(gate_);
+  return wal_ ? wal_->Sync() : Status::OK();
 }
 
-Status DurableIndexService::RotateNow(size_t p) { return RotatePartition(p); }
+StatusOr<net::InsertResponse> DurableShard::Insert(
+    const net::InsertRequest& request) {
+  ReaderMutexLock gate(gate_);
+  ZR_RETURN_IF_ERROR(wal_->status());  // fail-stop: fail fast
+  ZR_ASSIGN_OR_RETURN(net::InsertResponse response, service_.Insert(request));
+  WalRecord record;
+  record.type = WalRecord::Type::kInsert;
+  record.list = request.list;
+  record.element = request.element;
+  record.element.handle = response.handle;
+  Status logged = TimedWalAppend(wal_.get(), record);
+  if (!logged.ok()) {
+    // The insert is unacked; scrub it from the live index so serving
+    // matches what recovery will reconstruct. (Deletes cannot be undone
+    // this way — see the fail-stop note in the header.)
+    //
+    // ReplayDelete is quiescent-only by contract, but the scrub is sound
+    // mid-traffic: it locks the owning stripe internally, and the handle
+    // it removes was never acked to any client, so no concurrent request
+    // can legitimately name it. AssertHeld documents (and silences) this
+    // deliberate exception rather than widening the replay contract.
+    server_.quiescence().AssertHeld();
+    (void)server_.ReplayDelete(record.list, response.handle);
+    return logged;
+  }
+  // Read the WAL size under the gate (rotation swaps the WAL out under the
+  // exclusive side); schedule the rotation after releasing it.
+  bool rotate = wal_->SizeBytes() >= snapshot_threshold_bytes_;
+  gate.Unlock();
+  if (rotate) ScheduleRotation();
+  return response;
+}
+
+StatusOr<net::QueryResponse> DurableShard::Fetch(
+    const net::QueryRequest& request) {
+  return service_.Fetch(request);
+}
+
+StatusOr<net::MultiFetchResponse> DurableShard::MultiFetch(
+    const net::MultiFetchRequest& request) {
+  return service_.MultiFetch(request);
+}
+
+StatusOr<net::DeleteResponse> DurableShard::Delete(
+    const net::DeleteRequest& request) {
+  ReaderMutexLock gate(gate_);
+  ZR_RETURN_IF_ERROR(wal_->status());  // fail-stop: fail fast
+  ZR_ASSIGN_OR_RETURN(net::DeleteResponse response, service_.Delete(request));
+  WalRecord record;
+  record.type = WalRecord::Type::kDelete;
+  record.list = request.list;
+  record.handle = request.handle;
+  ZR_RETURN_IF_ERROR(TimedWalAppend(wal_.get(), record));
+  bool rotate = wal_->SizeBytes() >= snapshot_threshold_bytes_;
+  gate.Unlock();
+  if (rotate) ScheduleRotation();
+  return response;
+}
+
+// The exclusive gate fences any straggling writer on this shard; the ACL
+// contract (no requests in flight) is what makes the quiescence claim true.
+// The change is checked against the live ACL, logged, and only then applied,
+// so a failed append leaves the live ACL as the disk has it.
+Status DurableShard::Acl(const net::AclRequest& request) {
+  WriterMutexLock gate(gate_);
+  ZR_RETURN_IF_ERROR(wal_->status());  // fail-stop: fail fast
+  WalRecord record;
+  record.user = request.user;
+  record.group = request.group;
+  {
+    QuiescenceLock quiesced(server_.quiescence());
+    const zerber::AccessControl& acl = server_.acl();
+    bool known = acl.HasGroup(request.group);
+    bool member = acl.IsMember(request.user, request.group);
+    switch (request.op) {
+      case net::AclRequest::Op::kAddGroup:
+        if (known) return Status::OK();
+        record.type = WalRecord::Type::kAddGroup;
+        break;
+      case net::AclRequest::Op::kGrant:
+        if (member) return Status::OK();
+        record.type = WalRecord::Type::kGrantMembership;
+        break;
+      case net::AclRequest::Op::kRevoke:
+        if (known && !member) return Status::OK();
+        record.type = WalRecord::Type::kRevokeMembership;
+        break;
+      default:
+        return Status::InvalidArgument("unknown ACL op");
+    }
+    if (!known && record.type != WalRecord::Type::kAddGroup) {
+      return Status::NotFound("group " + std::to_string(request.group) +
+                              " unknown");
+    }
+  }
+  ZR_RETURN_IF_ERROR(wal_->Append(record));
+  return service_.Acl(request);
+}
+
+StatusOr<net::StatsResponse> DurableShard::Stats() { return service_.Stats(); }
+
+StatusOr<std::unique_ptr<DurableIndexService>> DurableIndexService::Open(
+    const DurableOptions& options) {
+  if (options.data_dir.empty()) {
+    return Status::InvalidArgument("DurableOptions.data_dir is empty");
+  }
+  // Shards recover in parallel (each is self-contained: its snapshot
+  // carries the shard's lists and ACL, its WAL the tail); shard 0 recovers
+  // on the calling thread.
+  size_t num_shards = ShardCount(options);
+  std::vector<std::unique_ptr<net::ShardService>> shards(num_shards);
+  std::vector<Status> results(num_shards);
+  auto open = [&](size_t s) {
+    StatusOr<std::unique_ptr<DurableShard>> shard =
+        DurableShard::Open(options, s, PartitionDir(options.data_dir, s));
+    if (shard.ok()) {
+      shards[s] = std::move(*shard);
+    } else {
+      results[s] = shard.status();
+    }
+  };
+  std::vector<std::thread> recoverers;
+  for (size_t s = 1; s < num_shards; ++s) recoverers.emplace_back(open, s);
+  open(0);
+  for (std::thread& t : recoverers) t.join();
+  for (const Status& s : results) ZR_RETURN_IF_ERROR(s);
+  return std::unique_ptr<DurableIndexService>(new DurableIndexService(
+      options.num_lists, std::move(shards), options.num_shard_workers));
+}
 
 Status DurableIndexService::Flush() {
-  for (const auto& partition : partitions_) {
-    ReaderMutexLock gate(partition->gate);
-    if (partition->wal) ZR_RETURN_IF_ERROR(partition->wal->Sync());
-  }
-  return Status::OK();
-}
-
-StatusOr<net::InsertResponse> DurableIndexService::Insert(
-    const net::InsertRequest& request) {
-  size_t p = PartitionOfList(request.list) % partitions_.size();
-  Partition& partition = *partitions_[p];
-  {
-    ReaderMutexLock gate(partition.gate);
-    ZR_ASSIGN_OR_RETURN(net::InsertResponse response,
-                        backend_->Insert(request));
-    WalRecord record;
-    record.type = WalRecord::Type::kInsert;
-    record.list = LocalList(request.list);
-    record.element = request.element;
-    record.element.handle = response.handle;
-    Status logged = TimedWalAppend(partition.wal.get(), record);
-    if (!logged.ok()) {
-      // The insert is unacked; scrub it from the live index so serving
-      // matches what recovery will reconstruct. (Deletes cannot be undone
-      // this way — see the fail-stop note in the header.)
-      //
-      // ReplayDelete is quiescent-only by contract, but the scrub is sound
-      // mid-traffic: it locks the owning stripe internally, and the handle
-      // it removes was never acked to any client, so no concurrent request
-      // can legitimately name it. AssertHeld documents (and silences) this
-      // deliberate exception rather than widening the replay contract.
-      zerber::IndexServer& server = *partition.server;
-      server.quiescence().AssertHeld();
-      (void)server.ReplayDelete(record.list, response.handle);
-      return logged;
-    }
-    // Read the WAL size under the gate (rotation swaps the WAL out under
-    // the exclusive side); queue the rotation after releasing it.
-    bool rotate =
-        partition.wal->SizeBytes() >= options_.snapshot_threshold_bytes;
-    gate.Unlock();
-    if (rotate) ScheduleRotation(p);
-    return response;
-  }
-}
-
-StatusOr<net::QueryResponse> DurableIndexService::Fetch(
-    const net::QueryRequest& request) {
-  return backend_->Fetch(request);
-}
-
-StatusOr<net::MultiFetchResponse> DurableIndexService::MultiFetch(
-    const net::MultiFetchRequest& request) {
-  return backend_->MultiFetch(request);
-}
-
-StatusOr<net::DeleteResponse> DurableIndexService::Delete(
-    const net::DeleteRequest& request) {
-  size_t p = PartitionOfList(request.list) % partitions_.size();
-  Partition& partition = *partitions_[p];
-  {
-    ReaderMutexLock gate(partition.gate);
-    ZR_ASSIGN_OR_RETURN(net::DeleteResponse response,
-                        backend_->Delete(request));
-    WalRecord record;
-    record.type = WalRecord::Type::kDelete;
-    record.list = LocalList(request.list);
-    record.handle = request.handle;
-    ZR_RETURN_IF_ERROR(TimedWalAppend(partition.wal.get(), record));
-    bool rotate =
-        partition.wal->SizeBytes() >= options_.snapshot_threshold_bytes;
-    gate.Unlock();
-    if (rotate) ScheduleRotation(p);
-    return response;
-  }
-}
-
-// ACL changes are broadcast per partition (each shard enforces access
-// locally) and are deliberately idempotent per partition: a partition that
-// already reflects the change is skipped — no second application, no
-// duplicate WAL record. The broadcast is not atomic across shards; if a
-// crash or IO error interrupts it mid-way, re-issuing the same call after
-// recovery converges every shard (the durable ones skip, the rest apply).
-
-// Each iteration claims the partition server's quiescence capability: the
-// operator API's documented contract (no requests in flight) is what makes
-// the claim true, and the exclusive gate additionally fences any straggling
-// writer on this partition.
-
-Status DurableIndexService::AddGroup(crypto::GroupId group) {
-  WalRecord record;
-  record.type = WalRecord::Type::kAddGroup;
-  record.group = group;
-  for (const auto& partition : partitions_) {
-    zerber::IndexServer& server = *partition->server;
-    WriterMutexLock gate(partition->gate);
-    QuiescenceLock quiesced(server.quiescence());
-    if (server.acl().HasGroup(group)) continue;
-    ZR_RETURN_IF_ERROR(server.acl().AddGroup(group));
-    ZR_RETURN_IF_ERROR(partition->wal->Append(record));
-  }
-  return Status::OK();
-}
-
-Status DurableIndexService::GrantMembership(zerber::UserId user,
-                                            crypto::GroupId group) {
-  WalRecord record;
-  record.type = WalRecord::Type::kGrantMembership;
-  record.user = user;
-  record.group = group;
-  for (const auto& partition : partitions_) {
-    zerber::IndexServer& server = *partition->server;
-    WriterMutexLock gate(partition->gate);
-    QuiescenceLock quiesced(server.quiescence());
-    if (server.acl().IsMember(user, group)) continue;
-    ZR_RETURN_IF_ERROR(server.acl().GrantMembership(user, group));
-    ZR_RETURN_IF_ERROR(partition->wal->Append(record));
-  }
-  return Status::OK();
-}
-
-Status DurableIndexService::RevokeMembership(zerber::UserId user,
-                                             crypto::GroupId group) {
-  WalRecord record;
-  record.type = WalRecord::Type::kRevokeMembership;
-  record.user = user;
-  record.group = group;
-  for (const auto& partition : partitions_) {
-    zerber::IndexServer& server = *partition->server;
-    WriterMutexLock gate(partition->gate);
-    QuiescenceLock quiesced(server.quiescence());
-    if (!server.acl().HasGroup(group)) {
-      return Status::NotFound("group " + std::to_string(group) + " unknown");
-    }
-    if (!server.acl().IsMember(user, group)) continue;
-    ZR_RETURN_IF_ERROR(server.acl().RevokeMembership(user, group));
-    ZR_RETURN_IF_ERROR(partition->wal->Append(record));
+  for (size_t p = 0; p < num_partitions(); ++p) {
+    ZR_RETURN_IF_ERROR(shard(p).Flush());
   }
   return Status::OK();
 }

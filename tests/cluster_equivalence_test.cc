@@ -3,7 +3,7 @@
 // byte-identical — TopKResults, query traces, server-side counters — to an
 // in-process zerber::ShardedIndexService built from the same seed. The
 // routing math (zerber/routing.h) is shared by construction; this test
-// proves the whole stack around it (shard-server cluster scope, wire
+// proves the whole stack around it (the shard server's DurableShard, wire
 // encode/decode, local-id translation, handle residues, stats scrape)
 // preserves the equivalence, across both client flows (the incremental
 // Fetch protocol and MultiFetch).

@@ -1,9 +1,13 @@
 #include "store/durable_service.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
+#include <atomic>
 #include <chrono>
+#include <csignal>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -11,12 +15,38 @@
 #include "crypto/keys.h"
 #include "net/messages.h"
 #include "store/fs.h"
+#include "zerber/persistence.h"
 #include "zerber/posting_element.h"
 
 namespace zr::store {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// Caps every file this process writes at `limit` bytes (RLIMIT_FSIZE),
+/// with SIGXFSZ ignored so a write past the cap fails with EFBIG instead of
+/// killing the process; restores the limit and the handler on scope exit.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(uint64_t limit) {
+    EXPECT_EQ(::getrlimit(RLIMIT_FSIZE, &saved_limit_), 0);
+    saved_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit capped = saved_limit_;
+    capped.rlim_cur = static_cast<rlim_t>(limit);
+    EXPECT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+  }
+  ~FileSizeCap() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_limit_);
+    std::signal(SIGXFSZ, saved_handler_);
+  }
+
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+
+ private:
+  rlimit saved_limit_{};
+  void (*saved_handler_)(int) = nullptr;
+};
 
 class DurableServiceTest : public ::testing::Test {
  protected:
@@ -57,15 +87,13 @@ class DurableServiceTest : public ::testing::Test {
                                                size_t num_lists) {
     std::vector<std::set<uint64_t>> alive(num_lists);
     for (size_t l = 0; l < num_lists; ++l) {
-      StatusOr<const zerber::MergedList*> list = Status::Internal("unset");
-      if (service.sharded()) {
-        list = service.sharded()->GetList(static_cast<uint32_t>(l));
-      } else {
-        zerber::IndexServer& server = *service.single();
-        // Single-threaded inspection between acked mutations: quiescent.
-        QuiescenceLock quiesced(server.quiescence());
-        list = server.GetList(static_cast<uint32_t>(l));
-      }
+      auto global = static_cast<uint32_t>(l);
+      zerber::IndexServer& server =
+          service.partition(service.ShardOfList(global));
+      // Single-threaded inspection between acked mutations: quiescent.
+      QuiescenceLock quiesced(server.quiescence());
+      StatusOr<const zerber::MergedList*> list =
+          server.GetList(service.LocalListId(global));
       EXPECT_TRUE(list.ok());
       for (const auto& element : (*list)->elements()) {
         alive[l].insert(element.handle);
@@ -375,6 +403,208 @@ TEST_F(DurableServiceTest, ConcurrentInsertsAllSurviveReopen) {
     recovered.insert(per_list.begin(), per_list.end());
   }
   EXPECT_EQ(recovered, acked);
+}
+
+// Every shard rotates on its own in the background while writers on all
+// shards and a reader keep going; nothing acked is lost across a reopen.
+TEST_F(DurableServiceTest, ShardsRotateInTheBackgroundUnderConcurrentTraffic) {
+  constexpr size_t kLists = 8;
+  constexpr size_t kShards = 4;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 30;
+  DurableOptions options = Options(kLists, kShards);
+  options.snapshot_threshold_bytes = 256;  // a few insert records
+  std::vector<std::vector<net::InsertRequest>> batches(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      batches[t].push_back(
+          MakeInsert(static_cast<uint32_t>((t + i) % kLists), 1, 0.3));
+    }
+  }
+  std::set<uint64_t> acked;
+  {
+    auto service = DurableIndexService::Open(options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    DurableIndexService& store = **service;
+    ASSERT_TRUE(store.AddGroup(1).ok());
+    ASSERT_TRUE(store.GrantMembership(7, 1).ok());
+    std::mutex acked_mu;
+    std::atomic<bool> writing{true};
+    std::thread reader([&] {
+      net::MultiFetchRequest fetch;
+      fetch.user = 7;
+      for (uint32_t l = 0; l < kLists; ++l) fetch.fetches.push_back({l, 0, 8});
+      while (writing.load()) EXPECT_TRUE(store.MultiFetch(fetch).ok());
+    });
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        for (const auto& request : batches[t]) {
+          auto response = store.Insert(request);
+          ASSERT_TRUE(response.ok()) << response.status();
+          std::lock_guard<std::mutex> lock(acked_mu);
+          acked.insert(response->handle);
+        }
+      });
+    }
+    for (std::thread& writer : writers) writer.join();
+    writing.store(false);
+    reader.join();
+    for (size_t s = 0; s < kShards; ++s) {
+      for (int spin = 0; spin < 2000 && store.epoch(s) == 1; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      EXPECT_GT(store.epoch(s), 1u) << "shard " << s;
+    }
+  }
+  auto reopened = DurableIndexService::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  std::set<uint64_t> recovered;
+  for (const auto& per_list : AliveHandles(**reopened, kLists)) {
+    recovered.insert(per_list.begin(), per_list.end());
+  }
+  EXPECT_EQ(recovered, acked);
+  EXPECT_EQ(acked.size(), static_cast<size_t>(kThreads * kPerThread));
+}
+
+// Fail-stop: after the WAL's first IO error, every later mutation of the
+// shard fails fast with the sticky error before it touches the index. The
+// failed delete itself stays applied (documented), nothing after it does.
+TEST_F(DurableServiceTest, FailStopRefusesLaterMutationsBeforeApplyingThem) {
+  DurableOptions options = Options();
+  options.sync_mode = WalSyncMode::kNone;  // appends write synchronously
+  auto service = DurableIndexService::Open(options);
+  ASSERT_TRUE(service.ok()) << service.status();
+  DurableIndexService& store = **service;
+  ASSERT_TRUE(store.AddGroup(1).ok());
+  ASSERT_TRUE(store.GrantMembership(7, 1).ok());
+  std::vector<uint64_t> acked;
+  for (int i = 0; i < 2; ++i) {
+    auto response = store.Insert(MakeInsert(0, 1, 0.5));
+    ASSERT_TRUE(response.ok()) << response.status();
+    acked.push_back(response->handle);
+  }
+  auto erase = [&store](uint64_t handle) {
+    net::DeleteRequest request;
+    request.user = 7;
+    request.list = 0;
+    request.handle = handle;
+    return store.Delete(request);
+  };
+  {
+    FileSizeCap cap(store.wal_bytes(0));  // the WAL cannot grow
+    auto first = erase(acked[0]);
+    ASSERT_FALSE(first.ok());
+    auto second = erase(acked[1]);
+    EXPECT_EQ(second.status().ToString(), first.status().ToString());
+    auto insert = store.Insert(MakeInsert(0, 1, 0.6));
+    EXPECT_EQ(insert.status().ToString(), first.status().ToString());
+  }
+  EXPECT_EQ(AliveHandles(store, 4)[0], std::set<uint64_t>{acked[1]});
+}
+
+// A failed ACL change leaves the live ACL as the disk has it, and retrying
+// it reports the same error instead of skipping a change no disk holds.
+TEST_F(DurableServiceTest, FailedAclChangeIsNotAppliedAndItsRetryFails) {
+  using AclCall = std::function<Status(DurableIndexService&)>;
+  using AclProbe = std::function<bool(const zerber::AccessControl&)>;
+  auto check = [this](const std::string& name, const AclCall& call,
+                      const AclProbe& applied) {
+    SCOPED_TRACE(name);
+    DurableOptions options = Options();
+    options.data_dir = (dir_ / name).string();
+    options.sync_mode = WalSyncMode::kNone;
+    auto service = DurableIndexService::Open(options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    DurableIndexService& store = **service;
+    ASSERT_TRUE(store.AddGroup(1).ok());
+    ASSERT_TRUE(store.GrantMembership(7, 1).ok());
+    FileSizeCap cap(store.wal_bytes(0));  // the WAL cannot grow
+    Status failed = call(store);
+    ASSERT_FALSE(failed.ok());
+    {
+      zerber::IndexServer& server = store.partition(0);
+      // Single-threaded inspection between operator calls: quiescent.
+      QuiescenceLock quiesced(server.quiescence());
+      EXPECT_FALSE(applied(server.acl()));
+    }
+    EXPECT_EQ(call(store).ToString(), failed.ToString());
+  };
+  check(
+      "add_group", [](DurableIndexService& s) { return s.AddGroup(2); },
+      [](const zerber::AccessControl& acl) { return acl.HasGroup(2); });
+  check(
+      "grant", [](DurableIndexService& s) { return s.GrantMembership(8, 1); },
+      [](const zerber::AccessControl& acl) { return acl.IsMember(8, 1); });
+  check(
+      "revoke",
+      [](DurableIndexService& s) { return s.RevokeMembership(7, 1); },
+      [](const zerber::AccessControl& acl) { return !acl.IsMember(7, 1); });
+}
+
+// Partition s of an in-process N-shard store holds exactly what a shard
+// server (tools/shard_server.cc) recovering that partition's directory
+// alone as shard s of N serves: a cluster can be loaded in process and
+// served from shard processes.
+TEST_F(DurableServiceTest, PartitionEqualsTheClusterShardOpenedAlone) {
+  constexpr size_t kLists = 10;
+  constexpr size_t kShards = 4;
+  DurableOptions options = Options(kLists, kShards);
+  options.placement = zerber::Placement::kRandomPlacement;  // seeds matter
+  {
+    auto service = DurableIndexService::Open(options);
+    ASSERT_TRUE(service.ok()) << service.status();
+    DurableIndexService& store = **service;
+    ASSERT_TRUE(store.AddGroup(1).ok());
+    ASSERT_TRUE(store.AddGroup(2).ok());
+    ASSERT_TRUE(store.GrantMembership(7, 1).ok());
+    ASSERT_TRUE(store.GrantMembership(7, 2).ok());
+    ASSERT_TRUE(store.GrantMembership(9, 2).ok());
+    uint64_t doomed = 0;
+    for (int i = 0; i < 30; ++i) {
+      auto response = store.Insert(MakeInsert(
+          static_cast<uint32_t>(i % kLists), (i % 3 == 0) ? 2 : 1, 0.03 * i));
+      ASSERT_TRUE(response.ok()) << response.status();
+      if (i == 17) doomed = response->handle;
+    }
+    net::DeleteRequest del;
+    del.user = 7;
+    del.list = 17 % kLists;
+    del.handle = doomed;
+    ASSERT_TRUE(store.Delete(del).ok());
+    ASSERT_TRUE(store.RevokeMembership(9, 2).ok());
+  }  // clean close
+
+  // One more insert after recovery pins the handle space and the
+  // placement stream, not just the recovered state.
+  net::InsertRequest extra = MakeInsert(0, 1, 0.42);
+
+  // Each partition moved where a shard server keeps its store
+  // (<data-dir>/shard-0000) and opened alone as shard s of kShards.
+  std::vector<std::string> shard_snapshots;
+  for (size_t s = 0; s < kShards; ++s) {
+    std::string shard_dir = DurableIndexService::PartitionDir(
+        (dir_ / ("cluster-" + std::to_string(s))).string(), 0);
+    fs::create_directories(fs::path(shard_dir).parent_path());
+    fs::copy(DurableIndexService::PartitionDir(dir_.string(), s), shard_dir,
+             fs::copy_options::recursive);
+    auto shard = DurableShard::Open(options, s, shard_dir);
+    ASSERT_TRUE(shard.ok()) << shard.status();
+    ASSERT_TRUE((*shard)->Insert(extra).ok());  // local list 0 of shard s
+    shard_snapshots.push_back(
+        zerber::SerializeIndexSnapshot((*shard)->server()));
+  }
+
+  auto reopened = DurableIndexService::Open(options);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  for (size_t s = 0; s < kShards; ++s) {
+    net::InsertRequest global = extra;
+    global.list = static_cast<uint32_t>(s);  // local list 0 of shard s
+    ASSERT_TRUE((*reopened)->Insert(global).ok());
+    EXPECT_EQ(zerber::SerializeIndexSnapshot((*reopened)->partition(s)),
+              shard_snapshots[s])
+        << "shard " << s;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,13 @@
 // shard_server: one cluster shard as a standalone process.
 //
 // Serves shard --shard of a --shards-wide cluster over TCP: a
-// store::DurableIndexService opened in cluster-shard scope (WAL + snapshot
-// rotation + crash recovery for exactly this shard's slice of the index)
-// behind a net::TcpServer. cluster::RouterService fans a logical index out
-// over N of these processes; the routing math (zerber/routing.h) guarantees
-// the ensemble is byte-identical to one in-process ShardedIndexService
-// built from the same seed.
+// store::DurableShard (WAL + snapshot rotation + crash recovery for exactly
+// this shard's slice of the index, stored in <data-dir>/shard-0000) behind
+// a net::TcpServer. cluster::RouterService fans a logical index out over N
+// of these processes; the routing math (zerber/routing.h) guarantees the
+// ensemble is byte-identical to one in-process ShardedIndexService built
+// from the same seed, and shard s holds the same bytes as partition s of
+// an N-shard store::DurableIndexService.
 //
 // Readiness protocol: once serving, prints "listening on <host:port>" on
 // stdout (flushed) — cluster::ShardProcess::Start blocks on that line, so
@@ -81,7 +82,6 @@ int main(int argc, char** argv) {
   using namespace zr;
 
   store::DurableOptions options;
-  options.num_shards = 1;
   std::string listen_addr = "127.0.0.1:0";
   std::string shard = "0";
   std::string shards = "1";
@@ -113,9 +113,8 @@ int main(int argc, char** argv) {
   }
 
   if (lists.empty() || options.data_dir.empty()) return Usage(argv[0]);
-  options.cluster_shard = std::strtoull(shard.c_str(), nullptr, 10);
-  options.cluster_shards = std::strtoull(shards.c_str(), nullptr, 10);
-  if (options.cluster_shards < 1) options.cluster_shards = 1;
+  size_t shard_index = std::strtoull(shard.c_str(), nullptr, 10);
+  options.num_shards = std::strtoull(shards.c_str(), nullptr, 10);
   options.num_lists = std::strtoull(lists.c_str(), nullptr, 10);
   options.seed = std::strtoull(seed.c_str(), nullptr, 10);
   if (!threshold.empty()) {
@@ -164,13 +163,15 @@ int main(int argc, char** argv) {
   ::sigaction(SIGTERM, &sa, nullptr);
   ::signal(SIGPIPE, SIG_IGN);  // broken client sockets surface as EPIPE
 
-  auto opened = store::DurableIndexService::Open(options);
+  auto opened = store::DurableShard::Open(
+      options, shard_index,
+      store::DurableIndexService::PartitionDir(options.data_dir, 0));
   if (!opened.ok()) {
     std::fprintf(stderr, "open failed: %s\n",
                  opened.status().ToString().c_str());
     return 1;
   }
-  store::DurableIndexService& service = **opened;
+  store::DurableShard& service = **opened;
 
   // --loops=N: event-loop threads of the serving socket layer. One loop
   // reproduces the historical single-threaded server; a busy shard scales
@@ -180,9 +181,9 @@ int main(int argc, char** argv) {
   net::ServerConfig server_config =
       net::ServerConfig::At(listen_addr)
           .WithLoops(std::strtoull(loops.c_str(), nullptr, 10))
-          .WithServerId(options.cluster_shard);
+          .WithServerId(shard_index);
   server_config.WithStatsSource([&service] {
-    net::StatsResponse out = net::StatsResponseOf(service.partition(0).stats());
+    net::StatsResponse out = net::StatsResponseOf(service.server().stats());
     // v2 scrape plane: the whole metrics registry (index histograms, WAL
     // append latency, TCP counters, slow-op count) rides along in
     // Prometheus text form. Metric names and numbers only — the
@@ -192,19 +193,10 @@ int main(int argc, char** argv) {
   });
   // Runs on the owning loop's thread under the server-wide writer dispatch
   // gate — no other frame is in flight on any loop, the quiescence the ACL
-  // surface requires. Idempotent (the durable service re-applies
-  // convergently), so the router may retry it.
-  server_config.WithAclHandler([&service](const net::AclRequest& acl) {
-    switch (acl.op) {
-      case net::AclRequest::Op::kAddGroup:
-        return service.AddGroup(acl.group);
-      case net::AclRequest::Op::kGrant:
-        return service.GrantMembership(acl.user, acl.group);
-      case net::AclRequest::Op::kRevoke:
-        return service.RevokeMembership(acl.user, acl.group);
-    }
-    return Status::InvalidArgument("shard_server: unknown ACL op");
-  });
+  // surface requires. Idempotent (the shard skips a change it already
+  // reflects), so the router may retry it.
+  server_config.WithAclHandler(
+      [&service](const net::AclRequest& acl) { return service.Acl(acl); });
 
   auto started = net::TcpServer::Start(&service, std::move(server_config));
   if (!started.ok()) {
@@ -244,7 +236,7 @@ int main(int argc, char** argv) {
   net::TcpServerStats stats = server.stats();
   std::printf("shard %llu shutdown: %llu frames over %llu connection(s), "
               "%llu bytes in, %llu bytes out\n",
-              static_cast<unsigned long long>(options.cluster_shard),
+              static_cast<unsigned long long>(shard_index),
               static_cast<unsigned long long>(stats.frames_served),
               static_cast<unsigned long long>(stats.connections_accepted),
               static_cast<unsigned long long>(stats.bytes_read),
