@@ -37,7 +37,7 @@ Status ZerberRClient::AbsorbResponse(TermQuery* q, size_t k,
   q->out.trace.elements_fetched += response.elements.size();
   q->out.trace.bytes_fetched += response.wire_size;
 
-  for (const zerber::EncryptedPostingElement& element : response.elements) {
+  for (const zerber::ServedElement& element : response.elements) {
     auto payload = OpenPostingElement(element, *keys_);
     if (!payload.ok()) {
       if (payload.status().IsPermissionDenied()) continue;

@@ -89,8 +89,8 @@ std::string SerializeQueryResponse(const QueryResponse& response) {
   out.push_back(static_cast<char>(kTagQueryResponse));
   out.push_back(response.exhausted ? 1 : 0);
   PutVarint64(&out, response.elements.size());
-  for (const auto& e : response.elements) {
-    zerber::AppendElement(&out, e);
+  for (const zerber::ServedElement& e : response.elements) {
+    zerber::AppendServedElement(&out, e);
   }
   return out;
 }
@@ -104,12 +104,17 @@ StatusOr<QueryResponse> ParseQueryResponse(std::string_view data) {
   response.exhausted = flag[0] != 0;
   uint64_t n;
   ZR_RETURN_IF_ERROR(reader.GetVarint64(&n));
+  // A count beyond what the remaining input could hold is corrupt, not a
+  // reason to allocate.
+  if (n > reader.remaining() / zerber::kMinServedElementBytes) {
+    return Status::Corruption("element count exceeds message size");
+  }
   std::string_view rest;
   ZR_RETURN_IF_ERROR(reader.GetRaw(reader.remaining(), &rest));
   response.elements.reserve(static_cast<size_t>(n));
   for (uint64_t i = 0; i < n; ++i) {
-    ZR_ASSIGN_OR_RETURN(zerber::EncryptedPostingElement element,
-                        zerber::ParseElement(&rest));
+    ZR_ASSIGN_OR_RETURN(zerber::ServedElement element,
+                        zerber::ParseServedElement(&rest));
     response.elements.push_back(std::move(element));
   }
   if (!rest.empty()) return Status::Corruption("trailing bytes in response");
@@ -418,10 +423,9 @@ bool IsErrorResponse(std::string_view data) {
 }
 
 namespace {
-size_t ElementsWireSize(
-    const std::vector<zerber::EncryptedPostingElement>& elements) {
+size_t ElementsWireSize(const std::vector<zerber::ServedElement>& elements) {
   size_t total = 0;
-  for (const auto& e : elements) total += e.WireSize();
+  for (const zerber::ServedElement& e : elements) total += e.WireSize();
   return total;
 }
 }  // namespace

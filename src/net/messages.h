@@ -69,9 +69,11 @@ struct QueryRequest {
   friend bool operator==(const QueryRequest&, const QueryRequest&) = default;
 };
 
-/// Server -> client: the fetched elements.
+/// Server -> client: the fetched elements, in the list's order. Each is
+/// served as group tag, handle and sealed bytes; the TRS the server sorts
+/// by never leaves the server.
 struct QueryResponse {
-  std::vector<zerber::EncryptedPostingElement> elements;
+  std::vector<zerber::ServedElement> elements;
   bool exhausted = false;
 
   /// Serialized size of this message as it crossed the wire. Transport

@@ -19,8 +19,13 @@ StatusOr<QueryResponse> IndexService::Fetch(const QueryRequest& request) {
       server_->Fetch(request.user, request.list,
                      static_cast<size_t>(request.offset),
                      static_cast<size_t>(request.count)));
+  // The ZerberService boundary: elements leave the server without the TRS
+  // it sorted them by.
   QueryResponse response;
-  response.elements = std::move(fetched.elements);
+  response.elements.reserve(fetched.elements.size());
+  for (zerber::EncryptedPostingElement& e : fetched.elements) {
+    response.elements.push_back(zerber::ServeElement(std::move(e)));
+  }
   response.exhausted = fetched.exhausted;
   return response;
 }

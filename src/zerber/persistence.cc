@@ -67,12 +67,18 @@ StatusOr<ParsedSnapshot> ParseSnapshotBody(std::string_view snapshot) {
 
   uint64_t num_groups;
   ZR_RETURN_IF_ERROR(GetVarint64Cursor(&cursor, &num_groups));
+  if (num_groups > cursor.size() / 2) {  // group id + user count, >= 2 bytes
+    return Status::Corruption("implausible group count");
+  }
   parsed.groups.reserve(static_cast<size_t>(num_groups));
   for (uint64_t g = 0; g < num_groups; ++g) {
     uint32_t group;
     ZR_RETURN_IF_ERROR(GetVarint32Cursor(&cursor, &group));
     uint64_t num_users;
     ZR_RETURN_IF_ERROR(GetVarint64Cursor(&cursor, &num_users));
+    if (num_users > cursor.size()) {  // each user id is >= 1 byte
+      return Status::Corruption("implausible user count");
+    }
     std::vector<UserId> users;
     users.reserve(static_cast<size_t>(num_users));
     for (uint64_t u = 0; u < num_users; ++u) {

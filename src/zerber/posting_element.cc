@@ -1,14 +1,49 @@
 #include "zerber/posting_element.h"
 
+#include <utility>
+
 #include "crypto/ctr.h"
 #include "util/coding.h"
 
 namespace zr::zerber {
 
-size_t EncryptedPostingElement::WireSize() const {
+namespace {
+// Group, handle and sealed bytes: the fields both encodings carry.
+size_t ServedBytes(crypto::GroupId group, uint64_t handle,
+                   const SealedBytes& sealed) {
   return static_cast<size_t>(VarintLength32(group)) +
-         static_cast<size_t>(VarintLength64(handle)) + 8 /* trs */ +
+         static_cast<size_t>(VarintLength64(handle)) +
          static_cast<size_t>(VarintLength64(sealed.size())) + sealed.size();
+}
+
+StatusOr<PostingPayload> OpenSealed(crypto::GroupId group,
+                                    const SealedBytes& sealed,
+                                    const crypto::KeyStore& keys) {
+  auto key = keys.SealingKeyOf(group);
+  if (!key.ok()) {
+    return Status::PermissionDenied("no keys for group " +
+                                    std::to_string(group));
+  }
+  ZR_ASSIGN_OR_RETURN(std::string plain, crypto::Open(**key, sealed));
+  return ParsePayload(plain);
+}
+}  // namespace
+
+size_t EncryptedPostingElement::WireSize() const {
+  return ServedBytes(group, handle, sealed) + 8 /* trs */;
+}
+
+size_t EncryptedPostingElement::ServedWireSize() const {
+  return ServedBytes(group, handle, sealed);
+}
+
+size_t ServedElement::WireSize() const {
+  return ServedBytes(group, handle, sealed);
+}
+
+ServedElement ServeElement(EncryptedPostingElement element) {
+  return ServedElement{element.group, element.handle,
+                       std::move(element.sealed)};
 }
 
 std::string SerializePayload(const PostingPayload& payload) {
@@ -44,13 +79,12 @@ StatusOr<EncryptedPostingElement> SealPostingElement(
 
 StatusOr<PostingPayload> OpenPostingElement(
     const EncryptedPostingElement& element, const crypto::KeyStore& keys) {
-  auto key = keys.SealingKeyOf(element.group);
-  if (!key.ok()) {
-    return Status::PermissionDenied("no keys for group " +
-                                    std::to_string(element.group));
-  }
-  ZR_ASSIGN_OR_RETURN(std::string plain, crypto::Open(**key, element.sealed));
-  return ParsePayload(plain);
+  return OpenSealed(element.group, element.sealed, keys);
+}
+
+StatusOr<PostingPayload> OpenPostingElement(const ServedElement& element,
+                                            const crypto::KeyStore& keys) {
+  return OpenSealed(element.group, element.sealed, keys);
 }
 
 void AppendElement(std::string* dst, const EncryptedPostingElement& element) {
@@ -66,6 +100,24 @@ StatusOr<EncryptedPostingElement> ParseElement(std::string_view* data) {
   ZR_RETURN_IF_ERROR(reader.GetVarint32(&element.group));
   ZR_RETURN_IF_ERROR(reader.GetVarint64(&element.handle));
   ZR_RETURN_IF_ERROR(reader.GetDouble(&element.trs));
+  std::string_view sealed;
+  ZR_RETURN_IF_ERROR(reader.GetLengthPrefixed(&sealed));
+  element.sealed = SealedBytes::Adopt(sealed);
+  *data = data->substr(data->size() - reader.remaining());
+  return element;
+}
+
+void AppendServedElement(std::string* dst, const ServedElement& element) {
+  PutVarint32(dst, element.group);
+  PutVarint64(dst, element.handle);
+  PutLengthPrefixed(dst, element.sealed);
+}
+
+StatusOr<ServedElement> ParseServedElement(std::string_view* data) {
+  ByteReader reader(*data);
+  ServedElement element;
+  ZR_RETURN_IF_ERROR(reader.GetVarint32(&element.group));
+  ZR_RETURN_IF_ERROR(reader.GetVarint64(&element.handle));
   std::string_view sealed;
   ZR_RETURN_IF_ERROR(reader.GetLengthPrefixed(&sealed));
   element.sealed = SealedBytes::Adopt(sealed);

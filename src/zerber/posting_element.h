@@ -8,6 +8,10 @@
 // For the plain Zerber baseline the TRS field holds a random placement key
 // instead, reproducing Zerber's "posting elements are placed randomly inside
 // the merged posting list".
+//
+// The TRS is the server's sort key and never leaves the server: a query
+// response serves each element as a ServedElement (group tag, handle and
+// sealed bytes). Clients rank by the decrypted score and page by offset.
 
 #ifndef ZERBERR_ZERBER_POSTING_ELEMENT_H_
 #define ZERBERR_ZERBER_POSTING_ELEMENT_H_
@@ -92,9 +96,37 @@ struct EncryptedPostingElement {
   /// Seal(group's SealingKey, nonce, serialized PostingPayload).
   SealedBytes sealed;
 
-  /// Serialized wire size in bytes.
+  /// Serialized wire size in bytes (AppendElement: inserts, WAL records and
+  /// snapshots).
+  size_t WireSize() const;
+
+  /// Wire size of this element as a query response serves it (no TRS).
+  size_t ServedWireSize() const;
+};
+
+/// A posting element as a query response serves it to a client. It has no
+/// TRS: that is the server's sort key, and it stays on the server.
+struct ServedElement {
+  /// Owning collaboration group (the client skips groups it has no keys
+  /// for).
+  crypto::GroupId group = 0;
+
+  /// Server-assigned element handle (the client deletes by it).
+  uint64_t handle = 0;
+
+  /// The stored element's sealed bytes, unchanged.
+  SealedBytes sealed;
+
+  /// Serialized wire size in bytes (AppendServedElement).
   size_t WireSize() const;
 };
+
+/// Fewest bytes a served element takes on the wire: one byte each for the
+/// group, the handle and the length of empty sealed bytes.
+inline constexpr size_t kMinServedElementBytes = 3;
+
+/// The served form of a stored element: drops the TRS, keeps the rest.
+ServedElement ServeElement(EncryptedPostingElement element);
 
 /// Serializes a payload (varint term, varint doc, fixed64 score bits).
 std::string SerializePayload(const PostingPayload& payload);
@@ -112,12 +144,22 @@ StatusOr<EncryptedPostingElement> SealPostingElement(
 /// keys; Corruption if authentication fails.
 StatusOr<PostingPayload> OpenPostingElement(
     const EncryptedPostingElement& element, const crypto::KeyStore& keys);
+StatusOr<PostingPayload> OpenPostingElement(const ServedElement& element,
+                                            const crypto::KeyStore& keys);
 
-/// Serializes an element for network transfer / persistence.
+/// Serializes a stored element (varint group, varint handle, fixed64 TRS,
+/// length-prefixed sealed bytes) for inserts, WAL records and snapshots.
 void AppendElement(std::string* dst, const EncryptedPostingElement& element);
 
-/// Parses one element from a reader; Corruption on malformed input.
+/// Parses one stored element from a reader; Corruption on malformed input.
 StatusOr<EncryptedPostingElement> ParseElement(std::string_view* data);
+
+/// Serializes a served element for a query response: varint group, varint
+/// handle, length-prefixed sealed bytes.
+void AppendServedElement(std::string* dst, const ServedElement& element);
+
+/// Parses one served element from a reader; Corruption on malformed input.
+StatusOr<ServedElement> ParseServedElement(std::string_view* data);
 
 }  // namespace zr::zerber
 

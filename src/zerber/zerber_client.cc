@@ -37,7 +37,7 @@ StatusOr<size_t> ZerberClient::RemoveDocument(const text::Document& doc) {
     fetch.list = list;
     fetch.count = std::numeric_limits<uint64_t>::max();
     ZR_ASSIGN_OR_RETURN(net::QueryResponse fetched, service_->Fetch(fetch));
-    for (const EncryptedPostingElement& element : fetched.elements) {
+    for (const ServedElement& element : fetched.elements) {
       auto payload = OpenPostingElement(element, *keys_);
       if (!payload.ok()) {
         if (payload.status().IsPermissionDenied()) continue;
@@ -83,7 +83,7 @@ StatusOr<ClientQueryResult> ZerberClient::QueryTopK(text::TermId term,
   result.bytes_fetched = fetched.wire_size;
 
   std::vector<index::ScoredDoc> matches;
-  for (const EncryptedPostingElement& element : fetched.elements) {
+  for (const ServedElement& element : fetched.elements) {
     auto payload = OpenPostingElement(element, *keys_);
     if (!payload.ok()) {
       if (payload.status().IsPermissionDenied()) continue;  // foreign group

@@ -245,7 +245,7 @@ StatusOr<FetchResult> IndexServer::Fetch(UserId user, MergedListId list,
       if (!acl_.IsMember(user, e.group)) continue;
       if (accessible_seen++ < offset) continue;
       result.elements.push_back(e);
-      result.wire_bytes += e.WireSize();
+      result.wire_bytes += e.ServedWireSize();
     }
     // Exhausted iff the window [offset, offset+count) covers the tail of
     // the accessible subsequence (overflow-safe form of

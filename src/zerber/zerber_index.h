@@ -59,11 +59,12 @@ struct FetchResult {
   /// accessible groups sees an empty, exhausted list.
   bool exhausted = false;
 
-  /// Summed element wire sizes (server-side storage/serving accounting,
-  /// Section 6.3). Client-visible transfer accounting instead comes from
-  /// the transport layer, which measures whole response messages; the
-  /// loopback transport asserts the two stay in agreement. Always 0 when
-  /// `elements` is empty.
+  /// Summed served wire sizes of `elements` (ServedWireSize: the bytes a
+  /// query response spends on them, without the TRS), which feed
+  /// ServerStats::bytes_served. Client-visible transfer accounting instead
+  /// comes from the transport layer, which measures whole response
+  /// messages: their envelopes and element counts on top of these bytes.
+  /// Always 0 when `elements` is empty.
   size_t wire_bytes = 0;
 };
 
@@ -84,6 +85,7 @@ struct ServerStats {
   uint64_t delete_requests = 0;
   uint64_t delete_denied = 0;
   uint64_t elements_served = 0;
+  /// Served wire bytes of those elements (FetchResult::wire_bytes).
   uint64_t bytes_served = 0;
   uint64_t fetch_latency_ns = 0;
   uint64_t insert_latency_ns = 0;

@@ -142,7 +142,6 @@ class ClusterFailoverTest : public ::testing::Test {
     for (size_t i = 0; i < want.elements.size(); ++i) {
       EXPECT_EQ(want.elements[i].group, got.elements[i].group);
       EXPECT_EQ(want.elements[i].handle, got.elements[i].handle);
-      EXPECT_EQ(want.elements[i].trs, got.elements[i].trs);
       EXPECT_EQ(want.elements[i].sealed, got.elements[i].sealed);
     }
   }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+
 #include "crypto/keys.h"
 #include "util/random.h"
 
@@ -15,6 +18,24 @@ zerber::EncryptedPostingElement MakeElement(crypto::KeyStore* keys,
                                       group, trs, keys);
   EXPECT_TRUE(e.ok());
   return std::move(e).value();
+}
+
+// An element as a query response serves it.
+zerber::ServedElement MakeServed(crypto::KeyStore* keys, crypto::GroupId group,
+                                 uint64_t handle) {
+  zerber::ServedElement e = zerber::ServeElement(MakeElement(keys, group, 0.5));
+  e.handle = handle;
+  return e;
+}
+
+std::string HexOf(std::string_view bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kHex[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kHex[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
 }
 
 TEST(MessagesTest, QueryRequestRoundTrip) {
@@ -46,16 +67,74 @@ TEST(MessagesTest, QueryResponseRoundTrip) {
   ASSERT_TRUE(keys.CreateGroup(1).ok());
   QueryResponse response;
   response.exhausted = true;
-  response.elements.push_back(MakeElement(&keys, 1, 0.75));
-  response.elements.push_back(MakeElement(&keys, 1, 0.25));
+  response.elements.push_back(MakeServed(&keys, 1, 11));
+  response.elements.push_back(MakeServed(&keys, 1, 12));
 
   auto parsed = ParseQueryResponse(SerializeQueryResponse(response));
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->exhausted);
   ASSERT_EQ(parsed->elements.size(), 2u);
-  EXPECT_DOUBLE_EQ(parsed->elements[0].trs, 0.75);
+  EXPECT_EQ(parsed->elements[0].handle, 11u);
   EXPECT_EQ(parsed->elements[0].sealed, response.elements[0].sealed);
   EXPECT_EQ(parsed->elements[1].group, 1u);
+}
+
+// Golden bytes of a one-element response: tag, exhausted flag, element
+// count, then the served element — varint group, varint handle and the
+// length-prefixed sealed bytes of PostingElementGoldenTest's first seal,
+// with no TRS.
+TEST(MessagesTest, ServedElementIsByteIdentical) {
+  crypto::KeyStore keys("seed");
+  ASSERT_TRUE(keys.CreateGroup(1).ok());
+  auto stored = zerber::SealPostingElement(zerber::PostingPayload{1, 2, 0.5},
+                                           1, 0.5, &keys);
+  ASSERT_TRUE(stored.ok());
+  stored->handle = 300;
+  QueryResponse response;
+  response.exhausted = true;
+  response.elements.push_back(zerber::ServeElement(*stored));
+
+  std::string wire = SerializeQueryResponse(response);
+  EXPECT_EQ(HexOf(wire),
+            "020101"
+            "01ac021a"
+            "7828dcb30d5f38ef6dabf328574baf1ce7b7bfe9b8dc48abfa6c");
+  EXPECT_EQ(wire.size(), WireSizeOfQueryResponse(response));
+  EXPECT_EQ(response.elements[0].WireSize(), stored->ServedWireSize());
+  EXPECT_EQ(stored->WireSize(), stored->ServedWireSize() + 8);
+
+  auto parsed = ParseQueryResponse(wire);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_EQ(parsed->elements.size(), 1u);
+  EXPECT_EQ(parsed->elements[0].group, 1u);
+  EXPECT_EQ(parsed->elements[0].handle, 300u);
+  EXPECT_EQ(parsed->elements[0].sealed, stored->sealed);
+  auto opened = zerber::OpenPostingElement(parsed->elements[0], keys);
+  ASSERT_TRUE(opened.ok());
+  EXPECT_EQ(*opened, (zerber::PostingPayload{1, 2, 0.5}));
+}
+
+TEST(MessagesTest, ServedElementRoundTrip) {
+  crypto::KeyStore keys("msg-test");
+  ASSERT_TRUE(keys.CreateGroup(4).ok());
+  zerber::ServedElement element = MakeServed(&keys, 4, uint64_t{1} << 40);
+  std::string wire;
+  zerber::AppendServedElement(&wire, element);
+  EXPECT_EQ(wire.size(), element.WireSize());
+  wire += "next";
+
+  std::string_view cursor = wire;
+  auto parsed = zerber::ParseServedElement(&cursor);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->group, 4u);
+  EXPECT_EQ(parsed->handle, uint64_t{1} << 40);
+  EXPECT_EQ(parsed->sealed, element.sealed);
+  EXPECT_EQ(cursor, "next");  // consumed exactly one element
+  for (size_t n = 0; n < element.WireSize(); ++n) {
+    std::string_view truncated = std::string_view(wire).substr(0, n);
+    EXPECT_TRUE(zerber::ParseServedElement(&truncated).status().IsCorruption())
+        << n;
+  }
 }
 
 TEST(MessagesTest, EmptyQueryResponseRoundTrip) {
@@ -70,12 +149,49 @@ TEST(MessagesTest, QueryResponseRejectsElementCountMismatch) {
   crypto::KeyStore keys("msg-test");
   ASSERT_TRUE(keys.CreateGroup(1).ok());
   QueryResponse response;
-  response.elements.push_back(MakeElement(&keys, 1, 0.5));
+  response.elements.push_back(MakeServed(&keys, 1, 7));
   std::string wire = SerializeQueryResponse(response);
   // Truncate mid-element.
   EXPECT_TRUE(ParseQueryResponse(wire.substr(0, wire.size() - 5))
                   .status()
                   .IsCorruption());
+}
+
+// A served element takes at least 3 bytes, so an element count beyond a
+// third of the bytes left is corrupt. Regression: an 8-byte response that
+// claimed 2^40 elements used to reserve them and abort on bad_alloc.
+TEST(MessagesTest, QueryResponseRejectsOverlongCount) {
+  std::string wire;
+  wire.push_back(2);  // QueryResponse tag
+  wire.push_back(0);  // exhausted
+  // varint64 count = 2^40
+  for (char c : {'\x80', '\x80', '\x80', '\x80', '\x80', '\x01'}) {
+    wire.push_back(c);
+  }
+  EXPECT_TRUE(ParseQueryResponse(wire).status().IsCorruption());
+
+  // The bound is tight: three bytes hold one empty element, five not two.
+  std::string one = std::string("\x02\x00\x01", 3) + std::string(3, '\0');
+  auto parsed = ParseQueryResponse(one);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed->elements.size(), 1u);
+  std::string two = std::string("\x02\x00\x02", 3) + std::string(5, '\0');
+  EXPECT_TRUE(ParseQueryResponse(two).status().IsCorruption());
+}
+
+TEST(MessagesTest, MultiFetchResponseRejectsNestedOverlongCount) {
+  std::string sub;
+  sub.push_back(2);  // QueryResponse tag
+  sub.push_back(0);  // exhausted
+  for (char c : {'\x80', '\x80', '\x80', '\x80', '\x80', '\x01'}) {
+    sub.push_back(c);
+  }
+  std::string wire;
+  wire.push_back(6);  // MultiFetchResponse tag
+  wire.push_back(1);  // one nested response
+  wire.push_back(static_cast<char>(sub.size()));
+  wire += sub;
+  EXPECT_TRUE(ParseMultiFetchResponse(wire).status().IsCorruption());
 }
 
 TEST(MessagesTest, InsertRequestRoundTrip) {
@@ -182,8 +298,8 @@ TEST(MessagesTest, MultiFetchResponseRoundTrip) {
   ASSERT_TRUE(keys.CreateGroup(1).ok());
   MultiFetchResponse response;
   QueryResponse a;
-  a.elements.push_back(MakeElement(&keys, 1, 0.9));
-  a.elements.push_back(MakeElement(&keys, 1, 0.1));
+  a.elements.push_back(MakeServed(&keys, 1, 1));
+  a.elements.push_back(MakeServed(&keys, 1, 2));
   QueryResponse b;
   b.exhausted = true;
   response.responses.push_back(a);
@@ -208,7 +324,7 @@ TEST(MessagesTest, MultiFetchResponseRejectsCorruptInput) {
   ASSERT_TRUE(keys.CreateGroup(1).ok());
   MultiFetchResponse response;
   QueryResponse sub;
-  sub.elements.push_back(MakeElement(&keys, 1, 0.4));
+  sub.elements.push_back(MakeServed(&keys, 1, 3));
   response.responses.push_back(sub);
   std::string wire = SerializeMultiFetchResponse(response);
   std::string garbage = wire;
@@ -287,10 +403,7 @@ TEST(MessagesPropertyTest, RandomizedRoundTripsAndWireSizes) {
     r.exhausted = rng.Uniform(2) == 0;
     size_t n = rng.Uniform(static_cast<uint32_t>(max_elements + 1));
     for (size_t i = 0; i < n; ++i) {
-      auto e = MakeElement(&keys, 1, static_cast<double>(rng.Uniform(1000)) /
-                                         1000.0);
-      e.handle = rng.NextU64();
-      r.elements.push_back(std::move(e));
+      r.elements.push_back(MakeServed(&keys, 1, rng.NextU64()));
     }
     return r;
   };

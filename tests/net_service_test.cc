@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/keys.h"
 
 namespace zr::net {
@@ -60,8 +62,14 @@ TEST_F(IndexServiceTest, InsertSurfacesServerErrors) {
 }
 
 TEST_F(IndexServiceTest, FetchReturnsWindowAndExhausted) {
+  // Inserted in descending TRS, so list order is insertion order.
+  std::vector<InsertRequest> inserts;
+  std::vector<uint64_t> handles;
   for (double trs : {0.9, 0.7, 0.5, 0.3}) {
-    ASSERT_TRUE(service_.Insert(MakeInsert(1, trs)).ok());
+    inserts.push_back(MakeInsert(1, trs));
+    auto ack = service_.Insert(inserts.back());
+    ASSERT_TRUE(ack.ok());
+    handles.push_back(ack->handle);
   }
   QueryRequest request;
   request.user = kUser;
@@ -71,7 +79,9 @@ TEST_F(IndexServiceTest, FetchReturnsWindowAndExhausted) {
   auto response = service_.Fetch(request);
   ASSERT_TRUE(response.ok());
   ASSERT_EQ(response->elements.size(), 2u);
-  EXPECT_DOUBLE_EQ(response->elements[0].trs, 0.7);
+  // The element at offset 1 is the TRS-0.7 insert, served without its TRS.
+  EXPECT_EQ(response->elements[0].handle, handles[1]);
+  EXPECT_EQ(response->elements[0].sealed, inserts[1].element.sealed);
   EXPECT_FALSE(response->exhausted);
 
   request.offset = 2;

@@ -95,6 +95,46 @@ TEST_F(TransportTest, FetchReturnsIdenticalResponsesAndBytes) {
             SerializeQueryRequest(request).size());
 }
 
+// ServerStats::bytes_served counts what a response carries: the served
+// elements' wire bytes, without the TRS the server keeps.
+TEST_F(TransportTest, BytesServedEqualsServedElementWireBytes) {
+  for (double trs : {0.9, 0.6, 0.3}) {
+    ASSERT_TRUE(direct_.Insert(MakeInsert(0, trs)).ok());
+    ASSERT_TRUE(direct_.Insert(MakeInsert(1, trs)).ok());
+  }
+  auto served_bytes = [](const QueryResponse& response) {
+    uint64_t total = 0;
+    for (const zerber::ServedElement& e : response.elements) {
+      total += e.WireSize();
+    }
+    return total;
+  };
+
+  uint64_t before = server_.stats().bytes_served;
+  QueryRequest request;
+  request.user = kUser;
+  request.list = 0;
+  request.count = 10;
+  auto fetched = loopback_.Fetch(request);
+  ASSERT_TRUE(fetched.ok());
+  ASSERT_EQ(fetched->elements.size(), 3u);
+  EXPECT_EQ(server_.stats().bytes_served - before, served_bytes(*fetched));
+  // The rest of the message: tag, exhausted flag and a one-byte count.
+  EXPECT_EQ(fetched->wire_size, served_bytes(*fetched) + 3);
+
+  before = server_.stats().bytes_served;
+  MultiFetchRequest multi;
+  multi.user = kUser;
+  multi.fetches.push_back(FetchRange{0, 1, 5});
+  multi.fetches.push_back(FetchRange{1, 0, 2});
+  auto batched = loopback_.MultiFetch(multi);
+  ASSERT_TRUE(batched.ok());
+  ASSERT_EQ(batched->responses.size(), 2u);
+  EXPECT_EQ(server_.stats().bytes_served - before,
+            served_bytes(batched->responses[0]) +
+                served_bytes(batched->responses[1]));
+}
+
 TEST_F(TransportTest, MultiFetchReturnsIdenticalResponsesAndBytes) {
   ASSERT_TRUE(direct_.Insert(MakeInsert(0, 0.9)).ok());
   ASSERT_TRUE(direct_.Insert(MakeInsert(1, 0.5)).ok());

@@ -9,6 +9,8 @@
 #include <string>
 #include <string_view>
 
+#include "crypto/sha256.h"
+
 namespace zr::zerber {
 namespace {
 
@@ -258,6 +260,48 @@ TEST_F(PersistenceTest, TwoElementSnapshotIsByteIdentical) {
             "713c4ade0ea8de39ecc27b870d3fc656010202000000000000d03f1a27e3cbb2"
             "0e0941ed0157aa7ecb93058457787ec1e67bbd4021030201010702010722b761"
             "29c2a2fedffdb5f062e866959af5fe73cdd990e277b3b862e62f97e03e");
+}
+
+// A snapshot with no lists and the given ACL section, under a valid
+// checksum: the checksum has no key, so a hostile disk can recompute it,
+// and the parser must bound every count by the bytes left.
+std::string ChecksummedSnapshot(std::string_view acl_section) {
+  std::string body = "ZBRIDX01";
+  body.push_back(0);  // placement
+  body.push_back(0);  // no lists
+  body.append(acl_section);
+  crypto::Sha256Digest checksum = crypto::Sha256::Hash(body);
+  body.append(reinterpret_cast<const char*>(checksum.data()), checksum.size());
+  return body;
+}
+
+// varint64 2^40.
+constexpr char kHugeCount[] = "\x80\x80\x80\x80\x80\x01";
+
+TEST_F(PersistenceTest, RejectsGroupCountBeyondSnapshotSize) {
+  std::string acl(kHugeCount, 6);
+  acl += "\x01\x00";  // one real group with no users
+  std::string snapshot = ChecksummedSnapshot(acl);
+  EXPECT_TRUE(ParseIndexSnapshot(snapshot).status().IsCorruption());
+  IndexServer server(0, Placement::kTrsSorted, 1);
+  EXPECT_TRUE(RestoreSnapshotInto(&server, snapshot).IsCorruption());
+}
+
+TEST_F(PersistenceTest, RejectsUserCountBeyondSnapshotSize) {
+  std::string acl = "\x01\x01";  // one group, id 1
+  acl.append(kHugeCount, 6);
+  acl += "\x07";  // one real user id
+  std::string snapshot = ChecksummedSnapshot(acl);
+  EXPECT_TRUE(ParseIndexSnapshot(snapshot).status().IsCorruption());
+  IndexServer server(0, Placement::kTrsSorted, 1);
+  EXPECT_TRUE(RestoreSnapshotInto(&server, snapshot).IsCorruption());
+
+  // The same shape with an honest count restores.
+  std::string honest = "\x01\x01\x01\x07";
+  auto restored = ParseIndexSnapshot(ChecksummedSnapshot(honest));
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  QuiescenceLock restored_quiesced((*restored)->quiescence());
+  EXPECT_TRUE((*restored)->acl().IsMember(7, 1));
 }
 
 TEST_F(PersistenceTest, SealedElementsStillOpenAfterRestore) {
