@@ -37,10 +37,10 @@
 //           of the ci spec.
 //   default one single-server config, flag-tunable.
 //
-// --transport=direct|loopback|tcp selects how workers reach the backend;
-// tcp starts a real net::TcpServer in-process, gives every worker its own
+// --transport=direct|tcp selects how workers reach the backend; tcp
+// starts a real net::TcpServer in-process, gives every worker its own
 // socket, and the run fails unless the socket byte counts satisfy the
-// framing identity against the payload (loopback-equivalent) accounting.
+// framing identity against the payload (direct-equivalent) accounting.
 // --data-dir=DIR wraps the mixed-spec backends in the durable storage
 // engine (fresh per-config subdirectories; the churn config stays
 // in-memory — its preload path restores into the single server directly).
@@ -233,7 +233,7 @@ std::unique_ptr<core::Pipeline> BuildDeploymentPipeline(
 
 /// The framing identity every clean tcp run must satisfy: the socket
 /// moved exactly the payload bytes (drift-checked per message against
-/// the analytic WireSizeOf* sizes — LoopbackTransport's accounting) plus
+/// the analytic WireSizeOf* sizes — DirectTransport's accounting) plus
 /// one 4-byte frame header per message. Non-tcp runs pass trivially.
 /// Runs with op errors or reconnects are exempt: a frame is counted when
 /// it crosses the socket, but its payload is only accounted once the

@@ -1,17 +1,21 @@
 // Microbenchmarks: transport overhead (google-benchmark).
 //
-// Measures what routing the protocol through the wire format costs:
-// QueryTopK on the Fig. 13 query workload (top-10, b = 10) over the
-// zero-copy DirectTransport vs the serialize-everything LoopbackTransport,
-// plus isolated Fetch exchanges at fixed response sizes. Future transport
-// work (sharded/async/remote backends) measures against this baseline.
+// Measures what routing the protocol over the wire costs: QueryTopK on the
+// Fig. 13 query workload (top-10, b = 10) over the zero-copy
+// DirectTransport vs a TcpTransport to an in-process TcpServer on the same
+// backend (serialize, frame, loopback socket, parse), plus isolated Fetch
+// exchanges at fixed response sizes. Future transport work measures
+// against this baseline.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
 #include "bench_common.h"
+#include "net/tcp.h"
 #include "net/transport.h"
 
 namespace {
@@ -21,10 +25,11 @@ using namespace zr;
 struct Harness {
   std::unique_ptr<core::Pipeline> pipeline;
   std::vector<text::TermId> terms;
+  std::unique_ptr<net::TcpServer> tcp_server;
   std::unique_ptr<net::Transport> direct;
-  std::unique_ptr<net::Transport> loopback;
+  std::unique_ptr<net::Transport> tcp;
   std::unique_ptr<core::ZerberRClient> direct_client;
-  std::unique_ptr<core::ZerberRClient> loopback_client;
+  std::unique_ptr<core::ZerberRClient> tcp_client;
 };
 
 Harness& GetHarness() {
@@ -38,15 +43,22 @@ Harness& GetHarness() {
     protocol.initial_response_size = 10;  // the paper's b = 10
     h->direct = net::MakeTransport(net::TransportKind::kDirect,
                                    h->pipeline->service.get());
-    h->loopback = net::MakeTransport(net::TransportKind::kLoopback,
-                                     h->pipeline->service.get());
+    auto server = net::TcpServer::Start(h->pipeline->service.get());
+    if (!server.ok()) {
+      std::fprintf(stderr, "tcp server: %s\n",
+                   server.status().ToString().c_str());
+      std::exit(1);
+    }
+    h->tcp_server = std::move(server).value();
+    h->tcp = net::MakeTransport(net::TransportKind::kTcp, nullptr, nullptr,
+                                h->tcp_server->address());
     h->direct_client = std::make_unique<core::ZerberRClient>(
         h->pipeline->user, h->pipeline->keys.get(), &h->pipeline->plan,
         h->direct.get(), &h->pipeline->corpus.vocabulary(),
         h->pipeline->assigner.get(), protocol);
-    h->loopback_client = std::make_unique<core::ZerberRClient>(
+    h->tcp_client = std::make_unique<core::ZerberRClient>(
         h->pipeline->user, h->pipeline->keys.get(), &h->pipeline->plan,
-        h->loopback.get(), &h->pipeline->corpus.vocabulary(),
+        h->tcp.get(), &h->pipeline->corpus.vocabulary(),
         h->pipeline->assigner.get(), protocol);
     return h;
   }();
@@ -80,11 +92,11 @@ void BM_QueryTopK_DirectTransport(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryTopK_DirectTransport);
 
-void BM_QueryTopK_LoopbackTransport(benchmark::State& state) {
+void BM_QueryTopK_TcpTransport(benchmark::State& state) {
   Harness& h = GetHarness();
-  RunWorkload(state, h.loopback_client.get(), h.loopback.get());
+  RunWorkload(state, h.tcp_client.get(), h.tcp.get());
 }
-BENCHMARK(BM_QueryTopK_LoopbackTransport);
+BENCHMARK(BM_QueryTopK_TcpTransport);
 
 void RunFetch(benchmark::State& state, net::Transport* transport) {
   Harness& h = GetHarness();
@@ -110,10 +122,10 @@ void BM_Fetch_DirectTransport(benchmark::State& state) {
 }
 BENCHMARK(BM_Fetch_DirectTransport)->Arg(10)->Arg(100)->Arg(1000);
 
-void BM_Fetch_LoopbackTransport(benchmark::State& state) {
-  RunFetch(state, GetHarness().loopback.get());
+void BM_Fetch_TcpTransport(benchmark::State& state) {
+  RunFetch(state, GetHarness().tcp.get());
 }
-BENCHMARK(BM_Fetch_LoopbackTransport)->Arg(10)->Arg(100)->Arg(1000);
+BENCHMARK(BM_Fetch_TcpTransport)->Arg(10)->Arg(100)->Arg(1000);
 
 }  // namespace
 

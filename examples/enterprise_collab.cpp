@@ -89,9 +89,9 @@ int main() {
   if (!assigner.ok()) return 1;
 
   // --- server with per-user ACLs, exposed through the typed service API.
-  // All client traffic crosses a LoopbackTransport: every request/response
-  // is serialized through the wire format, and the byte counts John's GPRS
-  // session sees below are those of the real messages.
+  // All client traffic crosses a DirectTransport, which accounts every
+  // request/response at its exact wire size, so the byte counts John's
+  // GPRS session sees below are those of the real messages.
   zerber::IndexServer server(plan->NumLists(),
                              zerber::Placement::kTrsSorted, 31);
   const zerber::UserId kJohn = 1, kDana = 2;
@@ -103,7 +103,7 @@ int main() {
 
   net::IndexService service(&server);
   net::SimChannel gprs(net::kModem56k, net::kModem56k);
-  net::LoopbackTransport transport(&service, &gprs);
+  net::DirectTransport transport(&service, &gprs);
 
   core::ZerberRClient john(kJohn, &keys, &*plan, &transport,
                            &corpus.vocabulary(), &*assigner);
@@ -142,8 +142,8 @@ int main() {
               danas->results.size());
 
   // --- bandwidth: John's PDA on GPRS (Section 2 / 6.6). The channel was
-  // fed by the loopback transport with the serialized size of every message
-  // of John's query.
+  // fed by the transport with the wire size of every message of John's
+  // query.
   std::printf("John's GPRS session for this query: %llu bytes down, "
               "%.2f s on the 56 kb/s link\n",
               static_cast<unsigned long long>(johns->trace.bytes_fetched),

@@ -48,9 +48,10 @@ int main() {
   options.preset.training_fraction = 1.0;  // tiny corpus: train on all docs
   options.sigma = 0.01;                 // RSTF kernel scale
   options.build_query_log = false;
-  // Route the whole protocol through the wire format (serialize + parse
-  // every message) so the byte counts below are real message sizes.
-  options.transport = net::TransportKind::kLoopback;
+  // Serve the index over a real socket (an in-process TcpServer) and
+  // route the whole protocol through it, so the byte counts below are the
+  // sizes of the messages that crossed the wire.
+  options.transport = net::TransportKind::kTcp;
   auto built = core::BuildPipelineFromCorpus(std::move(corpus), options);
   if (!built.ok()) {
     std::fprintf(stderr, "setup failed: %s\n",

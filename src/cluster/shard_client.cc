@@ -104,7 +104,8 @@ Status ShardClient::ProbeOn(net::TcpSession* session) {
   std::string wire;
   ZR_RETURN_IF_ERROR(session->Call(net::SerializePingRequest(ping), &wire));
   ZR_ASSIGN_OR_RETURN(net::PingResponse pong,
-                      Decode(wire, net::ParsePingResponse));
+                      net::DecodeResponse(session, wire,
+                                          net::ParsePingResponse));
   if (pong.token != ping.token) {
     return Status::Internal("shard " + options_.addr +
                             ": probe token mismatch");
@@ -138,8 +139,9 @@ Status ShardClient::Probe() {
   return probed;
 }
 
-Status ShardClient::Exchange(const std::string& request_wire, bool idempotent,
-                             std::string* response_wire) {
+StatusOr<std::unique_ptr<net::TcpSession>> ShardClient::Exchange(
+    const std::string& request_wire, bool idempotent,
+    std::string* response_wire) {
   Backoff retry(options_.retry_backoff);
   Status last = Status::OK();
   for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
@@ -208,8 +210,7 @@ Status ShardClient::Exchange(const std::string& request_wire, bool idempotent,
       }
     }
     RecordSuccess();
-    Return(std::move(session));
-    return Status::OK();
+    return session;
   }
   {
     MutexLock lock(mu_);
@@ -221,65 +222,52 @@ Status ShardClient::Exchange(const std::string& request_wire, bool idempotent,
 }
 
 template <typename Response>
-StatusOr<Response> ShardClient::Decode(
-    std::string_view wire, StatusOr<Response> (*parse)(std::string_view)) {
-  if (net::IsErrorResponse(wire)) {
-    Status decoded;
-    ZR_RETURN_IF_ERROR(net::ParseErrorResponse(wire, &decoded));
-    return decoded;
-  }
-  return parse(wire);
+StatusOr<Response> ShardClient::Call(
+    const std::string& request_wire, bool idempotent,
+    StatusOr<Response> (*parse)(std::string_view)) {
+  std::string wire;
+  ZR_ASSIGN_OR_RETURN(std::unique_ptr<net::TcpSession> session,
+                      Exchange(request_wire, idempotent, &wire));
+  StatusOr<Response> response = net::DecodeResponse(session.get(), wire, parse);
+  Return(std::move(session));
+  return response;
 }
 
 StatusOr<net::InsertResponse> ShardClient::Insert(
     const net::InsertRequest& request) {
-  std::string wire;
-  ZR_RETURN_IF_ERROR(Exchange(net::SerializeInsertRequest(request),
-                              /*idempotent=*/false, &wire));
-  return Decode(wire, net::ParseInsertResponse);
+  return Call(net::SerializeInsertRequest(request), /*idempotent=*/false,
+              net::ParseInsertResponse);
 }
 
 StatusOr<net::QueryResponse> ShardClient::Fetch(
     const net::QueryRequest& request) {
-  std::string wire;
-  ZR_RETURN_IF_ERROR(Exchange(net::SerializeQueryRequest(request),
-                              /*idempotent=*/true, &wire));
-  return Decode(wire, net::ParseQueryResponse);
+  return Call(net::SerializeQueryRequest(request), /*idempotent=*/true,
+              net::ParseQueryResponse);
 }
 
 StatusOr<net::MultiFetchResponse> ShardClient::MultiFetch(
     const net::MultiFetchRequest& request) {
-  std::string wire;
-  ZR_RETURN_IF_ERROR(Exchange(net::SerializeMultiFetchRequest(request),
-                              /*idempotent=*/true, &wire));
-  return Decode(wire, net::ParseMultiFetchResponse);
+  return Call(net::SerializeMultiFetchRequest(request), /*idempotent=*/true,
+              net::ParseMultiFetchResponse);
 }
 
 StatusOr<net::DeleteResponse> ShardClient::Delete(
     const net::DeleteRequest& request) {
-  std::string wire;
-  ZR_RETURN_IF_ERROR(Exchange(net::SerializeDeleteRequest(request),
-                              /*idempotent=*/false, &wire));
-  return Decode(wire, net::ParseDeleteResponse);
+  return Call(net::SerializeDeleteRequest(request), /*idempotent=*/false,
+              net::ParseDeleteResponse);
 }
 
 Status ShardClient::Acl(const net::AclRequest& request) {
   // Idempotent by contract: the shard server applies ACL mutations
   // idempotently (a re-sent grant is a no-op), so receive failures retry.
-  std::string wire;
-  ZR_RETURN_IF_ERROR(Exchange(net::SerializeAclRequest(request),
-                              /*idempotent=*/true, &wire));
-  ZR_ASSIGN_OR_RETURN(net::AclResponse ack,
-                      Decode(wire, net::ParseAclResponse));
-  (void)ack;
-  return Status::OK();
+  return Call(net::SerializeAclRequest(request), /*idempotent=*/true,
+              net::ParseAclResponse)
+      .status();
 }
 
 StatusOr<net::StatsResponse> ShardClient::Stats() {
-  std::string wire;
-  ZR_RETURN_IF_ERROR(Exchange(net::SerializeStatsRequest(net::StatsRequest{}),
-                              /*idempotent=*/true, &wire));
-  return Decode(wire, net::ParseStatsResponse);
+  return Call(net::SerializeStatsRequest(net::StatsRequest{}),
+              /*idempotent=*/true, net::ParseStatsResponse);
 }
 
 }  // namespace zr::cluster

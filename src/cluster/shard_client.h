@@ -155,14 +155,17 @@ class ShardClient : public net::ShardService {
 
   /// Retry loop shared by every op: serialize once, exchange with
   /// admission/backoff/accounting, hand back the raw response payload
-  /// (which may be a typed error frame).
-  Status Exchange(const std::string& request_wire, bool idempotent,
-                  std::string* response_wire);
+  /// (which may be a typed error frame) and the session that carried it.
+  StatusOr<std::unique_ptr<net::TcpSession>> Exchange(
+      const std::string& request_wire, bool idempotent,
+      std::string* response_wire);
 
-  /// Decodes a response payload: a typed error frame becomes its Status.
+  /// One op: Exchange, then net::DecodeResponse, then return the session
+  /// to the pool — in that order, so a session whose response did not
+  /// parse (and was disconnected) is dropped instead of pooled.
   template <typename Response>
-  StatusOr<Response> Decode(std::string_view wire,
-                            StatusOr<Response> (*parse)(std::string_view));
+  StatusOr<Response> Call(const std::string& request_wire, bool idempotent,
+                          StatusOr<Response> (*parse)(std::string_view));
 
   /// Probe over a session the caller holds; no pool or breaker traffic.
   Status ProbeOn(net::TcpSession* session);

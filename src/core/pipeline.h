@@ -66,11 +66,10 @@ struct PipelineOptions {
   ProtocolOptions protocol;
 
   /// How client traffic reaches the server: kDirect routes typed messages
-  /// in-process (fast; analytic byte accounting); kLoopback serializes
-  /// every exchange through the wire format (real byte accounting,
-  /// exercises encode/decode); kTcp starts a net::TcpServer over the
-  /// built backend and routes every exchange through a real socket.
-  /// Results are identical in all three cases.
+  /// in-process (fast; analytic byte accounting); kTcp starts a
+  /// net::TcpServer over the built backend and routes every exchange
+  /// through a real socket (real byte accounting, exercises
+  /// encode/decode). Results and byte counts are identical either way.
   net::TransportKind transport = net::TransportKind::kDirect;
 
   /// Where the in-process TcpServer binds (transport = kTcp only). Port 0

@@ -2,7 +2,7 @@
 //
 // Runs a LoadSpec against *any* net::ZerberService — the single-server
 // IndexService, a ShardedIndexService, or a WAL-backed
-// DurableIndexService, through a Direct or Loopback transport. Each worker
+// DurableIndexService, through a Direct or TCP transport. Each worker
 // thread owns its transport, its per-user clients (one plain-Zerber and one
 // Zerber+R client per load user), its deterministic OpGenerator stream, its
 // handle pool for delete churn, and one util::LatencyHistogram per op class

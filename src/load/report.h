@@ -107,12 +107,12 @@ struct LoadReport {
   zerber::ServerStats server;
 
   /// Which transport the workers routed traffic through
-  /// ("direct"/"loopback"/"tcp"); echoed into the JSON.
+  /// ("direct"/"tcp"); echoed into the JSON.
   std::string transport_kind;
 
   /// Transport traffic summed over all workers (measured window only).
   /// bytes_up/bytes_down are message *payload* bytes under every
-  /// transport, so the three kinds are directly comparable.
+  /// transport, so the two kinds are directly comparable.
   net::TransportStats transport;
 
   /// Real socket traffic (frame headers included) summed over all

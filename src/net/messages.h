@@ -3,10 +3,9 @@
 // Every request/response of the ZerberService API (net/service.h) has a
 // defined wire format, so byte accounting (and the Section 6.6 bandwidth
 // numbers) reflects real serialized sizes and corrupt input handling is
-// testable. LoopbackTransport (net/transport.h) routes each exchange through
-// these serializers; DirectTransport uses the analytic WireSizeOf* functions
-// to account for the same bytes without serializing; TcpTransport /
-// TcpServer (net/tcp.h) move the same serializations across a socket in
+// testable. DirectTransport (net/transport.h) uses the analytic WireSizeOf*
+// functions to account for the bytes without serializing; TcpTransport /
+// TcpServer (net/tcp.h) move the serializations across a socket in
 // length-prefixed frames.
 //
 // Threading: every function here is a pure function of its arguments —
@@ -276,7 +275,8 @@ bool IsErrorResponse(std::string_view data);
 // ---------------------------------------------------------------------------
 // Analytic wire sizes: the exact number of bytes Serialize* would produce,
 // computed without serializing. DirectTransport accounts with these;
-// LoopbackTransport asserts they agree with the real serialized sizes.
+// TcpTransport drift-checks every request against them, and
+// net_messages_test pins them to the serialized sizes of every message.
 // ---------------------------------------------------------------------------
 
 size_t WireSizeOfQueryRequest(const QueryRequest& request);

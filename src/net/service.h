@@ -26,8 +26,8 @@ namespace zr::net {
 /// handles: WAL-backed shards serving through an IndexService) and
 /// cluster::RouterService (cluster::ShardClient connections to shard
 /// processes, each serving a DurableShard), and the client-side stubs
-/// DirectTransport / LoopbackTransport / TcpTransport forwarding to a
-/// backend service (net/transport.h, net/tcp.h).
+/// DirectTransport / TcpTransport forwarding to a backend service
+/// (net/transport.h, net/tcp.h).
 ///
 /// Threading: the request path of every *server-side* implementation
 /// (Insert/Fetch/MultiFetch/Delete) is safe from any number of threads —

@@ -5,13 +5,10 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <atomic>
@@ -172,12 +169,10 @@ void SetNoDelay(int fd) {
 }
 
 // ---------------------------------------------------------------------------
-// Poller: the readiness-notification seam of the server's event loop.
-// EpollPoller is the Linux production path; PollPoller is the portable
-// fallback and is forced in tests so both stay correct.
+// Epoll: the readiness notification of the server's event loop.
 // ---------------------------------------------------------------------------
 
-class Poller {
+class Epoll {
  public:
   struct Event {
     int fd = -1;
@@ -186,43 +181,33 @@ class Poller {
     bool hangup = false;
   };
 
-  virtual ~Poller() = default;
-  virtual Status Add(int fd) = 0;  ///< registers with read interest only
-  virtual Status Update(int fd, bool want_read, bool want_write) = 0;
-  virtual void Remove(int fd) = 0;
-
-  /// Blocks until at least one fd is ready; fills `*events`. Retries
-  /// EINTR internally.
-  virtual Status Wait(std::vector<Event>* events) = 0;
-};
-
-#ifdef __linux__
-class EpollPoller final : public Poller {
- public:
-  static StatusOr<std::unique_ptr<EpollPoller>> Create() {
-    int fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (fd < 0) return ErrnoStatus("epoll_create1", errno);
-    auto poller = std::unique_ptr<EpollPoller>(new EpollPoller());
-    poller->epoll_fd_ = fd;
-    return poller;
-  }
-
-  ~EpollPoller() override {
+  Epoll() = default;
+  ~Epoll() {
     if (epoll_fd_ >= 0) ::close(epoll_fd_);
   }
 
-  Status Add(int fd) override {
+  Epoll(const Epoll&) = delete;
+  Epoll& operator=(const Epoll&) = delete;
+
+  Status Init() {
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) return ErrnoStatus("epoll_create1", errno);
+    return Status::OK();
+  }
+
+  /// Registers `fd` with read interest only.
+  Status Add(int fd) {
     return Control(EPOLL_CTL_ADD, fd, /*want_read=*/true,
                    /*want_write=*/false);
   }
-  Status Update(int fd, bool want_read, bool want_write) override {
+  Status Update(int fd, bool want_read, bool want_write) {
     return Control(EPOLL_CTL_MOD, fd, want_read, want_write);
   }
-  void Remove(int fd) override {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
+  void Remove(int fd) { ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr); }
 
-  Status Wait(std::vector<Event>* events) override {
+  /// Blocks until at least one fd is ready; fills `*events`. Retries
+  /// EINTR internally.
+  Status Wait(std::vector<Event>* events) {
     events->clear();
     epoll_event raw[64];
     int n;
@@ -243,8 +228,6 @@ class EpollPoller final : public Poller {
   }
 
  private:
-  EpollPoller() = default;
-
   Status Control(int op, int fd, bool want_read, bool want_write) {
     epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
@@ -259,76 +242,6 @@ class EpollPoller final : public Poller {
 
   int epoll_fd_ = -1;
 };
-#endif  // __linux__
-
-class PollPoller final : public Poller {
- public:
-  Status Add(int fd) override {
-    pollfd p;
-    p.fd = fd;
-    p.events = POLLIN;
-    p.revents = 0;
-    index_[fd] = fds_.size();
-    fds_.push_back(p);
-    return Status::OK();
-  }
-
-  Status Update(int fd, bool want_read, bool want_write) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return Status::Internal("tcp: poll update of unknown fd");
-    fds_[it->second].events = static_cast<short>(
-        (want_read ? POLLIN : 0) | (want_write ? POLLOUT : 0));
-    return Status::OK();
-  }
-
-  void Remove(int fd) override {
-    auto it = index_.find(fd);
-    if (it == index_.end()) return;
-    size_t pos = it->second;
-    index_.erase(it);
-    if (pos + 1 != fds_.size()) {
-      fds_[pos] = fds_.back();
-      index_[fds_[pos].fd] = pos;
-    }
-    fds_.pop_back();
-  }
-
-  Status Wait(std::vector<Event>* events) override {
-    events->clear();
-    int n;
-    do {
-      n = ::poll(fds_.data(), fds_.size(), -1);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) return ErrnoStatus("poll", errno);
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event e;
-      e.fd = p.fd;
-      e.readable = (p.revents & (POLLIN | POLLERR)) != 0;
-      e.writable = (p.revents & POLLOUT) != 0;
-      e.hangup = (p.revents & POLLHUP) != 0;
-      events->push_back(e);
-    }
-    return Status::OK();
-  }
-
- private:
-  std::vector<pollfd> fds_;
-  std::unordered_map<int, size_t> index_;
-};
-
-StatusOr<std::unique_ptr<Poller>> MakePoller(bool force_poll) {
-#ifdef __linux__
-  if (!force_poll) {
-    ZR_ASSIGN_OR_RETURN(std::unique_ptr<EpollPoller> epoll,
-                        EpollPoller::Create());
-    return std::unique_ptr<Poller>(std::move(epoll));
-  }
-#else
-  (void)force_poll;
-#endif
-  return std::unique_ptr<Poller>(new PollPoller());
-}
 
 }  // namespace
 
@@ -338,14 +251,6 @@ StatusOr<std::unique_ptr<Poller>> MakePoller(bool force_poll) {
 
 namespace {
 
-/// True where SO_REUSEPORT load-balances accepts across sockets (Linux).
-/// Elsewhere AcceptMode::kAuto and kReusePort degrade to hand-off.
-#if defined(__linux__) && defined(SO_REUSEPORT)
-inline constexpr bool kReusePortBalances = true;
-#else
-inline constexpr bool kReusePortBalances = false;
-#endif
-
 /// Opens a non-blocking listening socket on `sa`. On failure the fd is
 /// closed before the status returns.
 StatusOr<int> OpenListenSocket(const sockaddr_in& sa, bool reuse_port) {
@@ -353,13 +258,9 @@ StatusOr<int> OpenListenSocket(const sockaddr_in& sa, bool reuse_port) {
   if (fd < 0) return ErrnoStatus("socket", errno);
   int one = 1;
   ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-#ifdef SO_REUSEPORT
   if (reuse_port) {
     ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
   }
-#else
-  (void)reuse_port;
-#endif
   if (::bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof(sa)) != 0) {
     int err = errno;
     ::close(fd);
@@ -404,11 +305,6 @@ ServerConfig& ServerConfig::WithMaxFramePayload(size_t bytes) {
 
 ServerConfig& ServerConfig::WithMaxSessionBacklog(size_t bytes) {
   max_session_backlog_ = bytes;
-  return *this;
-}
-
-ServerConfig& ServerConfig::WithPollOnly(bool force_poll) {
-  force_poll_ = force_poll;
   return *this;
 }
 
@@ -488,18 +384,8 @@ class TcpServer::Impl {
     ZR_RETURN_IF_ERROR(ParseAddr(config_.listen_addr(), &sa));
 
     const size_t n = config_.num_loops();
-    bool reuse_port = false;
-    if (n > 1) {
-      switch (config_.accept_mode()) {
-        case AcceptMode::kAuto:
-        case AcceptMode::kReusePort:
-          reuse_port = kReusePortBalances;
-          break;
-        case AcceptMode::kHandOff:
-          reuse_port = false;
-          break;
-      }
-    }
+    const bool reuse_port =
+        n > 1 && config_.accept_mode() == AcceptMode::kReusePort;
 
     loops_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
@@ -541,7 +427,7 @@ class TcpServer::Impl {
     }
 
     for (auto& loop : loops_) {
-      ZR_RETURN_IF_ERROR(loop->Init(config_.force_poll()));
+      ZR_RETURN_IF_ERROR(loop->Init());
     }
 
     // Publish the server's counters through the process metrics registry
@@ -663,11 +549,12 @@ class TcpServer::Impl {
     size_t backlog() const { return out.size() - out_pos; }
   };
 
-  /// One event-loop thread: a poller, a wake pipe, and the sessions
-  /// pinned to it. All session state — buffers, the deferred-close batch,
-  /// backpressure bookkeeping — is loop-owned and only ever touched from
-  /// Run()'s thread; the cross-thread surfaces are exactly the annotated
-  /// inbox, the drain/stop counters (atomics) and the stats shard.
+  /// One event-loop thread: an epoll instance, a wake pipe, and the
+  /// sessions pinned to it. All session state — buffers, the
+  /// deferred-close batch, backpressure bookkeeping — is loop-owned and
+  /// only ever touched from Run()'s thread; the cross-thread surfaces are
+  /// exactly the annotated inbox, the drain/stop counters (atomics) and
+  /// the stats shard.
   class EventLoop {
    public:
     EventLoop(Impl* impl, size_t loop_id) : impl_(impl), loop_id_(loop_id) {}
@@ -691,16 +578,16 @@ class TcpServer::Impl {
     /// before Init.
     void set_listen_fd(int fd) { listen_fd_ = fd; }
 
-    Status Init(bool force_poll) {
+    Status Init() {
       int pipe_fds[2];
       if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
         return ErrnoStatus("pipe2", errno);
       }
       wake_read_ = pipe_fds[0];
       wake_write_ = pipe_fds[1];
-      ZR_ASSIGN_OR_RETURN(poller_, MakePoller(force_poll));
-      ZR_RETURN_IF_ERROR(poller_->Add(wake_read_));
-      if (listen_fd_ >= 0) ZR_RETURN_IF_ERROR(poller_->Add(listen_fd_));
+      ZR_RETURN_IF_ERROR(epoll_.Init());
+      ZR_RETURN_IF_ERROR(epoll_.Add(wake_read_));
+      if (listen_fd_ >= 0) ZR_RETURN_IF_ERROR(epoll_.Add(listen_fd_));
       return Status::OK();
     }
 
@@ -757,13 +644,13 @@ class TcpServer::Impl {
 
    private:
     void Run() {
-      std::vector<Poller::Event> events;
+      std::vector<Epoll::Event> events;
       std::vector<int> dead_fds;
       while (!impl_->stop_.load()) {
-        if (!poller_->Wait(&events).ok()) break;
+        if (!epoll_.Wait(&events).ok()) break;
         if (impl_->stop_.load()) break;
         dead_fds.clear();
-        for (const Poller::Event& event : events) {
+        for (const Epoll::Event& event : events) {
           if (event.fd == wake_read_) {
             DrainWakePipe();
             continue;
@@ -862,7 +749,7 @@ class TcpServer::Impl {
     /// owning loop counts the accept, so per-loop stats reflect session
     /// placement in every accept mode.
     void InstallSession(int fd) {
-      if (!poller_->Add(fd).ok()) {
+      if (!epoll_.Add(fd).ok()) {
         ::close(fd);
         return;
       }
@@ -888,14 +775,14 @@ class TcpServer::Impl {
     void CloseSession(int fd) {
       auto it = sessions_.find(fd);
       if (it == sessions_.end()) return;
-      poller_->Remove(fd);
+      epoll_.Remove(fd);
       ::close(fd);
       sessions_.erase(it);
       closed_.fetch_add(1);
       open_.fetch_sub(1);
     }
 
-    /// (Re)arms the poller with the session's current interest: reads
+    /// (Re)arms epoll with the session's current interest: reads
     /// stay off while backpressure has the session paused, writes are on
     /// only while output is pending.
     void UpdateInterest(int fd, Session* s) {
@@ -904,7 +791,7 @@ class TcpServer::Impl {
       if (want_read == s->want_read && want_write == s->want_write) return;
       s->want_read = want_read;
       s->want_write = want_write;
-      (void)poller_->Update(fd, want_read, want_write);
+      (void)epoll_.Update(fd, want_read, want_write);
     }
 
     void HandleReadable(int fd, Session* s) {
@@ -1012,7 +899,7 @@ class TcpServer::Impl {
     /// Drives one session as far as it can go right now: dispatch
     /// buffered frames (bounded by the output backlog — backpressure),
     /// flush output, repeat while flushing freed room for more
-    /// dispatching, then settle the session's poller interest and EOF
+    /// dispatching, then settle the session's epoll interest and EOF
     /// fate.
     void Pump(int fd, Session* s) {
       for (;;) {
@@ -1203,7 +1090,7 @@ class TcpServer::Impl {
       }
     }
 
-    /// Writes as much pending output as the socket accepts. Poller
+    /// Writes as much pending output as the socket accepts. Epoll
     /// interest is settled afterwards by Pump's UpdateInterest.
     void FlushOutput(int fd, Session* s) {
       while (s->out_pos < s->out.size()) {
@@ -1236,7 +1123,7 @@ class TcpServer::Impl {
     int listen_fd_ = -1;
     int wake_read_ = -1;
     int wake_write_ = -1;
-    std::unique_ptr<Poller> poller_;
+    Epoll epoll_;
     std::unordered_map<int, Session> sessions_;
     std::thread thread_;
 
@@ -1591,8 +1478,7 @@ Status TcpSession::Call(std::string_view request, std::string* response) {
 
 TcpTransport::TcpTransport(std::string connect_addr, SimChannel* channel,
                            TcpSession::Options options)
-    : Transport(/*backend=*/nullptr, channel),
-      session_(std::move(connect_addr), options) {}
+    : Transport(channel), session_(std::move(connect_addr), options) {}
 
 void TcpTransport::ResetStats() {
   Transport::ResetStats();
@@ -1636,15 +1522,11 @@ StatusOr<Response> TcpTransport::Exchange(
       obs::RecordSpan(span.stage, span.duration_ns, span.detail);
     }
   }
-  if (IsErrorResponse(wire_response)) {
-    Status decoded;
-    ZR_RETURN_IF_ERROR(ParseErrorResponse(wire_response, &decoded));
-    Account(wire_request.size(), wire_response.size());
-    return decoded;
-  }
-  ZR_ASSIGN_OR_RETURN(Response response, parse_response(wire_response));
-  response.wire_size = wire_response.size();
+  StatusOr<Response> response =
+      DecodeResponse(&session_, wire_response, parse_response);
+  if (session_.broken()) return response;  // did not parse; not accounted
   Account(wire_request.size(), wire_response.size());
+  if (response.ok()) response->wire_size = wire_response.size();
   return response;
 }
 
@@ -1665,80 +1547,9 @@ StatusOr<DeleteResponse> TcpTransport::Delete(const DeleteRequest& request) {
 
 StatusOr<MultiFetchResponse> TcpTransport::MultiFetch(
     const MultiFetchRequest& request) {
-  if (pipelined_multifetch_ && request.fetches.size() > 1) {
-    return MultiFetchPipelined(request);
-  }
   return Exchange(request, SerializeMultiFetchRequest,
                   WireSizeOfMultiFetchRequest, "MultiFetchRequest",
                   ParseMultiFetchResponse);
-}
-
-StatusOr<MultiFetchResponse> TcpTransport::MultiFetchPipelined(
-    const MultiFetchRequest& request) {
-  // All request frames go out before any response is read; the server
-  // answers in order, so response i matches fetches[i]. Fetches are pure
-  // reads, so when the pipeline send fails midway the whole batch is
-  // resent once over a fresh connection.
-  std::vector<std::string> wires;
-  wires.reserve(request.fetches.size());
-  for (const FetchRange& f : request.fetches) {
-    QueryRequest q;
-    q.user = request.user;
-    q.list = f.list;
-    q.offset = f.offset;
-    q.count = f.count;
-    wires.push_back(SerializeQueryRequest(q));
-    if (wires.back().size() != WireSizeOfQueryRequest(q)) {
-      return TcpDriftError("QueryRequest");
-    }
-  }
-  auto send_all = [&]() -> Status {
-    for (const std::string& wire : wires) {
-      ZR_RETURN_IF_ERROR(session_.SendFrame(wire));
-    }
-    return Status::OK();
-  };
-  Status sent = send_all();
-  if (!sent.ok()) {
-    if (sent.IsInvalidArgument()) return sent;
-    ZR_RETURN_IF_ERROR(session_.Connect());
-    ZR_RETURN_IF_ERROR(send_all());
-  }
-
-  MultiFetchResponse response;
-  response.responses.reserve(wires.size());
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < wires.size(); ++i) {
-    std::string wire_response;
-    ZR_RETURN_IF_ERROR(session_.RecvFrame(&wire_response));
-    if (!first_error.ok()) continue;  // drain to keep the stream aligned
-    if (IsErrorResponse(wire_response)) {
-      Status decoded;
-      Status parsed = ParseErrorResponse(wire_response, &decoded);
-      if (!parsed.ok()) {
-        // Undecodable response with more pipelined responses in flight:
-        // the stream position can't be trusted any longer — returning
-        // here without dropping the connection would hand the leftover
-        // frames to the *next* RPC as its answers.
-        session_.Disconnect();
-        return parsed;
-      }
-      Account(wires[i].size(), wire_response.size());
-      first_error = decoded;  // MultiFetch fails atomically
-      continue;
-    }
-    auto r = ParseQueryResponse(wire_response);
-    if (!r.ok()) {
-      session_.Disconnect();  // same stream-desync hazard as above
-      return r.status();
-    }
-    r->wire_size = wire_response.size();
-    Account(wires[i].size(), wire_response.size());
-    response.wire_size += wire_response.size();
-    response.responses.push_back(std::move(r).value());
-  }
-  if (!first_error.ok()) return first_error;
-  return response;
 }
 
 }  // namespace zr::net

@@ -1,7 +1,7 @@
 // Real TCP transport for the ZerberService protocol.
 //
-// The third TransportKind: typed wire messages (net/messages.h) framed over
-// a TCP socket, so every backend in the repo — single IndexService,
+// TransportKind::kTcp: typed wire messages (net/messages.h) framed over a
+// TCP socket, so every backend in the repo — single IndexService,
 // ShardedIndexService, DurableIndexService, one DurableShard — can be
 // served as an actual remote process instead of an in-process stub.
 //
@@ -13,8 +13,9 @@
 // byte is the message-type tag, so frames are self-describing and the
 // server dispatches on the payload alone). Frame overhead is therefore
 // exactly kFrameHeaderBytes per message in each direction, which lets
-// byte accounting be cross-checked against LoopbackTransport's to the
-// byte: socket_bytes == payload_bytes + kFrameHeaderBytes * frames.
+// byte accounting be cross-checked against DirectTransport's analytic
+// sizes to the byte: socket_bytes == payload_bytes + kFrameHeaderBytes *
+// frames.
 //
 // Optional frame extension (tracing): when the sender has an active
 // obs::TraceContext, it sets the top bit of the length field and prepends
@@ -38,14 +39,12 @@
 //
 // Three pieces:
 //
-//  * TcpServer — N event-loop threads (epoll on Linux, poll() fallback
-//    elsewhere or when ServerConfig::WithPollOnly is set), each loop
-//    owning its own poller and session table. Incoming connections are
+//  * TcpServer — N epoll event-loop threads (Linux), each loop owning its
+//    own epoll instance and session table. Incoming connections are
 //    spread across the loops (AcceptMode below); a session is pinned to
 //    one loop for its whole life, so all of its IO, parsing, dispatch and
 //    teardown happen on that one thread. Backend failures cross the wire
-//    as encoded error messages, exactly like LoopbackTransport carries
-//    them.
+//    as encoded error messages.
 //
 //  * TcpSession — a client-side connection: blocking socket, frame
 //    send/receive, and explicit pipelining support (write several request
@@ -56,16 +55,16 @@
 //    TcpSession: serializes each request, drift-checks it against the
 //    analytic WireSizeOf* size, exchanges frames, and reconnects once on a
 //    dead connection. Byte accounting (Transport::stats()) records payload
-//    bytes — the same quantity Direct/Loopback account — while
+//    bytes — the same quantity DirectTransport accounts — while
 //    socket_stats() records the real socket bytes including frame headers.
 //
 // Threading model of the server:
 //
 //   * Per-loop (owned by exactly one event-loop thread, never locked):
-//     poller, session table, per-session buffers, the deferred-close
-//     batch, and the backpressure bookkeeping. Sessions never migrate
-//     between loops, so none of this state is ever visible to another
-//     thread.
+//     epoll instance, session table, per-session buffers, the
+//     deferred-close batch, and the backpressure bookkeeping. Sessions
+//     never migrate between loops, so none of this state is ever visible
+//     to another thread.
 //   * Cross-thread (annotated, checked by the -Wthread-safety build):
 //     the hand-off inbox each loop exposes to the acceptor, the
 //     drain barrier behind DisconnectAll, and the per-loop stats shards
@@ -91,6 +90,7 @@
 #include <vector>
 
 #include "net/channel.h"
+#include "net/messages.h"
 #include "net/transport.h"
 #include "obs/trace.h"
 #include "util/status.h"
@@ -212,15 +212,12 @@ struct TcpServerStats {
 /// How a multi-loop server spreads incoming connections across its loops.
 /// Irrelevant when num_loops == 1 (the single loop owns the listener).
 enum class AcceptMode {
-  /// SO_REUSEPORT where the platform load-balances it (Linux), hand-off
-  /// elsewhere. The default.
-  kAuto,
   /// One listening socket per loop, all bound to the same address with
   /// SO_REUSEPORT; the kernel picks the loop per connection. No
-  /// cross-thread hand-off at all.
+  /// cross-thread hand-off at all. The default.
   kReusePort,
   /// Loop 0 owns the single listening socket and deals accepted fds to
-  /// the loops round-robin through their wake pipes. Portable; also the
+  /// the loops round-robin through their wake pipes. The
   /// deterministic-placement mode tests use.
   kHandOff,
 };
@@ -264,10 +261,6 @@ class ServerConfig {
   /// never admit the response it is supposed to buffer.
   ServerConfig& WithMaxSessionBacklog(size_t bytes);
 
-  /// Force the portable poll() loop even where epoll is available
-  /// (exercised in tests so both loops stay correct).
-  ServerConfig& WithPollOnly(bool force_poll = true);
-
   /// Identity echoed in every PingResponse. A router probing a shard
   /// after reconnect verifies this to detect a different server on a
   /// recycled address.
@@ -302,7 +295,6 @@ class ServerConfig {
   AcceptMode accept_mode() const { return accept_mode_; }
   size_t max_frame_payload() const { return max_frame_payload_; }
   size_t max_session_backlog() const { return max_session_backlog_; }
-  bool force_poll() const { return force_poll_; }
   uint64_t server_id() const { return server_id_; }
   const std::function<StatsResponse()>& stats_source() const {
     return stats_source_;
@@ -315,10 +307,9 @@ class ServerConfig {
  private:
   std::string listen_addr_ = "127.0.0.1:0";
   size_t num_loops_ = 1;
-  AcceptMode accept_mode_ = AcceptMode::kAuto;
+  AcceptMode accept_mode_ = AcceptMode::kReusePort;
   size_t max_frame_payload_ = kDefaultMaxFramePayload;
   size_t max_session_backlog_ = kDefaultMaxFramePayload;
-  bool force_poll_ = false;
   uint64_t server_id_ = 0;
   std::function<StatsResponse()> stats_source_;
   std::function<Status(const AclRequest&)> acl_handler_;
@@ -445,7 +436,7 @@ class TcpSession {
 
   /// Drops the connection (the next SendFrame reconnects). Used when the
   /// stream position can no longer be trusted — e.g. a response that
-  /// fails to parse while more pipelined responses are in flight.
+  /// fails to parse, behind which another frame may be queued.
   void Disconnect();
 
   /// One round trip: SendFrame then RecvFrame.
@@ -478,6 +469,30 @@ class TcpSession {
   uint64_t wire_tap_stream_ = 0;
 };
 
+/// Decodes a response payload received on `session`: a typed error frame
+/// becomes its Status, anything else goes through `parse`. A payload that
+/// does not parse disconnects the session — the stream position can no
+/// longer be trusted, and a frame queued behind the bad one must not be
+/// read as the next call's answer. Every client of the protocol
+/// (TcpTransport, cluster::ShardClient) decodes through this.
+template <typename Response>
+StatusOr<Response> DecodeResponse(
+    TcpSession* session, std::string_view wire,
+    StatusOr<Response> (*parse)(std::string_view)) {
+  if (IsErrorResponse(wire)) {
+    Status decoded;
+    Status parsed = ParseErrorResponse(wire, &decoded);
+    if (!parsed.ok()) {
+      session->Disconnect();
+      return parsed;
+    }
+    return decoded;
+  }
+  StatusOr<Response> response = parse(wire);
+  if (!response.ok()) session->Disconnect();
+  return response;
+}
+
 // ---------------------------------------------------------------------------
 // Client transport
 // ---------------------------------------------------------------------------
@@ -485,10 +500,9 @@ class TcpSession {
 /// Client-side Transport over a TcpSession.
 ///
 /// Byte accounting: Transport::stats() records message payload bytes (the
-/// identical quantity DirectTransport computes analytically and
-/// LoopbackTransport measures by serializing — asserted per message via
-/// the WireSizeOf* drift check); socket_stats() additionally records the
-/// real socket traffic including the 4-byte frame headers.
+/// identical quantity DirectTransport computes analytically — asserted per
+/// request via the WireSizeOf* drift check); socket_stats() additionally
+/// records the real socket traffic including the 4-byte frame headers.
 ///
 /// Reconnect-on-error: when the connection is found dead while *sending*
 /// a request (server restarted, idle disconnect), the transport
@@ -497,7 +511,9 @@ class TcpSession {
 /// (disconnect mid-response, timeout) is surfaced to the caller as an
 /// Internal "tcp:" error — the server may or may not have applied the
 /// request, and only the caller can decide whether a retry is idempotent.
-/// The session reconnects on the next call.
+/// The session reconnects on the next call. A response that fails to
+/// parse also drops the connection (see DecodeResponse) and surfaces the
+/// parse error.
 ///
 /// Threading: single-threaded, like every Transport; one per client
 /// thread.
@@ -511,14 +527,6 @@ class TcpTransport final : public Transport {
   StatusOr<MultiFetchResponse> MultiFetch(
       const MultiFetchRequest& request) override;
   StatusOr<DeleteResponse> Delete(const DeleteRequest& request) override;
-
-  /// When enabled, MultiFetch is issued as one pipelined Fetch frame per
-  /// range — all requests written before any response is read — instead
-  /// of a single MultiFetch message. Results are identical (asserted in
-  /// tests); accounting then counts one exchange per range. Off by
-  /// default so byte accounting stays message-for-message comparable with
-  /// Direct/Loopback.
-  void set_pipelined_multifetch(bool on) { pipelined_multifetch_ = on; }
 
   const TcpSocketStats& socket_stats() const { return session_.socket_stats(); }
 
@@ -541,11 +549,7 @@ class TcpTransport final : public Transport {
                               StatusOr<Response> (*parse_response)(
                                   std::string_view));
 
-  StatusOr<MultiFetchResponse> MultiFetchPipelined(
-      const MultiFetchRequest& request);
-
   TcpSession session_;
-  bool pipelined_multifetch_ = false;
 };
 
 }  // namespace zr::net

@@ -6,34 +6,9 @@
 
 namespace zr::net {
 
-namespace {
-
-Status DriftError(const char* message_type) {
-  return Status::Internal(std::string("wire-size accounting drift in ") +
-                          message_type);
-}
-
-/// Carries a backend failure across the wire as an error message and decodes
-/// it on the client side. Returns the decoded status (== the original), or
-/// the drift/corruption error that prevented the carry. `*down_bytes` is set
-/// to the error message's wire size on a successful carry.
-Status CarryError(const Status& error, uint64_t* down_bytes) {
-  std::string wire = SerializeErrorResponse(error);
-  if (wire.size() != WireSizeOfErrorResponse(error)) {
-    return DriftError("ErrorResponse");
-  }
-  Status decoded;
-  ZR_RETURN_IF_ERROR(ParseErrorResponse(wire, &decoded));
-  *down_bytes = wire.size();
-  return decoded;
-}
-
-}  // namespace
-
 const char* TransportKindName(TransportKind kind) {
   switch (kind) {
     case TransportKind::kDirect: return "direct";
-    case TransportKind::kLoopback: return "loopback";
     case TransportKind::kTcp: return "tcp";
   }
   return "unknown";
@@ -41,10 +16,9 @@ const char* TransportKindName(TransportKind kind) {
 
 StatusOr<TransportKind> ParseTransportKind(std::string_view name) {
   if (name == "direct") return TransportKind::kDirect;
-  if (name == "loopback") return TransportKind::kLoopback;
   if (name == "tcp") return TransportKind::kTcp;
   return Status::InvalidArgument("unknown transport '" + std::string(name) +
-                                 "' (want direct|loopback|tcp)");
+                                 "' (want direct|tcp)");
 }
 
 void Transport::Account(uint64_t up, uint64_t down) {
@@ -62,11 +36,11 @@ void Transport::Account(uint64_t up, uint64_t down) {
 // ---------------------------------------------------------------------------
 
 // gcc's -Wmaybe-uninitialized false-positives on the StatusOr/std::optional
-// temporaries of the two Exchange templates at -O1 under the sanitizers
-// (the optional's engaged flag is always set before any read; gcc loses
-// track of it across the member-function-pointer call). Suppressed only
-// around the template bodies, and only for gcc — clang does not know this
-// warning group.
+// temporaries of the Exchange template at -O1 under the sanitizers (the
+// optional's engaged flag is always set before any read; gcc loses track
+// of it across the member-function-pointer call). Suppressed only around
+// the template body, and only for gcc — clang does not know this warning
+// group.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -88,6 +62,10 @@ StatusOr<Response> DirectTransport::Exchange(
   return served;
 }
 
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
 StatusOr<InsertResponse> DirectTransport::Insert(const InsertRequest& request) {
   return Exchange(request, &ZerberService::Insert, WireSizeOfInsertRequest,
                   WireSizeOfInsertResponse);
@@ -104,7 +82,7 @@ StatusOr<MultiFetchResponse> DirectTransport::MultiFetch(
       Exchange(request, &ZerberService::MultiFetch,
                WireSizeOfMultiFetchRequest, WireSizeOfMultiFetchResponse);
   if (response.ok()) {
-    // Mirror the loopback parser, which records each nested response's own
+    // Mirror the wire parser, which records each nested response's own
     // wire footprint for per-list accounting.
     for (QueryResponse& r : response->responses) {
       r.wire_size = WireSizeOfQueryResponse(r);
@@ -118,81 +96,6 @@ StatusOr<DeleteResponse> DirectTransport::Delete(const DeleteRequest& request) {
                   WireSizeOfDeleteResponse);
 }
 
-// ---------------------------------------------------------------------------
-// LoopbackTransport: every exchange is encoded, decoded server-side,
-// dispatched, and the response (or error status) encoded and decoded back.
-// ---------------------------------------------------------------------------
-
-template <typename Request, typename Response>
-StatusOr<Response> LoopbackTransport::Exchange(
-    const Request& request,
-    StatusOr<Response> (ZerberService::*method)(const Request&),
-    std::string (*serialize_request)(const Request&),
-    StatusOr<Request> (*parse_request)(std::string_view),
-    size_t (*request_size)(const Request&), const char* request_name,
-    std::string (*serialize_response)(const Response&),
-    StatusOr<Response> (*parse_response)(std::string_view),
-    size_t (*response_size)(const Response&), const char* response_name) {
-  std::string wire_request = serialize_request(request);
-  if (wire_request.size() != request_size(request)) {
-    return DriftError(request_name);
-  }
-  ZR_ASSIGN_OR_RETURN(Request server_request, parse_request(wire_request));
-  auto served = (backend_->*method)(server_request);
-  if (!served.ok()) {
-    uint64_t down = 0;
-    Status decoded = CarryError(served.status(), &down);
-    Account(wire_request.size(), down);
-    return decoded;
-  }
-  std::string wire_response = serialize_response(*served);
-  if (wire_response.size() != response_size(*served)) {
-    return DriftError(response_name);
-  }
-  Account(wire_request.size(), wire_response.size());
-  ZR_ASSIGN_OR_RETURN(Response response, parse_response(wire_response));
-  response.wire_size = wire_response.size();
-  return response;
-}
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-StatusOr<InsertResponse> LoopbackTransport::Insert(
-    const InsertRequest& request) {
-  return Exchange(request, &ZerberService::Insert, SerializeInsertRequest,
-                  ParseInsertRequest, WireSizeOfInsertRequest,
-                  "InsertRequest", SerializeInsertResponse,
-                  ParseInsertResponse, WireSizeOfInsertResponse,
-                  "InsertResponse");
-}
-
-StatusOr<QueryResponse> LoopbackTransport::Fetch(const QueryRequest& request) {
-  return Exchange(request, &ZerberService::Fetch, SerializeQueryRequest,
-                  ParseQueryRequest, WireSizeOfQueryRequest, "QueryRequest",
-                  SerializeQueryResponse, ParseQueryResponse,
-                  WireSizeOfQueryResponse, "QueryResponse");
-}
-
-StatusOr<MultiFetchResponse> LoopbackTransport::MultiFetch(
-    const MultiFetchRequest& request) {
-  return Exchange(request, &ZerberService::MultiFetch,
-                  SerializeMultiFetchRequest, ParseMultiFetchRequest,
-                  WireSizeOfMultiFetchRequest, "MultiFetchRequest",
-                  SerializeMultiFetchResponse, ParseMultiFetchResponse,
-                  WireSizeOfMultiFetchResponse, "MultiFetchResponse");
-}
-
-StatusOr<DeleteResponse> LoopbackTransport::Delete(
-    const DeleteRequest& request) {
-  return Exchange(request, &ZerberService::Delete, SerializeDeleteRequest,
-                  ParseDeleteRequest, WireSizeOfDeleteRequest,
-                  "DeleteRequest", SerializeDeleteResponse,
-                  ParseDeleteResponse, WireSizeOfDeleteResponse,
-                  "DeleteResponse");
-}
-
 std::unique_ptr<Transport> MakeTransport(TransportKind kind,
                                          ZerberService* backend,
                                          SimChannel* channel,
@@ -200,8 +103,6 @@ std::unique_ptr<Transport> MakeTransport(TransportKind kind,
   switch (kind) {
     case TransportKind::kDirect:
       return std::make_unique<DirectTransport>(backend, channel);
-    case TransportKind::kLoopback:
-      return std::make_unique<LoopbackTransport>(backend, channel);
     case TransportKind::kTcp:
       if (connect_addr.empty()) return nullptr;
       return std::make_unique<TcpTransport>(connect_addr, channel);

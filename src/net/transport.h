@@ -10,12 +10,10 @@
 //    a wire transport would transfer without paying for serialization.
 //    Use in benches measuring CPU/protocol behavior.
 //
-//  * LoopbackTransport — serializes every request and response through the
-//    net/messages wire format and parses it back on the other side,
-//    exercising the full encode/decode path (including error-status
-//    encoding and parse failure handling). Byte counts come from the real
-//    serialized messages and are asserted to agree with the analytic sizes.
-//    Use in benches/tests whose numbers must reflect real wire traffic.
+//  * TcpTransport (net/tcp.h) — serializes every request and response
+//    through the net/messages wire format and moves it across a socket.
+//    Byte counts come from the real serialized messages; they equal
+//    Direct's analytic sizes message for message (integration_tcp_test).
 //
 // Both feed an optional SimChannel so transfer-time models see the same
 // byte stream.
@@ -36,11 +34,10 @@ namespace zr::net {
 /// Which transport a deployment routes its protocol through.
 enum class TransportKind {
   kDirect,
-  kLoopback,
   kTcp,
 };
 
-/// "direct" / "loopback" / "tcp" (for banners, flags and reports).
+/// "direct" / "tcp" (for banners, flags and reports).
 const char* TransportKindName(TransportKind kind);
 
 /// Inverse of TransportKindName; Status on an unknown name.
@@ -62,7 +59,7 @@ struct TransportStats {
 ///
 /// Threading: a Transport is single-threaded — concurrent callers each own
 /// their own instance (the load driver builds one per worker). Ownership:
-/// `backend` and `channel` are borrowed and must outlive the transport.
+/// `channel` is borrowed and must outlive the transport.
 class Transport : public ZerberService {
  public:
   const TransportStats& stats() const { return stats_; }
@@ -71,26 +68,23 @@ class Transport : public ZerberService {
   virtual void ResetStats() { stats_ = TransportStats(); }
 
  protected:
-  /// `backend` must outlive the transport; `channel` may be null.
-  /// TcpTransport passes a null backend — its backend lives across a
-  /// socket.
-  Transport(ZerberService* backend, SimChannel* channel)
-      : backend_(backend), channel_(channel) {}
+  /// `channel` may be null.
+  explicit Transport(SimChannel* channel) : channel_(channel) {}
 
   /// Records one exchange of `up` request bytes and `down` response bytes.
   void Account(uint64_t up, uint64_t down);
 
-  ZerberService* backend_;
   SimChannel* channel_;
   TransportStats stats_;
 };
 
-/// In-process pass-through with analytic byte accounting.
+/// In-process pass-through with analytic byte accounting. `backend` is
+/// borrowed and must outlive the transport.
 class DirectTransport final : public Transport {
  public:
   explicit DirectTransport(ZerberService* backend,
                            SimChannel* channel = nullptr)
-      : Transport(backend, channel) {}
+      : Transport(channel), backend_(backend) {}
 
   StatusOr<InsertResponse> Insert(const InsertRequest& request) override;
   StatusOr<QueryResponse> Fetch(const QueryRequest& request) override;
@@ -106,42 +100,12 @@ class DirectTransport final : public Transport {
       StatusOr<Response> (ZerberService::*method)(const Request&),
       size_t (*request_size)(const Request&),
       size_t (*response_size)(const Response&));
+
+  ZerberService* backend_;
 };
 
-/// Serializes every exchange through the wire format; the single source of
-/// truth for byte accounting. Returns Internal if a serialized message's
-/// size ever disagrees with its analytic WireSizeOf* value (accounting
-/// drift) and Corruption if a message fails to parse back.
-class LoopbackTransport final : public Transport {
- public:
-  explicit LoopbackTransport(ZerberService* backend,
-                             SimChannel* channel = nullptr)
-      : Transport(backend, channel) {}
-
-  StatusOr<InsertResponse> Insert(const InsertRequest& request) override;
-  StatusOr<QueryResponse> Fetch(const QueryRequest& request) override;
-  StatusOr<MultiFetchResponse> MultiFetch(
-      const MultiFetchRequest& request) override;
-  StatusOr<DeleteResponse> Delete(const DeleteRequest& request) override;
-
- private:
-  /// One loopback exchange: encode the request, decode it server-side,
-  /// dispatch, then encode/decode the response (or the error status),
-  /// accounting real serialized sizes throughout.
-  template <typename Request, typename Response>
-  StatusOr<Response> Exchange(
-      const Request& request,
-      StatusOr<Response> (ZerberService::*method)(const Request&),
-      std::string (*serialize_request)(const Request&),
-      StatusOr<Request> (*parse_request)(std::string_view),
-      size_t (*request_size)(const Request&), const char* request_name,
-      std::string (*serialize_response)(const Response&),
-      StatusOr<Response> (*parse_response)(std::string_view),
-      size_t (*response_size)(const Response&), const char* response_name);
-};
-
-/// Factory used by pipeline/bench/load configuration. kDirect/kLoopback
-/// wrap `backend` in-process; kTcp ignores `backend` and connects a
+/// Factory used by pipeline/bench/load configuration. kDirect wraps
+/// `backend` in-process; kTcp ignores `backend` and connects a
 /// TcpTransport (net/tcp.h) to `connect_addr` ("host:port") — null is
 /// returned when kTcp is requested without an address.
 std::unique_ptr<Transport> MakeTransport(TransportKind kind,

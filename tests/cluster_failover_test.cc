@@ -9,22 +9,31 @@
 //  * a restarted shard (same data dir, same pinned address) replays its
 //    WAL, passes the health probe, and rejoins — after which a
 //    retry-with-backoff request succeeds and the recovered content equals
-//    exactly the acked prefix from before the kill.
+//    exactly the acked prefix from before the kill;
+//  * a response that does not parse never sends its connection back to
+//    the client's pool (against a fake shard, no process needed).
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cluster/process.h"
 #include "cluster/router.h"
+#include "cluster/shard_client.h"
 #include "crypto/keys.h"
 #include "net/messages.h"
+#include "util/coding.h"
 #include "zerber/posting_element.h"
 
 namespace zr::cluster {
@@ -274,6 +283,59 @@ TEST_F(ClusterFailoverTest, TypedErrorsPassThroughWithoutTrippingTheBreaker) {
   EXPECT_EQ(stats.transport_errors, 0u);
   EXPECT_EQ(stats.breaker_opens, 0u);
   EXPECT_EQ(stats.unavailable, 0u);
+}
+
+TEST(ShardClientTest, UnparseableResponseBreaksTheSession) {
+  // A fake shard that answers one Fetch with a well-framed garbage frame
+  // and then a well-formed QueryResponse. The session must not go back to
+  // the pool: the next Fetch would read the queued frame as its answer.
+  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_in sa;
+  std::memset(&sa, 0, sizeof(sa));
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+  socklen_t len = sizeof(sa);
+  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len), 0);
+  std::string addr = "127.0.0.1:" + std::to_string(ntohs(sa.sin_port));
+
+  std::thread fake_shard([listener] {
+    int fd = ::accept(listener, nullptr, nullptr);
+    ::close(listener);  // a reconnect is refused
+    ASSERT_GE(fd, 0);
+    char buf[4096];
+    ASSERT_GT(::read(fd, buf, sizeof(buf)), 0);  // the Fetch request
+    // QueryResponse tag followed by garbage, then a valid response.
+    const std::string junk("\x02garbage", 8);
+    std::string valid = net::SerializeQueryResponse(net::QueryResponse{});
+    std::string frames;
+    PutFixed32(&frames, static_cast<uint32_t>(junk.size()));
+    frames += junk;
+    PutFixed32(&frames, static_cast<uint32_t>(valid.size()));
+    frames += valid;
+    (void)::write(fd, frames.data(), frames.size());
+    char drain[64];
+    (void)::read(fd, drain, sizeof(drain));  // wait for the client
+    ::close(fd);
+  });
+
+  {
+    ShardClientOptions options;
+    options.addr = addr;
+    options.max_attempts = 1;
+    ShardClient client(options);
+    net::QueryRequest request;
+    request.user = kUser;
+    request.count = 1;
+    auto first = client.Fetch(request);
+    EXPECT_TRUE(first.status().IsCorruption()) << first.status();
+    auto second = client.Fetch(request);
+    EXPECT_FALSE(second.ok())
+        << "the frame queued behind the bad one answered the next call";
+  }
+  fake_shard.join();
 }
 
 }  // namespace

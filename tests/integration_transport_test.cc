@@ -1,11 +1,17 @@
-// Acceptance test for the transport-abstracted service API: a full
-// deployment queried over DirectTransport and over LoopbackTransport must
-// produce identical TopKResults (results, trace counts), and loopback's
-// QueryTrace::bytes_fetched must equal the summed serialized response
-// sizes that actually crossed the wire.
+// Acceptance test for the transport-abstracted service API, run once for
+// every TransportKind: a whole deployment built with options.transport =
+// kind (encrypted index build included) must answer queries with
+// TopKResults identical to a DirectTransport deployment's (results and
+// trace counts), and the client's QueryTrace must agree with the
+// transport's own counters — bytes_fetched equals stats().bytes_down and
+// requests equals stats().exchanges — for single- and multi-term queries.
+// The tcp-only properties (payload plus framing bytes, a second client on
+// one server, the load driver over a socket) are in integration_tcp_test.
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/pipeline.h"
@@ -13,152 +19,139 @@
 namespace zr::core {
 namespace {
 
-class TransportEquivalenceTest : public ::testing::Test {
- protected:
-  static void SetUpTestSuite() {
-    PipelineOptions options;
-    options.preset = synth::TinyPreset();
-    options.sigma = 0.004;
-    options.seed = 424242;
-    options.build_baseline_index = false;
-    options.transport = net::TransportKind::kDirect;
-    auto pipeline = BuildPipeline(options);
-    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
-    pipeline_ = pipeline->release();
-
-    // Second client over a loopback transport onto the *same* server, so
-    // both clients observe exactly the same index state.
-    loopback_ = new net::LoopbackTransport(pipeline_->service.get(),
-                                           pipeline_->channel.get());
-    loopback_client_ = new ZerberRClient(
-        pipeline_->user, pipeline_->keys.get(), &pipeline_->plan, loopback_,
-        &pipeline_->corpus.vocabulary(), pipeline_->assigner.get(),
-        pipeline_->client->protocol());
-  }
-  static void TearDownTestSuite() {
-    delete loopback_client_;
-    delete loopback_;
-    delete pipeline_;
-    loopback_client_ = nullptr;
-    loopback_ = nullptr;
-    pipeline_ = nullptr;
-  }
-
-  static void ExpectIdentical(const TopKResult& direct,
-                              const TopKResult& loopback) {
-    ASSERT_EQ(direct.results.size(), loopback.results.size());
-    for (size_t i = 0; i < direct.results.size(); ++i) {
-      EXPECT_EQ(direct.results[i].doc_id, loopback.results[i].doc_id);
-      EXPECT_DOUBLE_EQ(direct.results[i].score, loopback.results[i].score);
-    }
-    EXPECT_EQ(direct.trace.requests, loopback.trace.requests);
-    EXPECT_EQ(direct.trace.elements_fetched, loopback.trace.elements_fetched);
-    EXPECT_EQ(direct.trace.hits, loopback.trace.hits);
-    EXPECT_EQ(direct.trace.exhausted, loopback.trace.exhausted);
-    EXPECT_EQ(direct.trace.bytes_fetched, loopback.trace.bytes_fetched);
-  }
-
-  static Pipeline* pipeline_;
-  static net::LoopbackTransport* loopback_;
-  static ZerberRClient* loopback_client_;
-};
-
-Pipeline* TransportEquivalenceTest::pipeline_ = nullptr;
-net::LoopbackTransport* TransportEquivalenceTest::loopback_ = nullptr;
-ZerberRClient* TransportEquivalenceTest::loopback_client_ = nullptr;
-
-TEST_F(TransportEquivalenceTest, SingleTermQueriesAreIdentical) {
-  size_t checked = 0;
-  for (text::TermId term : pipeline_->corpus.vocabulary().AllTermIds()) {
-    if (pipeline_->corpus.DocumentFrequency(term) == 0) continue;
-    if (term % 11 != 0) continue;  // sample for test speed
-    auto direct = pipeline_->client->QueryTopK(term, 10);
-    auto loopback = loopback_client_->QueryTopK(term, 10);
-    ASSERT_TRUE(direct.ok()) << direct.status();
-    ASSERT_TRUE(loopback.ok()) << loopback.status();
-    ExpectIdentical(*direct, *loopback);
-    ++checked;
-  }
-  EXPECT_GE(checked, 10u);
-}
-
-TEST_F(TransportEquivalenceTest, LoopbackBytesEqualSummedResponseSizes) {
-  // trace.bytes_fetched must equal the serialized response bytes the
-  // transport actually moved (its stats count every response message).
-  size_t checked = 0;
-  for (text::TermId term : pipeline_->corpus.vocabulary().AllTermIds()) {
-    if (pipeline_->corpus.DocumentFrequency(term) < 2) continue;
-    if (term % 23 != 0) continue;
-    loopback_->ResetStats();
-    auto result = loopback_client_->QueryTopK(term, 10);
-    ASSERT_TRUE(result.ok()) << result.status();
-    EXPECT_EQ(result->trace.bytes_fetched, loopback_->stats().bytes_down)
-        << "term " << term;
-    EXPECT_EQ(result->trace.requests, loopback_->stats().exchanges);
-    ++checked;
-  }
-  EXPECT_GE(checked, 5u);
-}
-
-TEST_F(TransportEquivalenceTest, MultiTermQueriesAreIdentical) {
-  auto ids = pipeline_->corpus.vocabulary().AllTermIds();
-  std::vector<std::vector<text::TermId>> queries = {
-      {ids[0], ids[1]},
-      {ids[2], ids[5], ids[9]},
-      {ids[3]},
-  };
-  for (const auto& terms : queries) {
-    auto direct = pipeline_->client->QueryTopKMulti(terms, 5);
-    auto loopback = loopback_client_->QueryTopKMulti(terms, 5);
-    ASSERT_TRUE(direct.ok()) << direct.status();
-    ASSERT_TRUE(loopback.ok()) << loopback.status();
-    ExpectIdentical(*direct, *loopback);
-  }
-}
-
-TEST_F(TransportEquivalenceTest, MultiTermLoopbackBytesMatchTransportStats) {
-  auto ids = pipeline_->corpus.vocabulary().AllTermIds();
-  loopback_->ResetStats();
-  auto result = loopback_client_->QueryTopKMulti({ids[0], ids[1], ids[4]}, 5);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result->trace.bytes_fetched, loopback_->stats().bytes_down);
-  EXPECT_EQ(result->trace.requests, loopback_->stats().exchanges);
-}
-
-TEST_F(TransportEquivalenceTest, PipelineBuildsOverLoopbackTransport) {
-  // A whole deployment (index build + queries) constructed with
-  // options.transport = kLoopback works and matches the direct pipeline.
+PipelineOptions SmallDeployment(net::TransportKind kind) {
   PipelineOptions options;
   options.preset = synth::TinyPreset();
   options.preset.corpus.num_documents = 40;
   options.sigma = 0.01;
   options.build_query_log = false;
   options.build_baseline_index = false;
-  options.transport = net::TransportKind::kLoopback;
-  auto loopback_pipeline = BuildPipeline(options);
-  ASSERT_TRUE(loopback_pipeline.ok()) << loopback_pipeline.status();
+  options.transport = kind;
+  return options;
+}
 
-  options.transport = net::TransportKind::kDirect;
-  auto direct_pipeline = BuildPipeline(options);
-  ASSERT_TRUE(direct_pipeline.ok()) << direct_pipeline.status();
+class TransportEquivalenceTest
+    : public ::testing::TestWithParam<net::TransportKind> {
+ protected:
+  static void SetUpTestSuite() {
+    auto direct = BuildPipeline(SmallDeployment(net::TransportKind::kDirect));
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    direct_ = direct->release();
+  }
+  static void TearDownTestSuite() {
+    delete direct_;
+    direct_ = nullptr;
+  }
 
-  EXPECT_EQ((*loopback_pipeline)->server->TotalElements(),
-            (*direct_pipeline)->server->TotalElements());
-  // The loopback pipeline's channel saw the whole index build as uplink
-  // traffic (one insert message per posting element).
-  EXPECT_GE((*loopback_pipeline)->channel->messages_up(),
-            (*loopback_pipeline)->server->TotalElements());
+  void SetUp() override {
+    ASSERT_NE(direct_, nullptr);
+    auto pipeline = BuildPipeline(SmallDeployment(GetParam()));
+    ASSERT_TRUE(pipeline.ok()) << pipeline.status();
+    pipeline_ = std::move(*pipeline);
+  }
 
-  for (text::TermId term :
-       (*direct_pipeline)->corpus.vocabulary().AllTermIds()) {
-    if ((*direct_pipeline)->corpus.DocumentFrequency(term) == 0) continue;
-    if (term % 29 != 0) continue;
-    auto direct = (*direct_pipeline)->client->QueryTopK(term, 5);
-    auto loopback = (*loopback_pipeline)->client->QueryTopK(term, 5);
-    ASSERT_TRUE(direct.ok() && loopback.ok());
-    ExpectIdentical(*direct, *loopback);
+  static void ExpectIdentical(const TopKResult& direct,
+                              const TopKResult& other) {
+    ASSERT_EQ(direct.results.size(), other.results.size());
+    for (size_t i = 0; i < direct.results.size(); ++i) {
+      EXPECT_EQ(direct.results[i].doc_id, other.results[i].doc_id);
+      EXPECT_DOUBLE_EQ(direct.results[i].score, other.results[i].score);
+    }
+    EXPECT_EQ(direct.trace.requests, other.trace.requests);
+    EXPECT_EQ(direct.trace.elements_fetched, other.trace.elements_fetched);
+    EXPECT_EQ(direct.trace.hits, other.trace.hits);
+    EXPECT_EQ(direct.trace.exhausted, other.trace.exhausted);
+    EXPECT_EQ(direct.trace.bytes_fetched, other.trace.bytes_fetched);
+  }
+
+  // The trace of a query run alone must equal what the transport counted.
+  void ExpectTraceMatchesTransportStats(const TopKResult& result) {
+    EXPECT_EQ(result.trace.bytes_fetched,
+              pipeline_->transport->stats().bytes_down);
+    EXPECT_EQ(result.trace.requests, pipeline_->transport->stats().exchanges);
+  }
+
+  std::vector<std::vector<text::TermId>> MultiTermQueries() const {
+    auto ids = pipeline_->corpus.vocabulary().AllTermIds();
+    return {
+        {ids[0], ids[1]},
+        {ids[2], ids[5], ids[9]},
+        {ids[0], ids[1], ids[4]},
+    };
+  }
+
+  static Pipeline* direct_;
+  std::unique_ptr<Pipeline> pipeline_;
+};
+
+Pipeline* TransportEquivalenceTest::direct_ = nullptr;
+
+TEST_P(TransportEquivalenceTest, IndexBuildCrossedTheTransport) {
+  EXPECT_EQ(pipeline_->server->TotalElements(),
+            direct_->server->TotalElements());
+  // The pipeline's channel saw the whole index build as uplink traffic
+  // (one insert message per posting element).
+  EXPECT_GE(pipeline_->channel->messages_up(),
+            pipeline_->server->TotalElements());
+  EXPECT_EQ(pipeline_->tcp_server != nullptr,
+            GetParam() == net::TransportKind::kTcp);
+}
+
+TEST_P(TransportEquivalenceTest, SingleTermQueriesMatchDirect) {
+  size_t checked = 0;
+  for (text::TermId term : direct_->corpus.vocabulary().AllTermIds()) {
+    if (direct_->corpus.DocumentFrequency(term) == 0) continue;
+    if (term % 7 != 0) continue;  // sample for test speed
+    auto direct = direct_->client->QueryTopK(term, 5);
+    auto other = pipeline_->client->QueryTopK(term, 5);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_TRUE(other.ok()) << other.status();
+    ExpectIdentical(*direct, *other);
+    ++checked;
+  }
+  EXPECT_GE(checked, 5u);
+}
+
+TEST_P(TransportEquivalenceTest, MultiTermQueriesMatchDirect) {
+  for (const auto& terms : MultiTermQueries()) {
+    auto direct = direct_->client->QueryTopKMulti(terms, 5);
+    auto other = pipeline_->client->QueryTopKMulti(terms, 5);
+    ASSERT_TRUE(direct.ok()) << direct.status();
+    ASSERT_TRUE(other.ok()) << other.status();
+    ExpectIdentical(*direct, *other);
   }
 }
+
+TEST_P(TransportEquivalenceTest, SingleTermTraceMatchesTransportStats) {
+  size_t checked = 0;
+  for (text::TermId term : pipeline_->corpus.vocabulary().AllTermIds()) {
+    if (pipeline_->corpus.DocumentFrequency(term) < 2) continue;
+    if (term % 5 != 0) continue;
+    pipeline_->transport->ResetStats();
+    auto result = pipeline_->client->QueryTopK(term, 5);
+    ASSERT_TRUE(result.ok()) << result.status();
+    SCOPED_TRACE("term " + std::to_string(term));
+    ExpectTraceMatchesTransportStats(*result);
+    ++checked;
+  }
+  EXPECT_GE(checked, 3u);
+}
+
+TEST_P(TransportEquivalenceTest, MultiTermTraceMatchesTransportStats) {
+  for (const auto& terms : MultiTermQueries()) {
+    pipeline_->transport->ResetStats();
+    auto result = pipeline_->client->QueryTopKMulti(terms, 5);
+    ASSERT_TRUE(result.ok()) << result.status();
+    ExpectTraceMatchesTransportStats(*result);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKinds, TransportEquivalenceTest,
+    ::testing::Values(net::TransportKind::kDirect, net::TransportKind::kTcp),
+    [](const ::testing::TestParamInfo<net::TransportKind>& info) {
+      return std::string(net::TransportKindName(info.param));
+    });
 
 }  // namespace
 }  // namespace zr::core

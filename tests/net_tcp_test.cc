@@ -2,12 +2,12 @@
 //
 // Covers the contracts net/tcp.h documents: request/response exchanges for
 // every message type with error statuses crossing the wire intact, byte
-// accounting identical to LoopbackTransport's plus exactly 4 bytes of
+// accounting identical to DirectTransport's plus exactly 4 bytes of
 // framing per message, partial reads/writes, torn length prefixes and
 // truncated payloads (server frees the session), oversized-frame
 // rejection, peer disconnect mid-call (client surfaces a transport
-// error), reconnect-on-error, pipelining, the poll() fallback loop, and
-// concurrent clients.
+// error), an unparseable response ending the connection,
+// reconnect-on-error, pipelining, and concurrent clients.
 
 #include "net/tcp.h"
 
@@ -207,23 +207,65 @@ TEST_F(TcpTest, ServerErrorsCrossTheWireIntact) {
   EXPECT_TRUE(tcp.Delete(del).status().IsNotFound());
 }
 
-TEST_F(TcpTest, AccountingMatchesLoopbackPlusExactFraming) {
-  LoopbackTransport loopback(&service_);
+TEST_F(TcpTest, AccountingMatchesDirectPlusExactFraming) {
+  DirectTransport direct(&service_);
   TcpTransport tcp(tcp_server_->address());
 
-  // Identical op sequence over both transports (inserts go to distinct
-  // lists so both observe the same index states on their fetches).
-  ASSERT_TRUE(loopback.Insert(MakeInsert(0, 0.9)).ok());
-  ASSERT_TRUE(tcp.Insert(MakeInsert(1, 0.9)).ok());
-  ASSERT_TRUE(loopback.Fetch(MakeFetch(0)).ok());
-  ASSERT_TRUE(tcp.Fetch(MakeFetch(1)).ok());
-  ASSERT_FALSE(loopback.Fetch(MakeFetch(99)).ok());
-  ASSERT_FALSE(tcp.Fetch(MakeFetch(99)).ok());
+  // Identical op sequence over both transports, every message type plus
+  // error responses. Inserts go to distinct lists so both observe the same
+  // index states on their fetches.
+  auto direct_insert = direct.Insert(MakeInsert(0, 0.9));
+  auto tcp_insert = tcp.Insert(MakeInsert(1, 0.9));
+  ASSERT_TRUE(direct_insert.ok() && tcp_insert.ok());
+  EXPECT_EQ(tcp_insert->wire_size, WireSizeOfInsertResponse(*tcp_insert));
+  EXPECT_EQ(tcp_insert->wire_size, direct_insert->wire_size);
+
+  auto direct_fetch = direct.Fetch(MakeFetch(0));
+  auto tcp_fetch = tcp.Fetch(MakeFetch(1));
+  ASSERT_TRUE(direct_fetch.ok() && tcp_fetch.ok());
+  EXPECT_EQ(tcp_fetch->wire_size, WireSizeOfQueryResponse(*tcp_fetch));
+  EXPECT_EQ(tcp_fetch->wire_size, direct_fetch->wire_size);
+
+  MultiFetchRequest multi;
+  multi.user = kUser;
+  multi.fetches.push_back(FetchRange{0, 0, 5});
+  multi.fetches.push_back(FetchRange{1, 0, 5});
+  auto direct_multi = direct.MultiFetch(multi);
+  auto tcp_multi = tcp.MultiFetch(multi);
+  ASSERT_TRUE(direct_multi.ok() && tcp_multi.ok());
+  EXPECT_EQ(tcp_multi->wire_size, WireSizeOfMultiFetchResponse(*tcp_multi));
+  EXPECT_EQ(tcp_multi->wire_size, direct_multi->wire_size);
+
+  DeleteRequest direct_del;
+  direct_del.user = kUser;
+  direct_del.list = 0;
+  direct_del.handle = direct_insert->handle;
+  DeleteRequest tcp_del = direct_del;
+  tcp_del.list = 1;
+  tcp_del.handle = tcp_insert->handle;
+  auto direct_deleted = direct.Delete(direct_del);
+  auto tcp_deleted = tcp.Delete(tcp_del);
+  ASSERT_TRUE(direct_deleted.ok() && tcp_deleted.ok());
+  EXPECT_EQ(tcp_deleted->wire_size, WireSizeOfDeleteResponse(*tcp_deleted));
+  EXPECT_EQ(tcp_deleted->wire_size, direct_deleted->wire_size);
+
+  // Error responses: a bad list, and a MultiFetch whose one bad range
+  // fails the whole call. Same status, same accounted bytes.
+  auto direct_bad = direct.Fetch(MakeFetch(99));
+  auto tcp_bad = tcp.Fetch(MakeFetch(99));
+  ASSERT_FALSE(direct_bad.ok());
+  EXPECT_EQ(tcp_bad.status(), direct_bad.status());
+  multi.fetches.push_back(FetchRange{99, 0, 1});
+  auto direct_bad_multi = direct.MultiFetch(multi);
+  auto tcp_bad_multi = tcp.MultiFetch(multi);
+  ASSERT_FALSE(direct_bad_multi.ok());
+  EXPECT_EQ(tcp_bad_multi.status(), direct_bad_multi.status());
 
   // Payload accounting identical, message for message.
-  EXPECT_EQ(tcp.stats().exchanges, loopback.stats().exchanges);
-  EXPECT_EQ(tcp.stats().bytes_up, loopback.stats().bytes_up);
-  EXPECT_EQ(tcp.stats().bytes_down, loopback.stats().bytes_down);
+  EXPECT_EQ(tcp.stats().exchanges, 6u);
+  EXPECT_EQ(tcp.stats().exchanges, direct.stats().exchanges);
+  EXPECT_EQ(tcp.stats().bytes_up, direct.stats().bytes_up);
+  EXPECT_EQ(tcp.stats().bytes_down, direct.stats().bytes_down);
 
   // Socket bytes exceed payload bytes by exactly 4 per frame.
   const TcpSocketStats& socket = tcp.socket_stats();
@@ -238,19 +280,6 @@ TEST_F(TcpTest, AccountingMatchesLoopbackPlusExactFraming) {
   tcp.ResetStats();
   EXPECT_EQ(tcp.stats().exchanges, 0u);
   EXPECT_EQ(tcp.socket_stats().bytes_up, 0u);
-}
-
-TEST_F(TcpTest, PollFallbackLoopServesIdentically) {
-  auto poll_server =
-      TcpServer::Start(&service_, ServerConfig().WithPollOnly());
-  ASSERT_TRUE(poll_server.ok()) << poll_server.status();
-
-  TcpTransport tcp((*poll_server)->address());
-  ASSERT_TRUE(tcp.Insert(MakeInsert(0, 0.7)).ok());
-  auto fetched = tcp.Fetch(MakeFetch(0));
-  ASSERT_TRUE(fetched.ok()) << fetched.status();
-  EXPECT_EQ(fetched->elements.size(), 1u);
-  EXPECT_EQ((*poll_server)->stats().frames_served, 2u);
 }
 
 TEST_F(TcpTest, PartialWritesAreReassembledByTheServer) {
@@ -348,10 +377,11 @@ TEST_F(TcpTest, OversizedResponseIsReplacedWithAnErrorFrame) {
   EXPECT_TRUE(small.ok()) << small.status();
 }
 
-TEST_F(TcpTest, UnparseableMidPipelineResponseBreaksTheSession) {
-  // A fake server that answers pipelined fetches with well-framed
-  // garbage: the client must drop the connection (the stream position is
-  // untrustworthy) rather than leave stale frames for the next RPC.
+TEST_F(TcpTest, UnparseableResponseBreaksTheSession) {
+  // A fake server that answers one fetch with a well-framed garbage frame
+  // and then a well-formed QueryResponse: the client must drop the
+  // connection (the stream position is untrustworthy) rather than leave
+  // the queued frame to be read as the next call's answer.
   int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   ASSERT_GE(listener, 0);
   sockaddr_in sa;
@@ -368,31 +398,29 @@ TEST_F(TcpTest, UnparseableMidPipelineResponseBreaksTheSession) {
     int fd = ::accept(listener, nullptr, nullptr);
     ASSERT_GE(fd, 0);
     char buf[4096];
-    ssize_t n = ::read(fd, buf, sizeof(buf));  // the pipelined requests
+    ssize_t n = ::read(fd, buf, sizeof(buf));  // the fetch request
     ASSERT_GT(n, 0);
-    // Two frames: QueryResponse tag followed by garbage, twice.
-    std::string junk = std::string("\x02", 1) + "garbage";
-    std::string frames;
-    for (int i = 0; i < 2; ++i) {
-      frames += FrameHeader(static_cast<uint32_t>(junk.size())) + junk;
-    }
+    // QueryResponse tag followed by garbage, then a valid response.
+    const std::string junk("\x02garbage", 8);
+    std::string valid = SerializeQueryResponse(QueryResponse{});
+    std::string frames = FrameHeader(static_cast<uint32_t>(junk.size())) +
+                         junk +
+                         FrameHeader(static_cast<uint32_t>(valid.size())) +
+                         valid;
     (void)::write(fd, frames.data(), frames.size());
     char drain[64];
     (void)::read(fd, drain, sizeof(drain));  // wait for the client close
     ::close(fd);
   });
 
-  TcpTransport tcp(addr);
-  tcp.set_pipelined_multifetch(true);
-  MultiFetchRequest multi;
-  multi.user = kUser;
-  multi.fetches.push_back(FetchRange{0, 0, 5});
-  multi.fetches.push_back(FetchRange{1, 0, 5});
-  auto result = tcp.MultiFetch(multi);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsCorruption()) << result.status();
-  EXPECT_TRUE(tcp.session().broken())
-      << "stale pipelined frames must not survive into the next RPC";
+  {
+    TcpTransport tcp(addr);
+    auto result = tcp.Fetch(MakeFetch(0));
+    EXPECT_TRUE(result.status().IsCorruption()) << result.status();
+    EXPECT_TRUE(tcp.session().broken())
+        << "a frame queued behind the bad one must not survive into the "
+           "next call";
+  }
   fake_server.join();
   ::close(listener);
 }
@@ -517,56 +545,6 @@ TEST_F(TcpTest, PipelinedSessionAnswersInOrder) {
   ASSERT_EQ(responses[1].elements.size(), 1u);
   EXPECT_EQ(responses[0].elements[0].handle, responses[2].elements[0].handle);
   EXPECT_NE(responses[0].elements[0].handle, responses[1].elements[0].handle);
-}
-
-TEST_F(TcpTest, PipelinedMultiFetchMatchesSingleMessageMultiFetch) {
-  TcpTransport setup(tcp_server_->address());
-  for (double trs : {0.9, 0.6, 0.3}) {
-    ASSERT_TRUE(setup.Insert(MakeInsert(0, trs)).ok());
-    ASSERT_TRUE(setup.Insert(MakeInsert(1, trs / 2)).ok());
-  }
-
-  MultiFetchRequest multi;
-  multi.user = kUser;
-  multi.fetches.push_back(FetchRange{0, 0, 5});
-  multi.fetches.push_back(FetchRange{1, 1, 2});
-  multi.fetches.push_back(FetchRange{0, 2, 5});
-
-  TcpTransport single(tcp_server_->address());
-  TcpTransport pipelined(tcp_server_->address());
-  pipelined.set_pipelined_multifetch(true);
-
-  auto a = single.MultiFetch(multi);
-  auto b = pipelined.MultiFetch(multi);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ASSERT_EQ(a->responses.size(), b->responses.size());
-  for (size_t i = 0; i < a->responses.size(); ++i) {
-    ASSERT_EQ(a->responses[i].elements.size(), b->responses[i].elements.size());
-    EXPECT_EQ(a->responses[i].exhausted, b->responses[i].exhausted);
-    for (size_t j = 0; j < a->responses[i].elements.size(); ++j) {
-      EXPECT_EQ(a->responses[i].elements[j].sealed,
-                b->responses[i].elements[j].sealed);
-      EXPECT_EQ(a->responses[i].elements[j].handle,
-                b->responses[i].elements[j].handle);
-    }
-  }
-  // Pipelined mode counts one exchange per range.
-  EXPECT_EQ(single.stats().exchanges, 1u);
-  EXPECT_EQ(pipelined.stats().exchanges, 3u);
-
-  // Atomic failure: one bad range fails the whole call in both modes,
-  // with the identical decoded status.
-  multi.fetches.push_back(FetchRange{99, 0, 1});
-  auto bad_single = single.MultiFetch(multi);
-  auto bad_pipelined = pipelined.MultiFetch(multi);
-  ASSERT_FALSE(bad_single.ok());
-  ASSERT_FALSE(bad_pipelined.ok());
-  EXPECT_EQ(bad_pipelined.status(), bad_single.status());
-  // The pipelined session drained every in-flight response and stays
-  // usable for the next call.
-  auto after = pipelined.Fetch(MakeFetch(0));
-  EXPECT_TRUE(after.ok()) << after.status();
 }
 
 TEST_F(TcpTest, HalfCloseAfterPipelinedBatchStillGetsEveryResponse) {
@@ -904,8 +882,8 @@ TEST_F(TcpTest, ServerConfigValidateRejectsNonsense) {
 }
 
 TEST_F(TcpTest, MultiLoopServesConcurrentClientsInBothAcceptModes) {
-  for (AcceptMode mode : {AcceptMode::kAuto, AcceptMode::kHandOff}) {
-    SCOPED_TRACE(mode == AcceptMode::kAuto ? "auto" : "hand-off");
+  for (AcceptMode mode : {AcceptMode::kReusePort, AcceptMode::kHandOff}) {
+    SCOPED_TRACE(mode == AcceptMode::kReusePort ? "reuse-port" : "hand-off");
     constexpr size_t kLoops = 4;
     auto started = TcpServer::Start(
         &service_, ServerConfig().WithLoops(kLoops).WithAcceptMode(mode));
@@ -958,7 +936,7 @@ TEST_F(TcpTest, MultiLoopServesConcurrentClientsInBothAcceptModes) {
 
     // Hand-off deals connections round-robin: 8 connections over 4 loops
     // must land 2 on each. (Kernel placement under SO_REUSEPORT is its
-    // own policy, so kAuto asserts nothing about spread.)
+    // own policy, so kReusePort asserts nothing about spread.)
     if (mode == AcceptMode::kHandOff) {
       for (const TcpServerStats& shard : shards) {
         EXPECT_EQ(shard.connections_accepted, kThreads / kLoops);

@@ -2,14 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "crypto/keys.h"
+#include "net/tcp.h"
 
 namespace zr::net {
 namespace {
 
-// Both transports implement the same service contract; loopback must behave
-// observably identically to direct while routing every byte through the
-// wire format.
+// Both transports implement the same service contract; tcp (a TcpServer on
+// the same IndexService) must behave observably identically to direct
+// while routing every byte through the wire format and a socket.
 class TransportTest : public ::testing::Test {
  protected:
   TransportTest()
@@ -17,14 +20,21 @@ class TransportTest : public ::testing::Test {
         server_(/*num_lists=*/2, zerber::Placement::kTrsSorted, 5),
         service_(&server_),
         direct_channel_(kModem56k, kModem56k),
-        loopback_channel_(kModem56k, kModem56k),
+        tcp_channel_(kModem56k, kModem56k),
         direct_(&service_, &direct_channel_),
-        loopback_(&service_, &loopback_channel_) {
+        tcp_server_(StartServer(&service_)),
+        tcp_(tcp_server_->address(), &tcp_channel_) {
     EXPECT_TRUE(keys_.CreateGroup(1).ok());
     // Fixture setup before any traffic: quiescent by construction.
     QuiescenceLock quiesced(server_.quiescence());
     EXPECT_TRUE(server_.acl().AddGroup(1).ok());
     EXPECT_TRUE(server_.acl().GrantMembership(kUser, 1).ok());
+  }
+
+  static std::unique_ptr<TcpServer> StartServer(IndexService* service) {
+    auto started = TcpServer::Start(service);
+    EXPECT_TRUE(started.ok()) << started.status();
+    return std::move(started).value();
   }
 
   InsertRequest MakeInsert(uint32_t list, double trs) {
@@ -43,18 +53,19 @@ class TransportTest : public ::testing::Test {
   zerber::IndexServer server_;
   IndexService service_;
   SimChannel direct_channel_;
-  SimChannel loopback_channel_;
+  SimChannel tcp_channel_;
   DirectTransport direct_;
-  LoopbackTransport loopback_;
+  std::unique_ptr<TcpServer> tcp_server_;
+  TcpTransport tcp_;
 };
 
 TEST_F(TransportTest, InsertBehavesIdenticallyOverBothTransports) {
   auto via_direct = direct_.Insert(MakeInsert(0, 0.9));
-  auto via_loopback = loopback_.Insert(MakeInsert(0, 0.8));
+  auto via_tcp = tcp_.Insert(MakeInsert(0, 0.8));
   ASSERT_TRUE(via_direct.ok());
-  ASSERT_TRUE(via_loopback.ok());
+  ASSERT_TRUE(via_tcp.ok());
   EXPECT_EQ(server_.TotalElements(), 2u);
-  EXPECT_NE(via_direct->handle, via_loopback->handle);
+  EXPECT_NE(via_direct->handle, via_tcp->handle);
   // The ack message is tiny either way, and both account the same bytes.
   EXPECT_GT(via_direct->wire_size, 0u);
   EXPECT_EQ(via_direct->wire_size, WireSizeOfInsertResponse(*via_direct));
@@ -65,34 +76,32 @@ TEST_F(TransportTest, FetchReturnsIdenticalResponsesAndBytes) {
     ASSERT_TRUE(direct_.Insert(MakeInsert(0, trs)).ok());
   }
   direct_.ResetStats();
-  loopback_.ResetStats();
+  tcp_.ResetStats();
 
   QueryRequest request;
   request.user = kUser;
   request.list = 0;
   request.count = 10;
   auto via_direct = direct_.Fetch(request);
-  auto via_loopback = loopback_.Fetch(request);
+  auto via_tcp = tcp_.Fetch(request);
   ASSERT_TRUE(via_direct.ok());
-  ASSERT_TRUE(via_loopback.ok());
+  ASSERT_TRUE(via_tcp.ok());
 
-  ASSERT_EQ(via_direct->elements.size(), via_loopback->elements.size());
+  ASSERT_EQ(via_direct->elements.size(), via_tcp->elements.size());
   for (size_t i = 0; i < via_direct->elements.size(); ++i) {
-    EXPECT_EQ(via_direct->elements[i].sealed, via_loopback->elements[i].sealed);
-    EXPECT_EQ(via_direct->elements[i].handle, via_loopback->elements[i].handle);
+    EXPECT_EQ(via_direct->elements[i].sealed, via_tcp->elements[i].sealed);
+    EXPECT_EQ(via_direct->elements[i].handle, via_tcp->elements[i].handle);
   }
-  EXPECT_EQ(via_direct->exhausted, via_loopback->exhausted);
+  EXPECT_EQ(via_direct->exhausted, via_tcp->exhausted);
 
-  // Byte accounting: loopback counts real serialized messages; direct's
+  // Byte accounting: tcp counts real serialized messages; direct's
   // analytic accounting must agree bit-for-bit.
-  EXPECT_EQ(via_direct->wire_size, via_loopback->wire_size);
-  EXPECT_EQ(via_loopback->wire_size,
-            SerializeQueryResponse(*via_loopback).size());
-  EXPECT_EQ(direct_.stats().exchanges, loopback_.stats().exchanges);
-  EXPECT_EQ(direct_.stats().bytes_up, loopback_.stats().bytes_up);
-  EXPECT_EQ(direct_.stats().bytes_down, loopback_.stats().bytes_down);
-  EXPECT_EQ(loopback_.stats().bytes_up,
-            SerializeQueryRequest(request).size());
+  EXPECT_EQ(via_direct->wire_size, via_tcp->wire_size);
+  EXPECT_EQ(via_tcp->wire_size, SerializeQueryResponse(*via_tcp).size());
+  EXPECT_EQ(direct_.stats().exchanges, tcp_.stats().exchanges);
+  EXPECT_EQ(direct_.stats().bytes_up, tcp_.stats().bytes_up);
+  EXPECT_EQ(direct_.stats().bytes_down, tcp_.stats().bytes_down);
+  EXPECT_EQ(tcp_.stats().bytes_up, SerializeQueryRequest(request).size());
 }
 
 // ServerStats::bytes_served counts what a response carries: the served
@@ -115,7 +124,7 @@ TEST_F(TransportTest, BytesServedEqualsServedElementWireBytes) {
   request.user = kUser;
   request.list = 0;
   request.count = 10;
-  auto fetched = loopback_.Fetch(request);
+  auto fetched = tcp_.Fetch(request);
   ASSERT_TRUE(fetched.ok());
   ASSERT_EQ(fetched->elements.size(), 3u);
   EXPECT_EQ(server_.stats().bytes_served - before, served_bytes(*fetched));
@@ -127,7 +136,7 @@ TEST_F(TransportTest, BytesServedEqualsServedElementWireBytes) {
   multi.user = kUser;
   multi.fetches.push_back(FetchRange{0, 1, 5});
   multi.fetches.push_back(FetchRange{1, 0, 2});
-  auto batched = loopback_.MultiFetch(multi);
+  auto batched = tcp_.MultiFetch(multi);
   ASSERT_TRUE(batched.ok());
   ASSERT_EQ(batched->responses.size(), 2u);
   EXPECT_EQ(server_.stats().bytes_served - before,
@@ -139,28 +148,27 @@ TEST_F(TransportTest, MultiFetchReturnsIdenticalResponsesAndBytes) {
   ASSERT_TRUE(direct_.Insert(MakeInsert(0, 0.9)).ok());
   ASSERT_TRUE(direct_.Insert(MakeInsert(1, 0.5)).ok());
   direct_.ResetStats();
-  loopback_.ResetStats();
+  tcp_.ResetStats();
 
   MultiFetchRequest request;
   request.user = kUser;
   request.fetches.push_back(FetchRange{0, 0, 5});
   request.fetches.push_back(FetchRange{1, 0, 5});
   auto via_direct = direct_.MultiFetch(request);
-  auto via_loopback = loopback_.MultiFetch(request);
+  auto via_tcp = tcp_.MultiFetch(request);
   ASSERT_TRUE(via_direct.ok());
-  ASSERT_TRUE(via_loopback.ok());
+  ASSERT_TRUE(via_tcp.ok());
 
   ASSERT_EQ(via_direct->responses.size(), 2u);
-  ASSERT_EQ(via_loopback->responses.size(), 2u);
-  EXPECT_EQ(via_direct->wire_size, via_loopback->wire_size);
-  EXPECT_EQ(via_loopback->wire_size,
-            SerializeMultiFetchResponse(*via_loopback).size());
+  ASSERT_EQ(via_tcp->responses.size(), 2u);
+  EXPECT_EQ(via_direct->wire_size, via_tcp->wire_size);
+  EXPECT_EQ(via_tcp->wire_size, SerializeMultiFetchResponse(*via_tcp).size());
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(via_direct->responses[i].wire_size,
-              via_loopback->responses[i].wire_size);
+              via_tcp->responses[i].wire_size);
   }
-  EXPECT_EQ(direct_.stats().bytes_up, loopback_.stats().bytes_up);
-  EXPECT_EQ(direct_.stats().bytes_down, loopback_.stats().bytes_down);
+  EXPECT_EQ(direct_.stats().bytes_up, tcp_.stats().bytes_up);
+  EXPECT_EQ(direct_.stats().bytes_down, tcp_.stats().bytes_down);
 }
 
 TEST_F(TransportTest, DeleteBehavesIdenticallyOverBothTransports) {
@@ -170,54 +178,57 @@ TEST_F(TransportTest, DeleteBehavesIdenticallyOverBothTransports) {
   request.user = kUser;
   request.list = 0;
   request.handle = inserted->handle;
-  ASSERT_TRUE(loopback_.Delete(request).ok());
+  ASSERT_TRUE(tcp_.Delete(request).ok());
   EXPECT_EQ(server_.TotalElements(), 0u);
   // Second delete: the NotFound status must cross the wire intact.
-  auto again = loopback_.Delete(request);
+  auto again = tcp_.Delete(request);
   EXPECT_TRUE(again.status().IsNotFound());
 }
 
-TEST_F(TransportTest, ServerErrorsCrossTheLoopbackWireIntact) {
+TEST_F(TransportTest, ServerErrorsCrossTheTcpWireIntact) {
   QueryRequest request;
   request.user = kUser;
   request.list = 99;  // no such list
   request.count = 1;
   auto via_direct = direct_.Fetch(request);
-  auto via_loopback = loopback_.Fetch(request);
+  auto via_tcp = tcp_.Fetch(request);
   ASSERT_FALSE(via_direct.ok());
-  ASSERT_FALSE(via_loopback.ok());
+  ASSERT_FALSE(via_tcp.ok());
   // Same code AND same message: the error-status encoding is lossless.
-  EXPECT_EQ(via_loopback.status(), via_direct.status());
-  EXPECT_TRUE(via_loopback.status().IsOutOfRange());
+  EXPECT_EQ(via_tcp.status(), via_direct.status());
+  EXPECT_TRUE(via_tcp.status().IsOutOfRange());
   // The error response was accounted on both sides, identically.
-  EXPECT_EQ(direct_.stats().bytes_down, loopback_.stats().bytes_down);
-  EXPECT_GT(loopback_.stats().bytes_down, 0u);
+  EXPECT_EQ(direct_.stats().bytes_down, tcp_.stats().bytes_down);
+  EXPECT_GT(tcp_.stats().bytes_down, 0u);
 }
 
 TEST_F(TransportTest, ChannelSeesTheSameTrafficAsTheStats) {
-  ASSERT_TRUE(loopback_.Insert(MakeInsert(0, 0.5)).ok());
+  ASSERT_TRUE(tcp_.Insert(MakeInsert(0, 0.5)).ok());
   QueryRequest request;
   request.user = kUser;
   request.list = 0;
   request.count = 10;
-  ASSERT_TRUE(loopback_.Fetch(request).ok());
+  ASSERT_TRUE(tcp_.Fetch(request).ok());
 
-  EXPECT_EQ(loopback_channel_.bytes_up(), loopback_.stats().bytes_up);
-  EXPECT_EQ(loopback_channel_.bytes_down(), loopback_.stats().bytes_down);
-  EXPECT_EQ(loopback_channel_.messages_up(), loopback_.stats().exchanges);
-  EXPECT_EQ(loopback_channel_.messages_down(), loopback_.stats().exchanges);
-  EXPECT_GT(loopback_channel_.TotalTransferSeconds(), 0.0);
+  EXPECT_EQ(tcp_channel_.bytes_up(), tcp_.stats().bytes_up);
+  EXPECT_EQ(tcp_channel_.bytes_down(), tcp_.stats().bytes_down);
+  EXPECT_EQ(tcp_channel_.messages_up(), tcp_.stats().exchanges);
+  EXPECT_EQ(tcp_channel_.messages_down(), tcp_.stats().exchanges);
+  EXPECT_GT(tcp_channel_.TotalTransferSeconds(), 0.0);
 }
 
 TEST_F(TransportTest, MakeTransportBuildsTheRequestedKind) {
   auto direct = MakeTransport(TransportKind::kDirect, &service_);
-  auto loopback = MakeTransport(TransportKind::kLoopback, &service_);
+  auto tcp = MakeTransport(TransportKind::kTcp, nullptr, nullptr,
+                           tcp_server_->address());
   ASSERT_NE(direct, nullptr);
-  ASSERT_NE(loopback, nullptr);
+  ASSERT_NE(tcp, nullptr);
   EXPECT_NE(dynamic_cast<DirectTransport*>(direct.get()), nullptr);
-  EXPECT_NE(dynamic_cast<LoopbackTransport*>(loopback.get()), nullptr);
+  EXPECT_NE(dynamic_cast<TcpTransport*>(tcp.get()), nullptr);
   EXPECT_STREQ(TransportKindName(TransportKind::kDirect), "direct");
-  EXPECT_STREQ(TransportKindName(TransportKind::kLoopback), "loopback");
+  EXPECT_STREQ(TransportKindName(TransportKind::kTcp), "tcp");
+  // Exactly two kinds: any other name is refused.
+  EXPECT_TRUE(ParseTransportKind("loopback").status().IsInvalidArgument());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/pipeline.h"
 #include "crypto/keys.h"
 #include "net/messages.h"
+#include "net/tcp.h"
 #include "net/transport.h"
 #include "store/durable_service.h"
 #include "store/fs.h"
@@ -328,9 +329,12 @@ TEST_P(RecoverVsNeverCrashed, TopKResultsIdentical) {
   core::Pipeline& d = **durable;
   const text::TermId num_terms = static_cast<text::TermId>(
       std::min<size_t>(40, c.corpus.vocabulary().size()));
+  auto server = net::TcpServer::Start(recovered->get());
+  ASSERT_TRUE(server.ok()) << server.status();
   for (net::TransportKind kind :
-       {net::TransportKind::kDirect, net::TransportKind::kLoopback}) {
-    auto transport = net::MakeTransport(kind, recovered->get());
+       {net::TransportKind::kDirect, net::TransportKind::kTcp}) {
+    auto transport = net::MakeTransport(kind, recovered->get(), nullptr,
+                                        (*server)->address());
     core::ZerberRClient client(d.user, d.keys.get(), &d.plan,
                                transport.get(), &d.corpus.vocabulary(),
                                d.assigner.get());

@@ -400,9 +400,11 @@ TEST_F(ShardedIndexTest, ShardedPipelineMatchesSingleServerResults) {
 }
 
 // Both transports work unchanged against the sharded backend.
-TEST_F(ShardedIndexTest, LoopbackTransportOverShardedBackend) {
+TEST_F(ShardedIndexTest, TcpTransportOverShardedBackend) {
   auto service = MakeService(6, 3, /*num_workers=*/1);
-  net::LoopbackTransport loopback(service.get());
+  auto server = net::TcpServer::Start(service.get());
+  ASSERT_TRUE(server.ok()) << server.status();
+  net::TcpTransport tcp((*server)->address());
   net::DirectTransport direct(service.get());
 
   for (MergedListId list = 0; list < 6; ++list) {
@@ -410,7 +412,7 @@ TEST_F(ShardedIndexTest, LoopbackTransportOverShardedBackend) {
     insert.user = kAlice;
     insert.list = list;
     insert.element = MakeElement(1, 0.5 + 0.05 * list);
-    auto acked = loopback.Insert(insert);
+    auto acked = tcp.Insert(insert);
     ASSERT_TRUE(acked.ok());
     EXPECT_EQ(service->ShardOfHandle(acked->handle),
               service->ShardOfList(list));
@@ -424,28 +426,28 @@ TEST_F(ShardedIndexTest, LoopbackTransportOverShardedBackend) {
     range.count = 5;
     batch.fetches.push_back(range);
   }
-  loopback.ResetStats();  // count the MultiFetch exchange alone
+  tcp.ResetStats();  // count the MultiFetch exchange alone
   direct.ResetStats();
-  auto via_loopback = loopback.MultiFetch(batch);
+  auto via_tcp = tcp.MultiFetch(batch);
   auto via_direct = direct.MultiFetch(batch);
-  ASSERT_TRUE(via_loopback.ok());
+  ASSERT_TRUE(via_tcp.ok());
   ASSERT_TRUE(via_direct.ok());
-  ASSERT_EQ(via_loopback->responses.size(), 6u);
+  ASSERT_EQ(via_tcp->responses.size(), 6u);
   for (size_t i = 0; i < 6; ++i) {
-    ASSERT_EQ(via_loopback->responses[i].elements.size(),
+    ASSERT_EQ(via_tcp->responses[i].elements.size(),
               via_direct->responses[i].elements.size());
-    EXPECT_EQ(via_loopback->responses[i].exhausted,
+    EXPECT_EQ(via_tcp->responses[i].exhausted,
               via_direct->responses[i].exhausted);
   }
   // Identical analytic vs serialized byte accounting over the same backend.
-  EXPECT_EQ(direct.stats().bytes_down, loopback.stats().bytes_down);
+  EXPECT_EQ(direct.stats().bytes_down, tcp.stats().bytes_down);
 
-  // Errors cross the loopback wire as encoded statuses.
+  // Errors cross the wire as encoded statuses.
   net::DeleteRequest bogus;
   bogus.user = kAlice;
   bogus.list = 0;
   bogus.handle = 12345u * 3u;  // right residue, no such element
-  EXPECT_TRUE(loopback.Delete(bogus).status().IsNotFound());
+  EXPECT_TRUE(tcp.Delete(bogus).status().IsNotFound());
 }
 
 // A traced MultiFetch served over TCP carries back, in its response frame,
