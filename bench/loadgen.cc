@@ -595,16 +595,7 @@ load::LoadReport RunHiconnOnce(const Flags& flags, size_t num_loops,
           }
         }
       }
-      for (const auto& conn : conns) {
-        const net::TcpSocketStats& s = conn->socket_stats();
-        mine.socket.bytes_up += s.bytes_up;
-        mine.socket.bytes_down += s.bytes_down;
-        mine.socket.frames_up += s.frames_up;
-        mine.socket.frames_down += s.frames_down;
-        mine.socket.ext_bytes_up += s.ext_bytes_up;
-        mine.socket.ext_bytes_down += s.ext_bytes_down;
-        mine.socket.reconnects += s.reconnects;
-      }
+      for (const auto& conn : conns) mine.socket += conn->socket_stats();
     });
   }
   while (ready.load() < threads) {
@@ -635,13 +626,7 @@ load::LoadReport RunHiconnOnce(const Flags& flags, size_t num_loops,
     fetch_class.errors += t.errors;
     report.transport.bytes_up += t.payload_up;
     report.transport.bytes_down += t.payload_down;
-    report.socket.bytes_up += t.socket.bytes_up;
-    report.socket.bytes_down += t.socket.bytes_down;
-    report.socket.frames_up += t.socket.frames_up;
-    report.socket.frames_down += t.socket.frames_down;
-    report.socket.ext_bytes_up += t.socket.ext_bytes_up;
-    report.socket.ext_bytes_down += t.socket.ext_bytes_down;
-    report.socket.reconnects += t.socket.reconnects;
+    report.socket += t.socket;
   }
   fetch_class.attempted = fetch_class.ok + fetch_class.errors;
   fetch_class.exchanges = fetch_class.attempted;

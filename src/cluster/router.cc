@@ -33,65 +33,27 @@ std::vector<std::unique_ptr<net::ShardService>> MakeClients(
 }  // namespace
 
 RouterService::RouterService(size_t num_lists, const Options& options)
-    : ShardRouter(num_lists, MakeClients(options), options.num_workers) {
+    : ShardRouter(num_lists, MakeClients(options), options.num_workers),
+      metric_labels_(obs::NewInstanceLabel()) {
   // The router's fault-handling counters on the scrape plane: the
   // aggregate under zr_router_*, plus the per-shard breakdown the
   // aggregate hides (which shard is retrying, whose breaker opened).
   metrics_collector_ = obs::Registry::Global().RegisterCollector(
-      [this](std::vector<obs::Sample>* out) {
-        RouterStats total = router_stats();
-        out->push_back({"zr_router_attempts_total", "", total.attempts});
-        out->push_back(
-            {"zr_router_transport_errors_total", "", total.transport_errors});
-        out->push_back({"zr_router_retries_total", "", total.retries});
-        out->push_back({"zr_router_unavailable_total", "", total.unavailable});
-        out->push_back({"zr_router_probes_total", "", total.probes});
-        out->push_back(
-            {"zr_router_probe_failures_total", "", total.probe_failures});
-        out->push_back(
-            {"zr_router_breaker_opens_total", "", total.breaker_opens});
-        out->push_back({"zr_router_rejoins_total", "", total.rejoins});
-        std::vector<ShardClientStats> per_shard = shard_stats();
-        for (size_t s = 0; s < per_shard.size(); ++s) {
-          std::string labels = "shard=\"" + std::to_string(s) + "\"";
-          out->push_back({"zr_shard_client_attempts_total", labels,
-                          per_shard[s].attempts});
-          out->push_back({"zr_shard_client_transport_errors_total", labels,
-                          per_shard[s].transport_errors});
-          out->push_back(
-              {"zr_shard_client_retries_total", labels, per_shard[s].retries});
-          out->push_back({"zr_shard_client_unavailable_total", labels,
-                          per_shard[s].unavailable});
-          out->push_back({"zr_shard_client_breaker_opens_total", labels,
-                          per_shard[s].breaker_opens});
-          out->push_back(
-              {"zr_shard_client_rejoins_total", labels, per_shard[s].rejoins});
+      [this](obs::Scrape* out) {
+        out->AddCounters("zr_router_", metric_labels_, router_stats());
+        for (size_t s = 0; s < num_shards(); ++s) {
+          out->AddCounters(
+              "zr_shard_client_",
+              metric_labels_ + ",shard=\"" + std::to_string(s) + "\"",
+              shard_client(s).stats());
         }
       });
 }
 
 RouterStats RouterService::router_stats() const {
   RouterStats total;
-  for (const ShardClientStats& s : shard_stats()) {
-    total.attempts += s.attempts;
-    total.transport_errors += s.transport_errors;
-    total.retries += s.retries;
-    total.unavailable += s.unavailable;
-    total.probes += s.probes;
-    total.probe_failures += s.probe_failures;
-    total.breaker_opens += s.breaker_opens;
-    total.rejoins += s.rejoins;
-  }
+  for (size_t s = 0; s < num_shards(); ++s) total += shard_client(s).stats();
   return total;
-}
-
-std::vector<ShardClientStats> RouterService::shard_stats() const {
-  std::vector<ShardClientStats> out;
-  out.reserve(num_shards());
-  for (size_t s = 0; s < num_shards(); ++s) {
-    out.push_back(shard_client(s).stats());
-  }
-  return out;
 }
 
 Status RouterService::WaitForShard(size_t s, uint64_t timeout_ms) {

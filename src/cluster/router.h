@@ -33,17 +33,8 @@
 
 namespace zr::cluster {
 
-/// Router-level aggregate of every shard's ShardClientStats.
-struct RouterStats {
-  uint64_t attempts = 0;
-  uint64_t transport_errors = 0;
-  uint64_t retries = 0;
-  uint64_t unavailable = 0;
-  uint64_t probes = 0;
-  uint64_t probe_failures = 0;
-  uint64_t breaker_opens = 0;
-  uint64_t rejoins = 0;
-};
+/// Router-level aggregate of every shard's ShardClientStats: their sum.
+using RouterStats = ShardClientStats;
 
 class RouterService : public net::ShardRouter {
  public:
@@ -70,9 +61,6 @@ class RouterService : public net::ShardRouter {
   /// Aggregated fault-handling counters across all shard clients.
   RouterStats router_stats() const;
 
-  /// Per-shard fault-handling counters (index = shard).
-  std::vector<ShardClientStats> shard_stats() const;
-
   /// Direct client access (tests, targeted probes). Every handle of this
   /// router is the ShardClient its constructor built.
   ShardClient& shard_client(size_t s) const {
@@ -88,6 +76,9 @@ class RouterService : public net::ShardRouter {
   Status WaitForAll(uint64_t timeout_ms);
 
  private:
+  /// `id="<n>"`: this router's scrape label.
+  const std::string metric_labels_;
+
   /// Publishes RouterStats and per-shard ShardClientStats through the
   /// process metrics registry. Unregistered (RemoveCollector blocks out
   /// in-flight scrapes) before the router's shard clients are torn down.

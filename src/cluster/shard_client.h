@@ -43,6 +43,7 @@
 #include "net/messages.h"
 #include "net/service.h"
 #include "net/tcp.h"
+#include "obs/counter_set.h"
 #include "util/backoff.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -94,17 +95,22 @@ struct ShardClientOptions {
   size_t max_frame_payload = net::kDefaultMaxFramePayload;
 };
 
-/// Counters of one ShardClient (all cumulative; snapshot via stats()).
-struct ShardClientStats {
-  uint64_t attempts = 0;          ///< request attempts put on a socket
-  uint64_t transport_errors = 0;  ///< attempts that died in transit
-  uint64_t retries = 0;           ///< attempts after the first for one op
-  uint64_t unavailable = 0;       ///< calls failed fast or exhausted retries
-  uint64_t probes = 0;            ///< health probes sent
-  uint64_t probe_failures = 0;    ///< probes that failed or mismatched id
-  uint64_t breaker_opens = 0;     ///< closed/half-open -> open transitions
-  uint64_t rejoins = 0;           ///< open -> closed transitions (probe ok)
-};
+/// Counters of one ShardClient (a counter set, obs/counter_set.h; all
+/// cumulative, snapshot via stats()): request attempts put on a socket,
+/// attempts that died in transit, attempts after the first for one op,
+/// calls that failed fast or exhausted their retries, health probes sent,
+/// probes that failed or saw the wrong server id, closed/half-open -> open
+/// breaker transitions, and open -> closed transitions (a probe succeeded).
+#define ZR_SHARD_CLIENT_STATS_FIELDS(X) \
+  X(attempts)                           \
+  X(transport_errors)                   \
+  X(retries)                            \
+  X(unavailable)                        \
+  X(probes)                             \
+  X(probe_failures)                     \
+  X(breaker_opens)                      \
+  X(rejoins)
+ZR_COUNTER_SET(ShardClientStats, ZR_SHARD_CLIENT_STATS_FIELDS);
 
 /// The remote shard handle of a net::ShardRouter (see
 /// cluster::RouterService).

@@ -38,22 +38,6 @@ uint64_t SteadyNowNs() {
           .count());
 }
 
-zerber::ServerStats StatsDelta(const zerber::ServerStats& before,
-                               const zerber::ServerStats& after) {
-  zerber::ServerStats d;
-  d.fetch_requests = after.fetch_requests - before.fetch_requests;
-  d.insert_requests = after.insert_requests - before.insert_requests;
-  d.insert_denied = after.insert_denied - before.insert_denied;
-  d.delete_requests = after.delete_requests - before.delete_requests;
-  d.delete_denied = after.delete_denied - before.delete_denied;
-  d.elements_served = after.elements_served - before.elements_served;
-  d.bytes_served = after.bytes_served - before.bytes_served;
-  d.fetch_latency_ns = after.fetch_latency_ns - before.fetch_latency_ns;
-  d.insert_latency_ns = after.insert_latency_ns - before.insert_latency_ns;
-  d.delete_latency_ns = after.delete_latency_ns - before.delete_latency_ns;
-  return d;
-}
-
 /// Folds the drained tracer + slow-op rings into the report's "obs" block.
 /// Deterministically all-zero when nothing was sampled.
 ObsReport BuildObsReport(const std::vector<obs::SpanRecord>& spans,
@@ -100,20 +84,6 @@ ObsReport BuildObsReport(const std::vector<obs::SpanRecord>& spans,
     }
   }
   return out;
-}
-
-cluster::RouterStats RouterStatsDelta(const cluster::RouterStats& before,
-                                      const cluster::RouterStats& after) {
-  cluster::RouterStats d;
-  d.attempts = after.attempts - before.attempts;
-  d.transport_errors = after.transport_errors - before.transport_errors;
-  d.retries = after.retries - before.retries;
-  d.unavailable = after.unavailable - before.unavailable;
-  d.probes = after.probes - before.probes;
-  d.probe_failures = after.probe_failures - before.probe_failures;
-  d.breaker_opens = after.breaker_opens - before.breaker_opens;
-  d.rejoins = after.rejoins - before.rejoins;
-  return d;
 }
 
 }  // namespace
@@ -508,28 +478,17 @@ StatusOr<LoadReport> LoadDriver::Run() {
                           : 0.0;
   report.transport_kind = net::TransportKindName(deployment_.transport);
   for (auto& w : workers_) {
-    const net::TransportStats& t = w->transport->stats();
-    report.transport.exchanges += t.exchanges;
-    report.transport.bytes_up += t.bytes_up;
-    report.transport.bytes_down += t.bytes_down;
+    report.transport += w->transport->stats();
     if (deployment_.transport == net::TransportKind::kTcp) {
-      const net::TcpSocketStats& s =
+      report.socket +=
           static_cast<net::TcpTransport*>(w->transport.get())->socket_stats();
-      report.socket.bytes_up += s.bytes_up;
-      report.socket.bytes_down += s.bytes_down;
-      report.socket.frames_up += s.frames_up;
-      report.socket.frames_down += s.frames_down;
-      report.socket.ext_bytes_up += s.ext_bytes_up;
-      report.socket.ext_bytes_down += s.ext_bytes_down;
-      report.socket.reconnects += s.reconnects;
     }
   }
-  zerber::ServerStats after =
-      deployment_.server_stats ? deployment_.server_stats() : zerber::ServerStats();
-  report.server = StatsDelta(before, after);
+  if (deployment_.server_stats) {
+    report.server = deployment_.server_stats() - before;
+  }
   if (deployment_.router_stats) {
-    report.cluster =
-        RouterStatsDelta(router_before, deployment_.router_stats());
+    report.cluster = deployment_.router_stats() - router_before;
   }
 
   report.obs =
@@ -540,13 +499,11 @@ StatusOr<LoadReport> LoadDriver::Run() {
   // The harness's own transfer accounting on the scrape plane: the load
   // side of TransportStats becomes gauges, so a scrape of this process
   // sees client traffic next to the server counters.
-  obs::Registry& registry = obs::Registry::Global();
-  registry.GetGauge("zr_load_transport_exchanges")
-      ->Set(report.transport.exchanges);
-  registry.GetGauge("zr_load_transport_bytes_up")
-      ->Set(report.transport.bytes_up);
-  registry.GetGauge("zr_load_transport_bytes_down")
-      ->Set(report.transport.bytes_down);
+  for (const auto& f : net::TransportStats::Fields()) {
+    obs::Registry::Global()
+        .GetGauge(std::string("zr_load_transport_") + f.name)
+        ->Set(report.transport.*f.member);
+  }
   return report;
 }
 

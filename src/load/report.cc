@@ -3,6 +3,8 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "obs/counter_set.h"
+
 namespace zr::load {
 
 namespace {
@@ -40,6 +42,19 @@ void AppendString(std::string* out, const char* key, const std::string& value,
   out->push_back('"');
   out->append(value);  // names/specs are identifier-safe; no escaping needed
   out->push_back('"');
+}
+
+/// `"key":{...}` with one entry per counter of `set`, in field-list order.
+template <obs::CounterSet Set>
+void AppendCounters(std::string* out, const char* key, const Set& set,
+                    bool* first) {
+  AppendKey(out, key, first);
+  out->push_back('{');
+  bool f = true;
+  for (const auto& field : Set::Fields()) {
+    AppendU64(out, field.name, set.*field.member, &f);
+  }
+  out->push_back('}');
 }
 
 void AppendLatency(std::string* out, const LatencyHistogram& h) {
@@ -133,54 +148,11 @@ std::string LoadReport::ToJson() const {
   }
   out.push_back('}');
 
-  AppendKey(&out, "server", &first);
-  out.push_back('{');
-  bool s = true;
-  AppendU64(&out, "fetch_requests", server.fetch_requests, &s);
-  AppendU64(&out, "insert_requests", server.insert_requests, &s);
-  AppendU64(&out, "insert_denied", server.insert_denied, &s);
-  AppendU64(&out, "delete_requests", server.delete_requests, &s);
-  AppendU64(&out, "delete_denied", server.delete_denied, &s);
-  AppendU64(&out, "elements_served", server.elements_served, &s);
-  AppendU64(&out, "bytes_served", server.bytes_served, &s);
-  AppendU64(&out, "fetch_latency_ns", server.fetch_latency_ns, &s);
-  AppendU64(&out, "insert_latency_ns", server.insert_latency_ns, &s);
-  AppendU64(&out, "delete_latency_ns", server.delete_latency_ns, &s);
-  out.push_back('}');
-
+  AppendCounters(&out, "server", server, &first);
   AppendString(&out, "transport_kind", transport_kind, &first);
-  AppendKey(&out, "transport", &first);
-  out.push_back('{');
-  bool t = true;
-  AppendU64(&out, "exchanges", transport.exchanges, &t);
-  AppendU64(&out, "bytes_up", transport.bytes_up, &t);
-  AppendU64(&out, "bytes_down", transport.bytes_down, &t);
-  out.push_back('}');
-
-  AppendKey(&out, "socket", &first);
-  out.push_back('{');
-  bool sk = true;
-  AppendU64(&out, "bytes_up", socket.bytes_up, &sk);
-  AppendU64(&out, "bytes_down", socket.bytes_down, &sk);
-  AppendU64(&out, "frames_up", socket.frames_up, &sk);
-  AppendU64(&out, "frames_down", socket.frames_down, &sk);
-  AppendU64(&out, "ext_bytes_up", socket.ext_bytes_up, &sk);
-  AppendU64(&out, "ext_bytes_down", socket.ext_bytes_down, &sk);
-  AppendU64(&out, "reconnects", socket.reconnects, &sk);
-  out.push_back('}');
-
-  AppendKey(&out, "cluster", &first);
-  out.push_back('{');
-  bool cl = true;
-  AppendU64(&out, "attempts", cluster.attempts, &cl);
-  AppendU64(&out, "transport_errors", cluster.transport_errors, &cl);
-  AppendU64(&out, "retries", cluster.retries, &cl);
-  AppendU64(&out, "unavailable", cluster.unavailable, &cl);
-  AppendU64(&out, "probes", cluster.probes, &cl);
-  AppendU64(&out, "probe_failures", cluster.probe_failures, &cl);
-  AppendU64(&out, "breaker_opens", cluster.breaker_opens, &cl);
-  AppendU64(&out, "rejoins", cluster.rejoins, &cl);
-  out.push_back('}');
+  AppendCounters(&out, "transport", transport, &first);
+  AppendCounters(&out, "socket", socket, &first);
+  AppendCounters(&out, "cluster", cluster, &first);
 
   AppendKey(&out, "obs", &first);
   out.push_back('{');

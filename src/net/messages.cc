@@ -309,16 +309,9 @@ StatusOr<StatsRequest> ParseStatsRequest(std::string_view data) {
 std::string SerializeStatsResponse(const StatsResponse& response) {
   std::string out;
   out.push_back(static_cast<char>(kTagStatsResponse));
-  PutVarint64(&out, response.fetch_requests);
-  PutVarint64(&out, response.insert_requests);
-  PutVarint64(&out, response.insert_denied);
-  PutVarint64(&out, response.delete_requests);
-  PutVarint64(&out, response.delete_denied);
-  PutVarint64(&out, response.elements_served);
-  PutVarint64(&out, response.bytes_served);
-  PutVarint64(&out, response.fetch_latency_ns);
-  PutVarint64(&out, response.insert_latency_ns);
-  PutVarint64(&out, response.delete_latency_ns);
+  for (const auto& f : zerber::ServerStats::Fields()) {
+    PutVarint64(&out, response.*f.member);
+  }
   // Versioned tail: v1 ends here; a registry dump appends a version byte
   // and the length-prefixed text (see the struct comment in messages.h).
   if (!response.registry_text.empty()) {
@@ -332,16 +325,9 @@ StatusOr<StatsResponse> ParseStatsResponse(std::string_view data) {
   ByteReader reader(data);
   ZR_RETURN_IF_ERROR(ExpectTag(&reader, kTagStatsResponse));
   StatsResponse response;
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.fetch_requests));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.insert_requests));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.insert_denied));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.delete_requests));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.delete_denied));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.elements_served));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.bytes_served));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.fetch_latency_ns));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.insert_latency_ns));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&response.delete_latency_ns));
+  for (const auto& f : zerber::ServerStats::Fields()) {
+    ZR_RETURN_IF_ERROR(reader.GetVarint64(&(response.*f.member)));
+  }
   if (reader.empty()) return response;  // v1: fixed fields only
   std::string_view version;
   ZR_RETURN_IF_ERROR(reader.GetRaw(1, &version));
@@ -503,22 +489,17 @@ size_t WireSizeOfPingResponse(const PingResponse& response) {
 size_t WireSizeOfStatsRequest(const StatsRequest&) { return 1; }
 
 size_t WireSizeOfStatsResponse(const StatsResponse& response) {
-  return 1 + static_cast<size_t>(VarintLength64(response.fetch_requests)) +
-         static_cast<size_t>(VarintLength64(response.insert_requests)) +
-         static_cast<size_t>(VarintLength64(response.insert_denied)) +
-         static_cast<size_t>(VarintLength64(response.delete_requests)) +
-         static_cast<size_t>(VarintLength64(response.delete_denied)) +
-         static_cast<size_t>(VarintLength64(response.elements_served)) +
-         static_cast<size_t>(VarintLength64(response.bytes_served)) +
-         static_cast<size_t>(VarintLength64(response.fetch_latency_ns)) +
-         static_cast<size_t>(VarintLength64(response.insert_latency_ns)) +
-         static_cast<size_t>(VarintLength64(response.delete_latency_ns)) +
-         (response.registry_text.empty()
-              ? 0
-              : 1 +
-                    static_cast<size_t>(VarintLength32(static_cast<uint32_t>(
-                        response.registry_text.size()))) +
-                    response.registry_text.size());
+  size_t size = 1;
+  for (const auto& f : zerber::ServerStats::Fields()) {
+    size += static_cast<size_t>(VarintLength64(response.*f.member));
+  }
+  if (!response.registry_text.empty()) {
+    size += 1 +
+            static_cast<size_t>(VarintLength32(
+                static_cast<uint32_t>(response.registry_text.size()))) +
+            response.registry_text.size();
+  }
+  return size;
 }
 
 size_t WireSizeOfAclRequest(const AclRequest& request) {

@@ -27,6 +27,7 @@
 #include "util/status.h"
 #include "util/statusor.h"
 #include "zerber/posting_element.h"
+#include "zerber/server_stats.h"
 
 namespace zr::net {
 
@@ -169,21 +170,10 @@ struct StatsRequest {
   friend bool operator==(const StatsRequest&, const StatsRequest&) = default;
 };
 
-/// Server -> client: ServerStats counters (zerber/zerber_index.h) flattened
-/// onto the wire, so a router can aggregate accounting across remote shards
-/// exactly like ShardedIndexService::stats() does in process.
-struct StatsResponse {
-  uint64_t fetch_requests = 0;
-  uint64_t insert_requests = 0;
-  uint64_t insert_denied = 0;
-  uint64_t delete_requests = 0;
-  uint64_t delete_denied = 0;
-  uint64_t elements_served = 0;
-  uint64_t bytes_served = 0;
-  uint64_t fetch_latency_ns = 0;
-  uint64_t insert_latency_ns = 0;
-  uint64_t delete_latency_ns = 0;
-
+/// Server -> client: the server's ServerStats counters (one varint each,
+/// in field-list order), so a router can aggregate accounting across remote
+/// shards exactly like ShardedIndexService::stats() does in process.
+struct StatsResponse : zerber::ServerStats {
   /// v2 extension: the server's full metrics registry in Prometheus text
   /// exposition format (the scrape plane; see src/obs/registry.h). Metric
   /// names and numbers only — never terms or plaintext (the

@@ -69,22 +69,7 @@ Status IndexService::Acl(const AclRequest& request) {
 }
 
 StatusOr<StatsResponse> IndexService::Stats() {
-  return StatsResponseOf(server_->stats());
-}
-
-StatsResponse StatsResponseOf(const zerber::ServerStats& stats) {
-  StatsResponse out;
-  out.fetch_requests = stats.fetch_requests;
-  out.insert_requests = stats.insert_requests;
-  out.insert_denied = stats.insert_denied;
-  out.delete_requests = stats.delete_requests;
-  out.delete_denied = stats.delete_denied;
-  out.elements_served = stats.elements_served;
-  out.bytes_served = stats.bytes_served;
-  out.fetch_latency_ns = stats.fetch_latency_ns;
-  out.insert_latency_ns = stats.insert_latency_ns;
-  out.delete_latency_ns = stats.delete_latency_ns;
-  return out;
+  return StatsResponse{server_->stats(), /*registry_text=*/""};
 }
 
 }  // namespace zr::net

@@ -73,9 +73,6 @@ class ShardService : public ZerberService {
   virtual StatusOr<StatsResponse> Stats() = 0;
 };
 
-/// ServerStats flattened into its wire form (no registry dump).
-StatsResponse StatsResponseOf(const zerber::ServerStats& stats);
-
 /// Server-side implementation: adapts zerber::IndexServer to the service
 /// API. Lives next to the server; performs no serialization and no byte
 /// accounting (that is the transport's job). Thread-safe on the request

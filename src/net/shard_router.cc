@@ -252,17 +252,7 @@ zerber::ServerStats ShardRouter::stats() const {
   zerber::ServerStats total;
   for (const auto& shard : shards_) {
     StatusOr<StatsResponse> s = shard->Stats();
-    if (!s.ok()) continue;  // an unreachable shard contributes zeros
-    total.fetch_requests += s->fetch_requests;
-    total.insert_requests += s->insert_requests;
-    total.insert_denied += s->insert_denied;
-    total.delete_requests += s->delete_requests;
-    total.delete_denied += s->delete_denied;
-    total.elements_served += s->elements_served;
-    total.bytes_served += s->bytes_served;
-    total.fetch_latency_ns += s->fetch_latency_ns;
-    total.insert_latency_ns += s->insert_latency_ns;
-    total.delete_latency_ns += s->delete_latency_ns;
+    if (s.ok()) total += *s;  // an unreachable shard contributes zeros
   }
   return total;
 }

@@ -431,40 +431,23 @@ class TcpServer::Impl {
     }
 
     // Publish the server's counters through the process metrics registry
-    // (the scrape plane). The merged series keep their PR 8 names and
-    // labels; a multi-loop server additionally exposes one zr_tcp_loop_*
-    // shard per loop so an operator can see skew (see docs/OPERATIONS.md).
+    // (the scrape plane): the merged set under zr_tcp_*, and for a
+    // multi-loop server the same set per loop under zr_tcp_loop_*, so an
+    // operator can see skew (see docs/OPERATIONS.md).
+    metric_labels_ = obs::NewInstanceLabel() + ",addr=\"" + address_ + "\"";
     metrics_collector_ = obs::Registry::Global().RegisterCollector(
-        [this](std::vector<obs::Sample>* out) {
-          std::string labels = "addr=\"" + address_ + "\"";
-          TcpServerStats s = stats();
-          out->push_back({"zr_tcp_connections_accepted_total", labels,
-                          s.connections_accepted});
-          out->push_back({"zr_tcp_connections_closed_total", labels,
-                          s.connections_closed});
-          out->push_back(
-              {"zr_tcp_frames_served_total", labels, s.frames_served});
-          out->push_back(
-              {"zr_tcp_protocol_errors_total", labels, s.protocol_errors});
-          out->push_back({"zr_tcp_bytes_read_total", labels, s.bytes_read});
-          out->push_back(
-              {"zr_tcp_bytes_written_total", labels, s.bytes_written});
-          out->push_back({"zr_tcp_open_sessions", labels, open_sessions()});
+        [this](obs::Scrape* out) {
+          out->AddCounters("zr_tcp_", metric_labels_, stats());
+          out->samples.push_back(
+              {"zr_tcp_open_sessions", metric_labels_, open_sessions()});
           if (loops_.size() > 1) {
             for (size_t i = 0; i < loops_.size(); ++i) {
               std::string loop_labels =
-                  labels + ",loop=\"" + std::to_string(i) + "\"";
-              TcpServerStats shard = loops_[i]->shard_stats();
-              out->push_back({"zr_tcp_loop_connections_accepted_total",
-                              loop_labels, shard.connections_accepted});
-              out->push_back({"zr_tcp_loop_frames_served_total", loop_labels,
-                              shard.frames_served});
-              out->push_back({"zr_tcp_loop_bytes_read_total", loop_labels,
-                              shard.bytes_read});
-              out->push_back({"zr_tcp_loop_bytes_written_total", loop_labels,
-                              shard.bytes_written});
-              out->push_back({"zr_tcp_loop_open_sessions", loop_labels,
-                              loops_[i]->open()});
+                  metric_labels_ + ",loop=\"" + std::to_string(i) + "\"";
+              out->AddCounters("zr_tcp_loop_", loop_labels,
+                               loops_[i]->shard_stats());
+              out->samples.push_back(
+                  {"zr_tcp_loop_open_sessions", loop_labels, loops_[i]->open()});
             }
           }
         });
@@ -500,15 +483,7 @@ class TcpServer::Impl {
 
   TcpServerStats stats() const {
     TcpServerStats merged;
-    for (const auto& loop : loops_) {
-      TcpServerStats s = loop->shard_stats();
-      merged.connections_accepted += s.connections_accepted;
-      merged.connections_closed += s.connections_closed;
-      merged.frames_served += s.frames_served;
-      merged.protocol_errors += s.protocol_errors;
-      merged.bytes_read += s.bytes_read;
-      merged.bytes_written += s.bytes_written;
-    }
+    for (const auto& loop : loops_) merged += loop->shard_stats();
     return merged;
   }
 
@@ -629,16 +604,7 @@ class TcpServer::Impl {
 
     bool stopped() const { return stopped_.load(); }
 
-    TcpServerStats shard_stats() const {
-      TcpServerStats s;
-      s.connections_accepted = accepted_.load();
-      s.connections_closed = closed_.load();
-      s.frames_served = frames_served_.load();
-      s.protocol_errors = protocol_errors_.load();
-      s.bytes_read = bytes_read_.load();
-      s.bytes_written = bytes_written_.load();
-      return s;
-    }
+    TcpServerStats shard_stats() const { return counters_.Snapshot(); }
 
     size_t open() const { return open_.load(); }
 
@@ -759,7 +725,7 @@ class TcpServer::Impl {
       // never do.
       session.tap_stream = impl_->next_tap_stream_.fetch_add(1);
       sessions_.emplace(fd, std::move(session));
-      accepted_.fetch_add(1);
+      counters_.Add<&TcpServerStats::connections_accepted>();
       open_.fetch_add(1);
     }
 
@@ -778,7 +744,7 @@ class TcpServer::Impl {
       epoll_.Remove(fd);
       ::close(fd);
       sessions_.erase(it);
-      closed_.fetch_add(1);
+      counters_.Add<&TcpServerStats::connections_closed>();
       open_.fetch_sub(1);
     }
 
@@ -800,7 +766,8 @@ class TcpServer::Impl {
         ssize_t n = ::read(fd, buf, sizeof(buf));
         if (n > 0) {
           s->in.append(buf, static_cast<size_t>(n));
-          bytes_read_.fetch_add(static_cast<uint64_t>(n));
+          counters_.Add<&TcpServerStats::bytes_read>(
+              static_cast<uint64_t>(n));
           if (static_cast<size_t>(n) < sizeof(buf)) break;
           continue;
         }
@@ -850,7 +817,7 @@ class TcpServer::Impl {
         uint32_t length = raw & kFrameLengthMask;
         bool flagged = (raw & kFrameFlagExtension) != 0;
         if (length > FrameLengthLimit(flagged)) {
-          protocol_errors_.fetch_add(1);
+          counters_.Add<&TcpServerStats::protocol_errors>();
           AppendResponse(s, SerializeErrorResponse(Status::InvalidArgument(
                                 "tcp: frame payload exceeds limit")));
           s->close_after_flush = true;
@@ -869,7 +836,7 @@ class TcpServer::Impl {
                      payload.size() <= impl_->max_frame_payload_;
         }
         if (!frame_ok) {
-          protocol_errors_.fetch_add(1);
+          counters_.Add<&TcpServerStats::protocol_errors>();
           AppendResponse(s, SerializeErrorResponse(Status::InvalidArgument(
                                 "tcp: malformed frame extension")));
           s->close_after_flush = true;
@@ -917,7 +884,7 @@ class TcpServer::Impl {
         if (s->in.size() != s->in_pos) {
           // The peer's close tore a frame (torn length prefix or
           // truncated payload).
-          protocol_errors_.fetch_add(1);
+          counters_.Add<&TcpServerStats::protocol_errors>();
           s->dead = true;
           return;
         }
@@ -1039,11 +1006,11 @@ class TcpServer::Impl {
         response = ServeFrame(payload, &parsed_ok);
       }
       if (parsed_ok) {
-        frames_served_.fetch_add(1);
+        counters_.Add<&TcpServerStats::frames_served>();
       } else {
         // An unparseable or non-request frame means the peer is not a
         // well-behaved client; answer with the error and drop it.
-        protocol_errors_.fetch_add(1);
+        counters_.Add<&TcpServerStats::protocol_errors>();
         s->close_after_flush = true;
       }
       if (response.size() > impl_->max_frame_payload_) {
@@ -1100,7 +1067,8 @@ class TcpServer::Impl {
                            s->out.size() - s->out_pos, MSG_NOSIGNAL);
         if (n > 0) {
           s->out_pos += static_cast<size_t>(n);
-          bytes_written_.fetch_add(static_cast<uint64_t>(n));
+          counters_.Add<&TcpServerStats::bytes_written>(
+              static_cast<uint64_t>(n));
           continue;
         }
         if (n < 0 && errno == EINTR) continue;
@@ -1141,12 +1109,7 @@ class TcpServer::Impl {
     std::atomic<bool> stopped_{false};
 
     // --- Cross-thread: this loop's stats shard (merged by Impl::stats).
-    std::atomic<uint64_t> accepted_{0};
-    std::atomic<uint64_t> closed_{0};
-    std::atomic<uint64_t> frames_served_{0};
-    std::atomic<uint64_t> protocol_errors_{0};
-    std::atomic<uint64_t> bytes_read_{0};
-    std::atomic<uint64_t> bytes_written_{0};
+    obs::AtomicCounters<TcpServerStats> counters_;
     std::atomic<size_t> open_{0};
   };
 
@@ -1160,6 +1123,8 @@ class TcpServer::Impl {
   ZerberService* backend_;
   ServerConfig config_;
   std::string address_;
+  /// `id="<n>",addr="<address_>"`, set with the collector.
+  std::string metric_labels_;
   size_t max_frame_payload_ = kDefaultMaxFramePayload;
   size_t max_session_backlog_ = kDefaultMaxFramePayload;
   bool hand_off_ = false;

@@ -92,6 +92,7 @@
 #include "net/channel.h"
 #include "net/messages.h"
 #include "net/transport.h"
+#include "obs/counter_set.h"
 #include "obs/trace.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -196,18 +197,21 @@ struct Deadlines {
 // Server
 // ---------------------------------------------------------------------------
 
-/// Cumulative counters of one TcpServer. Maintained as per-loop shards of
-/// relaxed atomics; TcpServer::stats() merges the shards, per_loop_stats()
-/// exposes them individually. Safe to read from any thread while the
-/// server runs.
-struct TcpServerStats {
-  uint64_t connections_accepted = 0;
-  uint64_t connections_closed = 0;
-  uint64_t frames_served = 0;     ///< request frames decoded and dispatched
-  uint64_t protocol_errors = 0;   ///< oversized/torn/unparseable input
-  uint64_t bytes_read = 0;        ///< socket bytes read (incl. headers)
-  uint64_t bytes_written = 0;     ///< socket bytes written (incl. headers)
-};
+/// Cumulative counters of one TcpServer (a counter set,
+/// obs/counter_set.h): sessions accepted and closed, request frames decoded
+/// and dispatched, protocol errors (oversized, torn or unparseable input),
+/// and socket bytes read and written (frame headers included). Maintained
+/// as one atomic shard per event loop; TcpServer::stats() merges the
+/// shards, per_loop_stats() exposes them individually. Safe to read from
+/// any thread while the server runs.
+#define ZR_TCP_SERVER_STATS_FIELDS(X) \
+  X(connections_accepted)             \
+  X(connections_closed)               \
+  X(frames_served)                    \
+  X(protocol_errors)                  \
+  X(bytes_read)                       \
+  X(bytes_written)
+ZR_COUNTER_SET(TcpServerStats, ZR_TCP_SERVER_STATS_FIELDS);
 
 /// How a multi-loop server spreads incoming connections across its loops.
 /// Irrelevant when num_loops == 1 (the single loop owns the listener).
@@ -375,19 +379,23 @@ class TcpServer {
 // Client session
 // ---------------------------------------------------------------------------
 
-/// Real socket traffic of a client session/transport, frame headers
-/// included. payload bytes == socket bytes - kFrameHeaderBytes * frames -
-/// ext bytes (only complete frames are counted, so the identity is exact;
-/// ext bytes are zero unless tracing put extensions on the wire).
-struct TcpSocketStats {
-  uint64_t bytes_up = 0;    ///< socket bytes written (headers included)
-  uint64_t bytes_down = 0;  ///< socket bytes read (headers included)
-  uint64_t frames_up = 0;   ///< complete request frames written
-  uint64_t frames_down = 0; ///< complete response frames read
-  uint64_t reconnects = 0;  ///< successful reconnections after an error
-  uint64_t ext_bytes_up = 0;    ///< frame-extension bytes written (tracing)
-  uint64_t ext_bytes_down = 0;  ///< frame-extension bytes read (tracing)
-};
+/// Real socket traffic of a client session/transport (a counter set,
+/// obs/counter_set.h): socket bytes written and read (frame headers
+/// included), complete request frames written and response frames read,
+/// frame-extension bytes written and read (tracing), and successful
+/// reconnections after an error. payload bytes == socket bytes -
+/// kFrameHeaderBytes * frames - ext bytes (only complete frames are
+/// counted, so the identity is exact; ext bytes are zero unless tracing put
+/// extensions on the wire).
+#define ZR_TCP_SOCKET_STATS_FIELDS(X) \
+  X(bytes_up)                         \
+  X(bytes_down)                       \
+  X(frames_up)                        \
+  X(frames_down)                      \
+  X(ext_bytes_up)                     \
+  X(ext_bytes_down)                   \
+  X(reconnects)
+ZR_COUNTER_SET(TcpSocketStats, ZR_TCP_SOCKET_STATS_FIELDS);
 
 /// One client connection: connect, framed send/receive, pipelining.
 ///

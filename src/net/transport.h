@@ -28,6 +28,7 @@
 
 #include "net/channel.h"
 #include "net/service.h"
+#include "obs/counter_set.h"
 
 namespace zr::net {
 
@@ -43,17 +44,14 @@ const char* TransportKindName(TransportKind kind);
 /// Inverse of TransportKindName; Status on an unknown name.
 StatusOr<TransportKind> ParseTransportKind(std::string_view name);
 
-/// Cumulative traffic counters of one transport.
-struct TransportStats {
-  /// Completed request/response exchanges (round trips).
-  uint64_t exchanges = 0;
-
-  /// Bytes client -> server.
-  uint64_t bytes_up = 0;
-
-  /// Bytes server -> client.
-  uint64_t bytes_down = 0;
-};
+/// Cumulative traffic counters of one transport (a counter set,
+/// obs/counter_set.h): completed request/response exchanges (round trips),
+/// bytes client -> server, and bytes server -> client.
+#define ZR_TRANSPORT_STATS_FIELDS(X) \
+  X(exchanges)                       \
+  X(bytes_up)                        \
+  X(bytes_down)
+ZR_COUNTER_SET(TransportStats, ZR_TRANSPORT_STATS_FIELDS);
 
 /// Base: a client-side service stub with byte accounting.
 ///

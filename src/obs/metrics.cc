@@ -1,29 +1,13 @@
 #include "obs/metrics.h"
 
-#include <algorithm>
-#include <cmath>
+#include <utility>
+#include <vector>
 
 namespace zr::obs {
 
-size_t LatencyBucketIndex(uint64_t nanos) {
-  // Mirrors util::LatencyHistogram::Add exactly (histogram.cc): values
-  // below the grid clamp into bucket 0, values past it saturate into the
-  // last bucket.
-  if (static_cast<double>(nanos) < LatencyHistogram::kMinNs) return 0;
-  double pos = (std::log10(static_cast<double>(nanos)) -
-                std::log10(LatencyHistogram::kMinNs)) *
-               static_cast<double>(LatencyHistogram::kBucketsPerDecade);
-  long bucket = static_cast<long>(std::floor(pos));
-  if (bucket < 0) bucket = 0;
-  if (bucket >= static_cast<long>(LatencyHistogram::kNumBuckets)) {
-    bucket = static_cast<long>(LatencyHistogram::kNumBuckets) - 1;
-  }
-  return static_cast<size_t>(bucket);
-}
-
 void Histogram::Record(uint64_t nanos) {
-  counts_[LatencyBucketIndex(nanos)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+  counts_[LatencyHistogram::BucketIndex(nanos)].fetch_add(
+      1, std::memory_order_relaxed);
   sum_.fetch_add(nanos, std::memory_order_relaxed);
   uint64_t seen = min_.load(std::memory_order_relaxed);
   while (nanos < seen &&
@@ -35,46 +19,16 @@ void Histogram::Record(uint64_t nanos) {
   }
 }
 
-HistogramSnapshot Histogram::Snapshot() const {
-  HistogramSnapshot snap;
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum_ns = sum_.load(std::memory_order_relaxed);
+LatencyHistogram Histogram::Snapshot() const {
+  std::vector<uint64_t> counts(counts_.size());
+  for (size_t i = 0; i < counts.size(); ++i) {
+    counts[i] = counts_[i].load(std::memory_order_relaxed);
+  }
   uint64_t min = min_.load(std::memory_order_relaxed);
-  snap.min_ns = (min == UINT64_MAX) ? 0 : min;
-  snap.max_ns = max_.load(std::memory_order_relaxed);
-  for (size_t i = 0; i < snap.buckets.size(); ++i) {
-    snap.buckets[i] = counts_[i].load(std::memory_order_relaxed);
-  }
-  return snap;
-}
-
-double HistogramSnapshot::MeanNs() const {
-  if (count == 0) return 0.0;
-  return static_cast<double>(sum_ns) / static_cast<double>(count);
-}
-
-double HistogramSnapshot::PercentileNs(double p) const {
-  // Same algorithm as util::LatencyHistogram::PercentileNs, over the
-  // snapshot's copied cells.
-  if (count == 0) return 0.0;
-  p = std::clamp(p, 0.0, 100.0);
-  uint64_t rank =
-      static_cast<uint64_t>(std::ceil(p / 100.0 * static_cast<double>(count)));
-  if (rank < 1) rank = 1;
-  if (rank >= count) return static_cast<double>(max_ns);
-  uint64_t seen = 0;
-  size_t bucket = buckets.size() - 1;
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    seen += buckets[i];
-    if (seen >= rank) {
-      bucket = i;
-      break;
-    }
-  }
-  double value = LatencyHistogram::BucketEdge(bucket + 1);
-  value = std::min(value, static_cast<double>(max_ns));
-  value = std::max(value, static_cast<double>(min_ns));
-  return value;
+  return LatencyHistogram(std::move(counts),
+                          sum_.load(std::memory_order_relaxed),
+                          min == UINT64_MAX ? 0 : min,
+                          max_.load(std::memory_order_relaxed));
 }
 
 }  // namespace zr::obs

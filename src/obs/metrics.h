@@ -1,14 +1,14 @@
 // Metric primitives for the process-wide observability registry.
 //
-// Counter, Gauge, and Histogram are the write-side instruments handed out
-// by obs::Registry (registry.h). All three are lock-free on the hot path:
-// relaxed atomics only, so instrumented code never takes a lock and a
-// scrape racing a writer is well-defined (it reads a slightly stale but
-// torn-free value per cell). Histogram shares util::LatencyHistogram's
-// fixed geometric nanosecond grid — same bucket math, same side-tracked
-// exact min/max/sum — so a Histogram's SumNs is exactly the sum of every
-// recorded duration and any snapshot can be compared 1:1 against the load
-// driver's single-writer LatencyHistograms.
+// Counter and Gauge are the write-side instruments handed out by
+// obs::Registry (registry.h); Histogram is owned by the component it times
+// and published through that component's collector. All three are
+// lock-free on the hot path: relaxed atomics only, so instrumented code
+// never takes a lock and a scrape racing a writer is well-defined (it
+// reads a slightly stale but torn-free value per cell). Histogram files
+// samples with util::LatencyHistogram's own bucket routine and snapshots
+// into a LatencyHistogram, so its SumNs is exactly the sum of every
+// recorded duration and its percentiles are the load driver's.
 //
 // Sealed-telemetry invariant (paper §3, §5.2): instruments carry numeric
 // values only. Names and labels are chosen at instrumentation sites and
@@ -51,19 +51,6 @@ class Gauge {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Point-in-time copy of a Histogram, with util::LatencyHistogram's exact
-/// percentile semantics (rank ceil(p/100*count), clamped to [min, max]).
-struct HistogramSnapshot {
-  uint64_t count = 0;
-  uint64_t sum_ns = 0;
-  uint64_t min_ns = 0;
-  uint64_t max_ns = 0;
-  std::array<uint64_t, LatencyHistogram::kNumBuckets> buckets{};
-
-  double MeanNs() const;
-  double PercentileNs(double p) const;
-};
-
 /// Multi-writer latency histogram on util::LatencyHistogram's grid
 /// ([100ns, 10^11ns), 40 buckets/decade — see histogram.h for why that
 /// resolution suits the perf gate). Record is lock-free: relaxed fetch_add
@@ -75,26 +62,19 @@ class Histogram {
   /// Records one latency observation in nanoseconds.
   void Record(uint64_t nanos);
 
-  /// Observations recorded so far.
-  uint64_t Count() const { return count_.load(std::memory_order_relaxed); }
-
   /// Exact sum of all recorded samples in nanoseconds (matches what a
   /// util::LatencyHistogram fed the same samples reports from SumNs()).
   uint64_t SumNs() const { return sum_.load(std::memory_order_relaxed); }
 
-  HistogramSnapshot Snapshot() const;
+  /// Point-in-time copy; its count is the sum of the bucket counts.
+  LatencyHistogram Snapshot() const;
 
  private:
   std::array<std::atomic<uint64_t>, LatencyHistogram::kNumBuckets> counts_{};
-  std::atomic<uint64_t> count_{0};
   std::atomic<uint64_t> sum_{0};
   std::atomic<uint64_t> min_{UINT64_MAX};
   std::atomic<uint64_t> max_{0};
 };
-
-/// The bucket index util::LatencyHistogram::Add assigns to `nanos` —
-/// factored out so Histogram provably shares the grid.
-size_t LatencyBucketIndex(uint64_t nanos);
 
 }  // namespace zr::obs
 

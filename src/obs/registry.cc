@@ -1,5 +1,6 @@
 #include "obs/registry.h"
 
+#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 
@@ -29,6 +30,11 @@ Registry& Registry::Global() {
   return *registry;
 }
 
+std::string NewInstanceLabel() {
+  static std::atomic<uint64_t> next{1};
+  return "id=\"" + std::to_string(next.fetch_add(1)) + "\"";
+}
+
 namespace {
 
 template <typename T>
@@ -54,6 +60,29 @@ void AppendMetricLine(std::string* out, std::string_view name,
   out->append(buf);
 }
 
+/// Cumulative `_bucket` series (sparse: only buckets holding samples, the
+/// grid has 360) with `le` after the instance labels, then the exact
+/// aggregates.
+void AppendHistogram(std::string* out, const HistogramSample& h) {
+  const LatencyHistogram& snap = h.snapshot;
+  const std::string bucket = h.name + "_bucket";
+  const std::string le_prefix = h.labels.empty() ? "" : h.labels + ",";
+  uint64_t cumulative = 0;
+  for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
+    if (snap.BucketCount(i) == 0) continue;
+    cumulative += snap.BucketCount(i);
+    char le[48];
+    std::snprintf(le, sizeof(le), "le=\"%.6g\"",
+                  LatencyHistogram::BucketEdge(i + 1));
+    AppendMetricLine(out, bucket, le_prefix + le, cumulative);
+  }
+  AppendMetricLine(out, bucket, le_prefix + "le=\"+Inf\"", snap.TotalCount());
+  AppendMetricLine(out, h.name + "_sum", h.labels, snap.SumNs());
+  AppendMetricLine(out, h.name + "_count", h.labels, snap.TotalCount());
+  AppendMetricLine(out, h.name + "_min", h.labels, snap.MinNs());
+  AppendMetricLine(out, h.name + "_max", h.labels, snap.MaxNs());
+}
+
 }  // namespace
 
 Counter* Registry::GetCounter(std::string_view name) {
@@ -64,11 +93,6 @@ Counter* Registry::GetCounter(std::string_view name) {
 Gauge* Registry::GetGauge(std::string_view name) {
   MutexLock lock(mu_);
   return GetOrCreate(&gauges_, name);
-}
-
-Histogram* Registry::GetHistogram(std::string_view name) {
-  MutexLock lock(mu_);
-  return GetOrCreate(&histograms_, name);
 }
 
 CollectorHandle Registry::RegisterCollector(Collector fn) {
@@ -83,44 +107,30 @@ void Registry::RemoveCollector(uint64_t id) {
   collectors_.erase(id);
 }
 
-std::vector<Sample> Registry::CollectSamples() const {
-  std::vector<Sample> samples;
+Scrape Registry::Collect() const {
+  Scrape scrape;
   MutexLock lock(mu_);
   for (const auto& [name, counter] : counters_) {
-    samples.push_back({name, "", counter->Value()});
+    scrape.samples.push_back({name, "", counter->Value()});
   }
   for (const auto& [name, gauge] : gauges_) {
-    samples.push_back({name, "", gauge->Value()});
+    scrape.samples.push_back({name, "", gauge->Value()});
   }
-  for (const auto& [id, collector] : collectors_) {
-    collector(&samples);
-  }
-  return samples;
+  for (const auto& [id, collector] : collectors_) collector(&scrape);
+  return scrape;
+}
+
+std::vector<Sample> Registry::CollectSamples() const {
+  return Collect().samples;
 }
 
 std::string Registry::RenderPrometheus() const {
+  Scrape scrape = Collect();
   std::string out;
-  for (const Sample& s : CollectSamples()) {
+  for (const Sample& s : scrape.samples) {
     AppendMetricLine(&out, s.name, s.labels, s.value);
   }
-  MutexLock lock(mu_);
-  for (const auto& [name, histogram] : histograms_) {
-    HistogramSnapshot snap = histogram->Snapshot();
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < snap.buckets.size(); ++i) {
-      if (snap.buckets[i] == 0) continue;  // sparse: the grid has 360 cells
-      cumulative += snap.buckets[i];
-      char le[48];
-      std::snprintf(le, sizeof(le), "le=\"%.6g\"",
-                    LatencyHistogram::BucketEdge(i + 1));
-      AppendMetricLine(&out, name + "_bucket", le, cumulative);
-    }
-    AppendMetricLine(&out, name + "_bucket", "le=\"+Inf\"", snap.count);
-    AppendMetricLine(&out, name + "_sum", "", snap.sum_ns);
-    AppendMetricLine(&out, name + "_count", "", snap.count);
-    AppendMetricLine(&out, name + "_min", "", snap.min_ns);
-    AppendMetricLine(&out, name + "_max", "", snap.max_ns);
-  }
+  for (const HistogramSample& h : scrape.histograms) AppendHistogram(&out, h);
   return out;
 }
 

@@ -3,29 +3,35 @@
 //
 // Two publication paths:
 //
-//   * Owned instruments — GetCounter/GetGauge/GetHistogram register a named
+//   * Owned instruments — GetCounter/GetGauge register a named process-wide
 //     instrument on first use and return a stable pointer (instruments are
 //     never deleted), so hot paths cache the pointer once and then write
 //     lock-free. Registration itself is zr::Mutex-annotated and rare.
 //
-//   * Collectors — components that already keep their own atomic stats
-//     (zerber::IndexServer's ServerStats, net::TcpServer's counters,
-//     cluster::RouterService's router + per-shard-client stats, the load
-//     driver's TransportStats) register a callback that emits Samples at
-//     scrape time. RegisterCollector returns an RAII CollectorHandle; the
-//     owning component keeps it as its *last* member so the collector is
-//     unregistered before any state it reads is torn down. Collectors run
-//     with the registry lock held — Remove therefore blocks until an
-//     in-flight scrape finishes, which is what makes the handle's
-//     destruction a safe teardown point — so a collector must not call
-//     back into the registry.
+//   * Collectors — a component instance that keeps its own counter set
+//     (obs/counter_set.h) and latency histograms registers a callback that
+//     fills a Scrape at scrape time: zerber::IndexServer (ServerStats plus
+//     its fetch/insert/delete histograms), store::DurableShard (its WAL
+//     append histogram), net::TcpServer (TcpServerStats, merged and per
+//     loop) and cluster::RouterService (RouterStats plus each shard
+//     client's ShardClientStats). Every instance labels its series with
+//     NewInstanceLabel() — `id="<n>"`, unique in the process — plus its
+//     own keys (shard, addr, loop), so two live instances never render
+//     the same series. RegisterCollector returns an RAII CollectorHandle;
+//     the owning component keeps it after everything the collector reads
+//     (normally as its last member) so the collector is unregistered
+//     before any of that state is torn down. Collectors run with the
+//     registry lock held — Remove therefore blocks until an in-flight
+//     scrape finishes, which is what makes the handle's destruction a safe
+//     teardown point — so a collector must not call back into the
+//     registry.
 //
 // RenderPrometheus emits the text exposition format: `name{labels} value`
-// lines for counters/gauges/samples, and `_bucket{le="..."}` cumulative
-// series plus `_sum`/`_count`/`_min`/`_max` for histograms. Names and
-// label values are instrumentation-site constants plus numeric ids — the
-// sealed-telemetry invariant (never terms, never plaintext) holds by
-// construction and is linted by tools/check_sealed.py.
+// lines for counters/gauges/samples, and for each histogram cumulative
+// `_bucket{labels,le="..."}` series plus `_sum`/`_count`/`_min`/`_max`.
+// Names and label values are instrumentation-site constants plus numeric
+// ids and addresses — the sealed-telemetry invariant (never terms, never
+// plaintext) holds by construction and is linted by tools/check_sealed.py.
 
 #ifndef ZERBERR_OBS_REGISTRY_H_
 #define ZERBERR_OBS_REGISTRY_H_
@@ -36,9 +42,12 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
+#include "obs/counter_set.h"
 #include "obs/metrics.h"
+#include "util/histogram.h"
 #include "util/mutex.h"
 
 namespace zr::obs {
@@ -50,6 +59,40 @@ struct Sample {
   std::string labels;  // Prometheus label body, e.g. `shard="2"` — no braces.
   uint64_t value = 0;
 };
+
+/// One scrape-time histogram reading from a collector.
+struct HistogramSample {
+  std::string name;
+  std::string labels;  // as in Sample; `le` is appended per bucket
+  LatencyHistogram snapshot;
+};
+
+/// What the collectors emit during one scrape.
+struct Scrape {
+  std::vector<Sample> samples;
+  std::vector<HistogramSample> histograms;
+
+  /// One `<prefix><field>_total{labels}` sample per counter of `set`.
+  template <CounterSet Set>
+  void AddCounters(std::string_view prefix, const std::string& labels,
+                   const Set& set) {
+    for (const auto& f : Set::Fields()) {
+      samples.push_back(
+          {std::string(prefix) + f.name + "_total", labels, set.*f.member});
+    }
+  }
+
+  void AddHistogram(std::string name, std::string labels,
+                    const Histogram& histogram) {
+    histograms.push_back(
+        {std::move(name), std::move(labels), histogram.Snapshot()});
+  }
+};
+
+/// `id="<n>"`, n = 1, 2, ... in construction order: the label that keeps
+/// one collector-published instance's series apart from every other
+/// live instance's in this process.
+std::string NewInstanceLabel();
 
 class Registry;
 
@@ -81,7 +124,7 @@ class CollectorHandle {
 
 class Registry {
  public:
-  using Collector = std::function<void(std::vector<Sample>*)>;
+  using Collector = std::function<void(Scrape*)>;
 
   /// The process-wide registry. Components default to this; tests may
   /// construct private registries.
@@ -94,19 +137,18 @@ class Registry {
   /// Returns the named instrument, registering it on first use. The
   /// returned pointer is stable for the registry's lifetime; callers
   /// should fetch once and cache. A name maps to exactly one instrument
-  /// kind — reusing a counter name for a gauge/histogram is a programming
-  /// error and returns the existing instrument's slot independently (the
-  /// three namespaces are disjoint maps).
+  /// kind — reusing a counter name for a gauge is a programming error and
+  /// returns the existing instrument's slot independently (the two
+  /// namespaces are disjoint maps).
   Counter* GetCounter(std::string_view name);
   Gauge* GetGauge(std::string_view name);
-  Histogram* GetHistogram(std::string_view name);
 
   /// Registers a scrape-time sample source. See the file comment for the
   /// locking contract (runs under the registry lock; no reentrancy).
   CollectorHandle RegisterCollector(Collector fn);
 
-  /// Counters, gauges, and collector output as flat samples (histograms
-  /// are excluded — scrape them via RenderPrometheus or GetHistogram).
+  /// Counters, gauges, and collector samples as flat samples (histograms
+  /// are excluded — scrape them via RenderPrometheus).
   std::vector<Sample> CollectSamples() const;
 
   /// The full registry in Prometheus text exposition format.
@@ -117,12 +159,13 @@ class Registry {
 
   void RemoveCollector(uint64_t id);
 
+  /// Owned instruments and every collector's output.
+  Scrape Collect() const;
+
   mutable Mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_
       ZR_GUARDED_BY(mu_);
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_
-      ZR_GUARDED_BY(mu_);
-  std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_
       ZR_GUARDED_BY(mu_);
   std::map<uint64_t, Collector> collectors_ ZR_GUARDED_BY(mu_);
   uint64_t next_collector_id_ ZR_GUARDED_BY(mu_) = 1;

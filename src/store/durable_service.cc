@@ -19,14 +19,13 @@ namespace fs = std::filesystem;
 
 namespace {
 
-/// Appends `record` to `wal`, timing the append into the always-on
-/// zr_wal_append_latency_ns registry histogram and — when the calling
-/// thread carries an active trace — a kWalAppend span whose detail is the
-/// (numeric, local) list id. Telemetry stays sealed: list ids and
-/// durations only, never record contents.
-Status TimedWalAppend(WalWriter* wal, const WalRecord& record) {
-  static obs::Histogram* latency =
-      obs::Registry::Global().GetHistogram("zr_wal_append_latency_ns");
+/// Appends `record` to `wal`, timing the append into the shard's always-on
+/// `latency` histogram and — when the calling thread carries an active
+/// trace — a kWalAppend span whose detail is the (numeric, local) list id.
+/// Telemetry stays sealed: list ids and durations only, never record
+/// contents.
+Status TimedWalAppend(WalWriter* wal, const WalRecord& record,
+                      obs::Histogram* latency) {
   uint64_t start = obs::MonotonicNowNs();
   Status logged = wal->Append(record);
   uint64_t elapsed = obs::MonotonicNowNs() - start;
@@ -117,7 +116,13 @@ DurableShard::DurableShard(const DurableOptions& options, size_t s,
               options.placement,
               ShardCount(options) > 1 ? zerber::ShardSeed(options.seed, s)
                                       : options.seed,
-              zerber::HandleSpace{ShardCount(options), s}) {}
+              zerber::HandleSpace{ShardCount(options), s}) {
+  metrics_collector_ = obs::Registry::Global().RegisterCollector(
+      [this](obs::Scrape* out) {
+        out->AddHistogram("zr_wal_append_latency_ns", server_.metric_labels(),
+                          wal_append_latency_);
+      });
+}
 
 StatusOr<std::unique_ptr<DurableShard>> DurableShard::Open(
     const DurableOptions& options, size_t s, std::string dir) {
@@ -342,7 +347,7 @@ StatusOr<net::InsertResponse> DurableShard::Insert(
   record.list = request.list;
   record.element = request.element;
   record.element.handle = response.handle;
-  Status logged = TimedWalAppend(wal_.get(), record);
+  Status logged = TimedWalAppend(wal_.get(), record, &wal_append_latency_);
   if (!logged.ok()) {
     // The insert is unacked; scrub it from the live index so serving
     // matches what recovery will reconstruct. (Deletes cannot be undone
@@ -384,7 +389,8 @@ StatusOr<net::DeleteResponse> DurableShard::Delete(
   record.type = WalRecord::Type::kDelete;
   record.list = request.list;
   record.handle = request.handle;
-  ZR_RETURN_IF_ERROR(TimedWalAppend(wal_.get(), record));
+  ZR_RETURN_IF_ERROR(
+      TimedWalAppend(wal_.get(), record, &wal_append_latency_));
   bool rotate = wal_->SizeBytes() >= snapshot_threshold_bytes_;
   gate.Unlock();
   if (rotate) ScheduleRotation();

@@ -69,6 +69,8 @@
 
 #include "net/service.h"
 #include "net/shard_router.h"
+#include "obs/metrics.h"
+#include "obs/registry.h"
 #include "store/wal.h"
 #include "util/mutex.h"
 #include "util/status.h"
@@ -176,6 +178,7 @@ class DurableShard : public net::ShardService {
   const uint64_t snapshot_threshold_bytes_;
   zerber::IndexServer server_;
   net::IndexService service_{&server_};
+  obs::Histogram wal_append_latency_;
 
   /// Writers (Insert/Delete and the index call they wrap) hold this shared;
   /// rotation and ACL changes hold it unique, so a snapshot serializes a
@@ -193,6 +196,9 @@ class DurableShard : public net::ShardService {
   CondVar rot_cv_;
   bool rotation_pending_ ZR_GUARDED_BY(rot_mu_) = false;
   bool stopping_ ZR_GUARDED_BY(rot_mu_) = false;
+  /// Publishes the WAL append histogram under the server's labels.
+  /// Unregistered before anything it reads is destroyed.
+  obs::CollectorHandle metrics_collector_;
   std::thread rotator_;  // last: runs over every member above
 };
 

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 namespace zr {
 
@@ -87,25 +88,34 @@ double LatencyHistogram::BucketEdge(size_t i) {
                                      static_cast<double>(kBucketsPerDecade));
 }
 
+LatencyHistogram::LatencyHistogram(std::vector<uint64_t> counts,
+                                   uint64_t sum_ns, uint64_t min_ns,
+                                   uint64_t max_ns)
+    : counts_(std::move(counts)), sum_(sum_ns), min_(min_ns), max_(max_ns) {
+  assert(counts_.size() == kNumBuckets);
+  for (uint64_t c : counts_) total_ += c;
+}
+
+size_t LatencyHistogram::BucketIndex(uint64_t nanos) {
+  if (static_cast<double>(nanos) < kMinNs) return 0;
+  double pos = (std::log10(static_cast<double>(nanos)) - std::log10(kMinNs)) *
+               static_cast<double>(kBucketsPerDecade);
+  long bucket = static_cast<long>(std::floor(pos));
+  if (bucket < 0) bucket = 0;
+  // Values past the grid saturate into the last bucket; min_/max_ keep the
+  // exact extremes, so tail percentiles clamp back to the true maximum.
+  if (bucket >= static_cast<long>(kNumBuckets)) {
+    bucket = static_cast<long>(kNumBuckets) - 1;
+  }
+  return static_cast<size_t>(bucket);
+}
+
 void LatencyHistogram::Add(uint64_t nanos) {
   if (total_ == 0 || nanos < min_) min_ = nanos;
   if (nanos > max_) max_ = nanos;
   ++total_;
   sum_ += nanos;
-  size_t idx = 0;
-  if (static_cast<double>(nanos) >= kMinNs) {
-    double pos = (std::log10(static_cast<double>(nanos)) - std::log10(kMinNs)) *
-                 static_cast<double>(kBucketsPerDecade);
-    long bucket = static_cast<long>(std::floor(pos));
-    if (bucket < 0) bucket = 0;
-    // Values past the grid saturate into the last bucket; min_/max_ keep the
-    // exact extremes, so tail percentiles clamp back to the true maximum.
-    if (bucket >= static_cast<long>(kNumBuckets)) {
-      bucket = static_cast<long>(kNumBuckets) - 1;
-    }
-    idx = static_cast<size_t>(bucket);
-  }
-  ++counts_[idx];
+  ++counts_[BucketIndex(nanos)];
 }
 
 void LatencyHistogram::Merge(const LatencyHistogram& other) {

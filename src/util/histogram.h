@@ -102,8 +102,20 @@ class LatencyHistogram {
 
   LatencyHistogram();
 
+  /// A histogram holding the given cells: `counts` (kNumBuckets of them)
+  /// and the exact sum, min and max of the samples they count. This is how
+  /// a multi-writer recorder (obs::Histogram) hands out a snapshot.
+  LatencyHistogram(std::vector<uint64_t> counts, uint64_t sum_ns,
+                   uint64_t min_ns, uint64_t max_ns);
+
   /// Records one latency observation in nanoseconds.
   void Add(uint64_t nanos);
+
+  /// The bucket Add files `nanos` under.
+  static size_t BucketIndex(uint64_t nanos);
+
+  /// Observations in bucket `i` (i < kNumBuckets).
+  uint64_t BucketCount(size_t i) const { return counts_[i]; }
 
   /// Folds another histogram (same fixed geometry) into this one.
   void Merge(const LatencyHistogram& other);

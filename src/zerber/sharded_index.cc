@@ -59,10 +59,6 @@ uint64_t ShardedIndexService::TotalWireSize() const {
   return total;
 }
 
-void ShardedIndexService::ResetStats() {
-  for (auto& server : servers_) server->ResetStats();
-}
-
 StatusOr<const MergedList*> ShardedIndexService::GetList(
     MergedListId list) const {
   ZR_RETURN_IF_ERROR(CheckList(list));

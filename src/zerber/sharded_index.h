@@ -55,7 +55,6 @@ class ShardedIndexService : public net::ShardRouter {
   /// Aggregates over all shards. Thread-safe (per-counter snapshots).
   uint64_t TotalElements() const;
   uint64_t TotalWireSize() const;
-  void ResetStats();
 
   /// Routed global-list view (quiescence rules of IndexServer::GetList).
   StatusOr<const MergedList*> GetList(MergedListId list) const;

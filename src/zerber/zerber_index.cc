@@ -8,19 +8,15 @@ namespace zr::zerber {
 
 namespace {
 
-/// Accumulates the enclosing scope's wall time into an atomic nanosecond
-/// counter (the per-op latency sums of ServerStats) AND — with the same
-/// measured value, so the two stay equal to the nanosecond — into the
-/// registry latency histogram, whose side-tracked SumNs therefore carries
-/// the legacy sum losslessly. The same measurement also feeds the tracing
-/// span (when a trace is active) and the slow-op log (when enabled); both
-/// record only numeric ids (list, handle), never terms.
+/// Records the enclosing scope's wall time into a latency histogram, whose
+/// exact sum is the matching ServerStats *_latency_ns field. The same
+/// measurement also feeds the tracing span (when a trace is active) and the
+/// slow-op log (when enabled); both record only numeric ids (list, handle),
+/// never terms.
 class OpTimer {
  public:
-  OpTimer(std::atomic<uint64_t>* sink, obs::Histogram* histogram,
-          uint64_t list, uint64_t handle = 0)
-      : sink_(sink),
-        histogram_(histogram),
+  OpTimer(obs::Histogram* histogram, uint64_t list, uint64_t handle = 0)
+      : histogram_(histogram),
         list_(list),
         handle_(handle),
         start_(std::chrono::steady_clock::now()) {}
@@ -32,7 +28,6 @@ class OpTimer {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start_)
             .count());
-    sink_->fetch_add(elapsed, std::memory_order_relaxed);
     histogram_->Record(elapsed);
     obs::RecordSpan(obs::Stage::kIndexServe, elapsed, list_);
     obs::SlowOpLog::Global().MaybeRecord(
@@ -40,72 +35,35 @@ class OpTimer {
   }
 
  private:
-  std::atomic<uint64_t>* sink_;
   obs::Histogram* histogram_;
   uint64_t list_;
   uint64_t handle_;
   std::chrono::steady_clock::time_point start_;
 };
 
-// Registered once, shared by every IndexServer in the process (each
-// shard-server process hosts exactly one, so scrapes stay per-shard).
-obs::Histogram* FetchLatencyHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("zr_index_fetch_latency_ns");
-  return h;
-}
-
-obs::Histogram* InsertLatencyHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("zr_index_insert_latency_ns");
-  return h;
-}
-
-obs::Histogram* DeleteLatencyHistogram() {
-  static obs::Histogram* h =
-      obs::Registry::Global().GetHistogram("zr_index_delete_latency_ns");
-  return h;
-}
-
 }  // namespace
 
 IndexServer::IndexServer(size_t num_lists, Placement placement, uint64_t seed,
                          HandleSpace handles)
-    : placement_(placement), handles_(handles) {
+    : placement_(placement),
+      handles_(handles),
+      metric_labels_(obs::NewInstanceLabel() + ",shard=\"" +
+                     std::to_string(handles.offset) + "\"") {
   lists_.reserve(num_lists);
   for (size_t i = 0; i < num_lists; ++i) lists_.emplace_back(placement);
   stripe_rngs_.reserve(kLockStripes);
   for (size_t i = 0; i < kLockStripes; ++i) {
     stripe_rngs_.emplace_back(seed + 0x9E3779B97F4A7C15ull * i);
   }
-  // ServerStats through the one metrics interface: in-process deployments
-  // may register several servers (the shard label keeps them apart;
-  // readers sum duplicate series), shard-server processes exactly one.
   metrics_collector_ = obs::Registry::Global().RegisterCollector(
-      [this](std::vector<obs::Sample>* out) {
-        std::string labels =
-            "shard=\"" + std::to_string(handles_.offset) + "\"";
-        ServerStats s = stats();
-        out->push_back(
-            {"zr_server_fetch_requests_total", labels, s.fetch_requests});
-        out->push_back(
-            {"zr_server_insert_requests_total", labels, s.insert_requests});
-        out->push_back(
-            {"zr_server_insert_denied_total", labels, s.insert_denied});
-        out->push_back(
-            {"zr_server_delete_requests_total", labels, s.delete_requests});
-        out->push_back(
-            {"zr_server_delete_denied_total", labels, s.delete_denied});
-        out->push_back(
-            {"zr_server_elements_served_total", labels, s.elements_served});
-        out->push_back(
-            {"zr_server_bytes_served_total", labels, s.bytes_served});
-        out->push_back(
-            {"zr_server_fetch_latency_ns_total", labels, s.fetch_latency_ns});
-        out->push_back(
-            {"zr_server_insert_latency_ns_total", labels, s.insert_latency_ns});
-        out->push_back(
-            {"zr_server_delete_latency_ns_total", labels, s.delete_latency_ns});
+      [this](obs::Scrape* out) {
+        out->AddCounters("zr_server_", metric_labels_, stats());
+        out->AddHistogram("zr_index_fetch_latency_ns", metric_labels_,
+                          fetch_latency_);
+        out->AddHistogram("zr_index_insert_latency_ns", metric_labels_,
+                          insert_latency_);
+        out->AddHistogram("zr_index_delete_latency_ns", metric_labels_,
+                          delete_latency_);
       });
 }
 
@@ -170,8 +128,8 @@ Status IndexServer::ReplayDelete(MergedListId list, uint64_t handle) {
 
 StatusOr<uint64_t> IndexServer::Insert(UserId user, MergedListId list,
                                        EncryptedPostingElement element) {
-  stats_.insert_requests.fetch_add(1, std::memory_order_relaxed);
-  OpTimer timer(&stats_.insert_latency_ns, InsertLatencyHistogram(), list);
+  counters_.Add<&ServerStats::insert_requests>();
+  OpTimer timer(&insert_latency_, list);
   if (list >= lists_.size()) {
     return Status::OutOfRange("merged list " + std::to_string(list) +
                               " does not exist");
@@ -180,7 +138,7 @@ StatusOr<uint64_t> IndexServer::Insert(UserId user, MergedListId list,
   if (!access.ok()) {
     // Any CheckAccess failure is an ACL rejection (PermissionDenied for
     // non-members, NotFound for an unregistered group).
-    stats_.insert_denied.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&ServerStats::insert_denied>();
     return access;
   }
   element.handle = AssignHandle();
@@ -193,9 +151,8 @@ StatusOr<uint64_t> IndexServer::Insert(UserId user, MergedListId list,
 }
 
 Status IndexServer::Delete(UserId user, MergedListId list, uint64_t handle) {
-  stats_.delete_requests.fetch_add(1, std::memory_order_relaxed);
-  OpTimer timer(&stats_.delete_latency_ns, DeleteLatencyHistogram(), list,
-                handle);
+  counters_.Add<&ServerStats::delete_requests>();
+  OpTimer timer(&delete_latency_, list, handle);
   if (list >= lists_.size()) {
     return Status::OutOfRange("merged list " + std::to_string(list) +
                               " does not exist");
@@ -210,7 +167,7 @@ Status IndexServer::Delete(UserId user, MergedListId list, uint64_t handle) {
   }
   Status access = acl_.CheckAccess(user, lists_[list].elements()[index].group);
   if (!access.ok()) {
-    stats_.delete_denied.fetch_add(1, std::memory_order_relaxed);
+    counters_.Add<&ServerStats::delete_denied>();
     return access;
   }
   lists_[list].EraseAt(index);
@@ -219,8 +176,8 @@ Status IndexServer::Delete(UserId user, MergedListId list, uint64_t handle) {
 
 StatusOr<FetchResult> IndexServer::Fetch(UserId user, MergedListId list,
                                          size_t offset, size_t count) {
-  stats_.fetch_requests.fetch_add(1, std::memory_order_relaxed);
-  OpTimer timer(&stats_.fetch_latency_ns, FetchLatencyHistogram(), list);
+  counters_.Add<&ServerStats::fetch_requests>();
+  OpTimer timer(&fetch_latency_, list);
   if (list >= lists_.size()) {
     return Status::OutOfRange("merged list " + std::to_string(list) +
                               " does not exist");
@@ -253,9 +210,8 @@ StatusOr<FetchResult> IndexServer::Fetch(UserId user, MergedListId list,
     result.exhausted =
         offset >= accessible_total || count >= accessible_total - offset;
   }
-  stats_.elements_served.fetch_add(result.elements.size(),
-                                   std::memory_order_relaxed);
-  stats_.bytes_served.fetch_add(result.wire_bytes, std::memory_order_relaxed);
+  counters_.Add<&ServerStats::elements_served>(result.elements.size());
+  counters_.Add<&ServerStats::bytes_served>(result.wire_bytes);
   return result;
 }
 
@@ -293,37 +249,11 @@ StatusOr<const MergedList*> IndexServer::GetList(MergedListId list) const {
 }
 
 ServerStats IndexServer::stats() const {
-  ServerStats snapshot;
-  snapshot.fetch_requests = stats_.fetch_requests.load(std::memory_order_relaxed);
-  snapshot.insert_requests =
-      stats_.insert_requests.load(std::memory_order_relaxed);
-  snapshot.insert_denied = stats_.insert_denied.load(std::memory_order_relaxed);
-  snapshot.delete_requests =
-      stats_.delete_requests.load(std::memory_order_relaxed);
-  snapshot.delete_denied = stats_.delete_denied.load(std::memory_order_relaxed);
-  snapshot.elements_served =
-      stats_.elements_served.load(std::memory_order_relaxed);
-  snapshot.bytes_served = stats_.bytes_served.load(std::memory_order_relaxed);
-  snapshot.fetch_latency_ns =
-      stats_.fetch_latency_ns.load(std::memory_order_relaxed);
-  snapshot.insert_latency_ns =
-      stats_.insert_latency_ns.load(std::memory_order_relaxed);
-  snapshot.delete_latency_ns =
-      stats_.delete_latency_ns.load(std::memory_order_relaxed);
+  ServerStats snapshot = counters_.Snapshot();
+  snapshot.fetch_latency_ns = fetch_latency_.SumNs();
+  snapshot.insert_latency_ns = insert_latency_.SumNs();
+  snapshot.delete_latency_ns = delete_latency_.SumNs();
   return snapshot;
-}
-
-void IndexServer::ResetStats() {
-  stats_.fetch_requests.store(0, std::memory_order_relaxed);
-  stats_.insert_requests.store(0, std::memory_order_relaxed);
-  stats_.insert_denied.store(0, std::memory_order_relaxed);
-  stats_.delete_requests.store(0, std::memory_order_relaxed);
-  stats_.delete_denied.store(0, std::memory_order_relaxed);
-  stats_.elements_served.store(0, std::memory_order_relaxed);
-  stats_.bytes_served.store(0, std::memory_order_relaxed);
-  stats_.fetch_latency_ns.store(0, std::memory_order_relaxed);
-  stats_.insert_latency_ns.store(0, std::memory_order_relaxed);
-  stats_.delete_latency_ns.store(0, std::memory_order_relaxed);
 }
 
 }  // namespace zr::zerber

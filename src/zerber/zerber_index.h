@@ -8,14 +8,15 @@
 //
 // Thread-safety contract (changed when sharded serving landed): the request
 // path — Insert, Delete, Fetch — and the aggregate accessors TotalElements /
-// TotalWireSize / stats / ResetStats are safe to call from any number of
-// threads concurrently. Internally each merged list is guarded by one of a
-// fixed set of striped reader-writer locks (fetches on a list proceed in
+// TotalWireSize / stats are safe to call from any number of threads
+// concurrently. Internally each merged list is guarded by one of a fixed
+// set of striped reader-writer locks (fetches on a list proceed in
 // parallel; writes to a list exclude each other), handles come from an
-// atomic counter, and counters are atomic. The *operator / offline* surface
-// is exempt: ACL mutation (acl()), GetList and RestoreElements must only run
-// while no request-path call is in flight (provisioning, snapshot
-// save/restore and adversary inspection all happen at quiescence).
+// atomic counter, and counters and latency histograms are atomic. The
+// *operator / offline* surface is exempt: ACL mutation (acl()), GetList and
+// RestoreElements must only run while no request-path call is in flight
+// (provisioning, snapshot save/restore and adversary inspection all happen
+// at quiescence).
 //
 // Stats counting policy: every arriving request increments its *_requests
 // counter whether or not it succeeds — a rejected request still cost the
@@ -31,8 +32,11 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <vector>
 
+#include "obs/counter_set.h"
+#include "obs/metrics.h"
 #include "obs/registry.h"
 #include "util/mutex.h"
 #include "util/random.h"
@@ -43,6 +47,7 @@
 #include "zerber/merge_planner.h"
 #include "zerber/merged_list.h"
 #include "zerber/posting_element.h"
+#include "zerber/server_stats.h"
 
 namespace zr::zerber {
 
@@ -66,30 +71,6 @@ struct FetchResult {
   /// messages: their envelopes and element counts on top of these bytes.
   /// Always 0 when `elements` is empty.
   size_t wire_bytes = 0;
-};
-
-/// Cumulative server-side counters for the evaluation harness. See the
-/// counting policy above: *_requests counts every arriving request,
-/// including rejected ones; *_denied counts ACL rejections.
-///
-/// The *_latency_ns sums accumulate the server-side wall time of every
-/// arriving request of that class (successful or not), measured around the
-/// request body. Dividing by the matching *_requests counter yields the
-/// mean server-side latency; the load harness (src/load) cross-checks these
-/// against its client-side timings — server time is a subset of the client
-/// op, so sum(server latencies) <= sum(client latencies) always.
-struct ServerStats {
-  uint64_t fetch_requests = 0;
-  uint64_t insert_requests = 0;
-  uint64_t insert_denied = 0;
-  uint64_t delete_requests = 0;
-  uint64_t delete_denied = 0;
-  uint64_t elements_served = 0;
-  /// Served wire bytes of those elements (FetchResult::wire_bytes).
-  uint64_t bytes_served = 0;
-  uint64_t fetch_latency_ns = 0;
-  uint64_t insert_latency_ns = 0;
-  uint64_t delete_latency_ns = 0;
 };
 
 /// The residue class a server assigns handles from: handle = offset +
@@ -199,9 +180,13 @@ class IndexServer {
       ZR_REQUIRES(quiescence_);
 
   /// Snapshot of the counters (consistent enough for the harness: each
-  /// counter is read atomically, the set is not a single atomic cut).
+  /// counter is read atomically, the set is not a single atomic cut). The
+  /// *_latency_ns fields are the sums of the latency histograms.
   ServerStats stats() const;
-  void ResetStats();
+
+  /// This server's scrape labels, `id="<n>",shard="<handle offset>"`:
+  /// unique among the live servers of the process.
+  const std::string& metric_labels() const { return metric_labels_; }
 
  private:
   /// Lists are guarded by kLockStripes reader-writer locks; list i maps to
@@ -209,19 +194,6 @@ class IndexServer {
   /// the (possibly huge) list count while keeping unrelated lists mostly
   /// uncontended.
   static constexpr size_t kLockStripes = 16;
-
-  struct AtomicServerStats {
-    std::atomic<uint64_t> fetch_requests{0};
-    std::atomic<uint64_t> insert_requests{0};
-    std::atomic<uint64_t> insert_denied{0};
-    std::atomic<uint64_t> delete_requests{0};
-    std::atomic<uint64_t> delete_denied{0};
-    std::atomic<uint64_t> elements_served{0};
-    std::atomic<uint64_t> bytes_served{0};
-    std::atomic<uint64_t> fetch_latency_ns{0};
-    std::atomic<uint64_t> insert_latency_ns{0};
-    std::atomic<uint64_t> delete_latency_ns{0};
-  };
 
   size_t StripeOf(MergedListId list) const {
     return static_cast<size_t>(list) % kLockStripes;
@@ -248,11 +220,17 @@ class IndexServer {
   /// that stripe's writer lock).
   std::vector<Rng> stripe_rngs_;
   mutable std::array<SharedMutex, kLockStripes> stripe_locks_;
-  AtomicServerStats stats_;
+  /// The request counters. Its three *_latency_ns cells stay zero: those
+  /// fields are the histograms' sums, so each latency is stored once.
+  obs::AtomicCounters<ServerStats> counters_;
+  obs::Histogram fetch_latency_;
+  obs::Histogram insert_latency_;
+  obs::Histogram delete_latency_;
   std::atomic<uint64_t> next_seq_{1};
   /// No runtime state; see quiescence().
   mutable Quiescence quiescence_;
-  /// Publishes the ServerStats counters through the process metrics
+  const std::string metric_labels_;
+  /// Publishes the counters and histograms through the process metrics
   /// registry (obs/registry.h). LAST member: destroyed first, and
   /// RemoveCollector blocks out in-flight scrapes, so a scrape can never
   /// observe a partially-destroyed server.

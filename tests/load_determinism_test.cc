@@ -320,5 +320,102 @@ TEST_F(LoadDriverDeterminismTest, ReportInternalConsistency) {
                 r.op_classes[static_cast<size_t>(OpClass::kDelete)].errors);
 }
 
+// Golden JSON: the report bytes a fixed LoadReport serializes to, pinned so
+// the key order and number formatting of every block (op classes, server,
+// transport, socket, cluster, obs) stay what BENCH_loadtest.json readers
+// parse. The report is filled by field name and every counter is distinct,
+// so a swapped pair of keys shows.
+TEST(LoadReportTest, ToJsonGolden) {
+  LoadReport report;
+  report.name = "golden";
+  report.wall_seconds = 2.5;
+  report.total_ops = 1000;
+  report.throughput = 400.0;
+  OpClassReport& query = report.op_classes[0];
+  query.attempted = 601;
+  query.ok = 590;
+  query.errors = 10;
+  query.skipped = 1;
+  query.elements = 7000;
+  query.bytes = 123456;
+  query.exchanges = 1800;
+  query.latency.Add(1500);
+  query.latency.Add(250000);
+  report.server.fetch_requests = 1;
+  report.server.insert_requests = 2;
+  report.server.insert_denied = 3;
+  report.server.delete_requests = 4;
+  report.server.delete_denied = 5;
+  report.server.elements_served = 6;
+  report.server.bytes_served = 7;
+  report.server.fetch_latency_ns = 8;
+  report.server.insert_latency_ns = 9;
+  report.server.delete_latency_ns = 10;
+  report.transport_kind = "tcp";
+  report.transport.exchanges = 21;
+  report.transport.bytes_up = 22;
+  report.transport.bytes_down = 23;
+  report.socket.bytes_up = 31;
+  report.socket.bytes_down = 32;
+  report.socket.frames_up = 33;
+  report.socket.frames_down = 34;
+  report.socket.reconnects = 35;
+  report.socket.ext_bytes_up = 36;
+  report.socket.ext_bytes_down = 37;
+  report.cluster.attempts = 41;
+  report.cluster.transport_errors = 42;
+  report.cluster.retries = 43;
+  report.cluster.unavailable = 44;
+  report.cluster.probes = 45;
+  report.cluster.probe_failures = 46;
+  report.cluster.breaker_opens = 47;
+  report.cluster.rejoins = 48;
+  EXPECT_EQ(report.ToJson(),
+      R"({"name":"golden","spec":{"seed":1,"workers":4,"mode":"closed",)"
+      R"("ops_per_worker":1000,"duration_ms":0,"target_rate":0,)"
+      R"("zipf_s":0.9,"top_k":10,"initial_response_size":10,"num_users":8,)"
+      R"("groups_per_user":2,"warmup_inserts":32,)"
+      R"("mix":{"query_zerber_r":0.45,"query_zerber":0.15,"insert":0.25,)"
+      R"("delete":0.15}},"wall_seconds":2.5,"total_ops":1000,)"
+      R"("throughput_ops_per_sec":400,)"
+      R"("op_classes":{"query_zerber_r":{"attempted":601,"ok":590,)"
+      R"("errors":10,"skipped":1,"elements":7000,"bytes":123456,)"
+      R"("exchanges":1800,"throughput_ops_per_sec":236,)"
+      R"("latency":{"count":2,"min_ns":1500,"mean_ns":125750,)"
+      R"("p50_ns":1584.89,"p95_ns":250000,"p99_ns":250000,"p999_ns":250000,)"
+      R"("max_ns":250000,"sum_ns":251500}},"query_zerber":{"attempted":0,)"
+      R"("ok":0,"errors":0,"skipped":0,"elements":0,"bytes":0,)"
+      R"("exchanges":0,"throughput_ops_per_sec":0,"latency":{"count":0,)"
+      R"("min_ns":0,"mean_ns":0,"p50_ns":0,"p95_ns":0,"p99_ns":0,)"
+      R"("p999_ns":0,"max_ns":0,"sum_ns":0}},"insert":{"attempted":0,)"
+      R"("ok":0,"errors":0,"skipped":0,"elements":0,"bytes":0,)"
+      R"("exchanges":0,"throughput_ops_per_sec":0,"latency":{"count":0,)"
+      R"("min_ns":0,"mean_ns":0,"p50_ns":0,"p95_ns":0,"p99_ns":0,)"
+      R"("p999_ns":0,"max_ns":0,"sum_ns":0}},"delete":{"attempted":0,)"
+      R"("ok":0,"errors":0,"skipped":0,"elements":0,"bytes":0,)"
+      R"("exchanges":0,"throughput_ops_per_sec":0,"latency":{"count":0,)"
+      R"("min_ns":0,"mean_ns":0,"p50_ns":0,"p95_ns":0,"p99_ns":0,)"
+      R"("p999_ns":0,"max_ns":0,"sum_ns":0}}},"server":{"fetch_requests":1,)"
+      R"("insert_requests":2,"insert_denied":3,"delete_requests":4,)"
+      R"("delete_denied":5,"elements_served":6,"bytes_served":7,)"
+      R"("fetch_latency_ns":8,"insert_latency_ns":9,)"
+      R"("delete_latency_ns":10},"transport_kind":"tcp",)"
+      R"("transport":{"exchanges":21,"bytes_up":22,"bytes_down":23},)"
+      R"("socket":{"bytes_up":31,"bytes_down":32,"frames_up":33,)"
+      R"("frames_down":34,"ext_bytes_up":36,"ext_bytes_down":37,)"
+      R"("reconnects":35},"cluster":{"attempts":41,"transport_errors":42,)"
+      R"("retries":43,"unavailable":44,"probes":45,"probe_failures":46,)"
+      R"("breaker_opens":47,"rejoins":48},"obs":{"traces":0,)"
+      R"("complete_traces":0,"spans":0,"dropped_spans":0,"slow_ops":0,)"
+      R"("stages":{"client_seal":{"count":0,"total_ns":0,"max_ns":0},)"
+      R"("client_op":{"count":0,"total_ns":0,"max_ns":0},)"
+      R"("transport":{"count":0,"total_ns":0,"max_ns":0},)"
+      R"("router_fanout":{"count":0,"total_ns":0,"max_ns":0},)"
+      R"("shard_serve":{"count":0,"total_ns":0,"max_ns":0},)"
+      R"("index_serve":{"count":0,"total_ns":0,"max_ns":0},)"
+      R"("wal_append":{"count":0,"total_ns":0,"max_ns":0}},)"
+      R"("example_trace":{"trace_id":0,"spans":[]}}})");
+}
+
 }  // namespace
 }  // namespace zr::load

@@ -518,7 +518,7 @@ TEST(MessagesTest, ControlPlaneRoundTrips) {
   auto sreq = ParseStatsRequest(SerializeStatsRequest(stats_request));
   ASSERT_TRUE(sreq.ok());
 
-  StatsResponse stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ""};
+  StatsResponse stats{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, ""};
   auto stats_decoded = ParseStatsResponse(SerializeStatsResponse(stats));
   ASSERT_TRUE(stats_decoded.ok());
   EXPECT_EQ(*stats_decoded, stats);
@@ -538,7 +538,7 @@ TEST(MessagesTest, ControlPlaneRoundTrips) {
 }
 
 TEST(MessagesTest, StatsResponseV2CarriesRegistryDump) {
-  StatsResponse stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ""};
+  StatsResponse stats{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, ""};
   stats.registry_text =
       "# TYPE zr_tcp_frames_served_total counter\n"
       "zr_tcp_frames_served_total 42\n";
@@ -554,7 +554,7 @@ TEST(MessagesTest, StatsResponseEmptyDumpSerializesAsV1) {
   // The v2 tail only appears when there is a dump: a dump-free response is
   // byte-identical to the pre-versioning (v1) encoding, so old parsers that
   // stop after the ten fixed fields keep working.
-  StatsResponse stats{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ""};
+  StatsResponse stats{{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, ""};
   std::string wire = SerializeStatsResponse(stats);
 
   StatsResponse with_dump = stats;
@@ -569,6 +569,58 @@ TEST(MessagesTest, StatsResponseEmptyDumpSerializesAsV1) {
   auto decoded = ParseStatsResponse(wire);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded->registry_text.empty());
+  EXPECT_EQ(*decoded, stats);
+}
+
+/// A StatsResponse whose counters span every varint length from 1 to 10
+/// bytes, filled by field name so the fixture does not depend on layout.
+StatsResponse GoldenStats() {
+  StatsResponse stats;
+  stats.fetch_requests = 1;
+  stats.insert_requests = 300;
+  stats.insert_denied = 0;
+  stats.delete_requests = 127;
+  stats.delete_denied = 128;
+  stats.elements_served = 16384;
+  stats.bytes_served = 0xFFFFFFFFull;
+  stats.fetch_latency_ns = uint64_t{1} << 35;
+  stats.insert_latency_ns = ~uint64_t{0};
+  stats.delete_latency_ns = 42;
+  return stats;
+}
+
+// Golden wire images: the exact bytes older peers parse. Any change to the
+// field order, the varint coding or the versioned tail shows up here.
+TEST(MessagesTest, StatsResponseV1GoldenBytes) {
+  const StatsResponse stats = GoldenStats();
+  const std::string wire = SerializeStatsResponse(stats);
+  EXPECT_EQ(HexOf(wire),
+            "0d"                    // tag
+            "01ac02007f8001808001"  // fetch .. elements_served
+            "ffffffff0f"            // bytes_served
+            "808080808001"          // fetch_latency_ns
+            "ffffffffffffffffff01"  // insert_latency_ns
+            "2a");                  // delete_latency_ns
+  EXPECT_EQ(WireSizeOfStatsResponse(stats), wire.size());
+  auto decoded = ParseStatsResponse(wire);
+  ASSERT_TRUE(decoded.ok());
+  EXPECT_EQ(*decoded, stats);
+}
+
+TEST(MessagesTest, StatsResponseV2GoldenBytes) {
+  StatsResponse stats = GoldenStats();
+  stats.registry_text = "zr_tcp_frames_served_total{addr=\"127.0.0.1:1\"} 42\n";
+  const std::string wire = SerializeStatsResponse(stats);
+  EXPECT_EQ(HexOf(wire),
+            "0d01ac02007f8001808001ffffffff0f808080808001"
+            "ffffffffffffffffff012a"
+            "02"  // version
+            "32"  // dump length
+            "7a725f7463705f6672616d65735f7365727665645f746f74616c7b6164"
+            "64723d223132372e302e302e313a31227d2034320a");
+  EXPECT_EQ(WireSizeOfStatsResponse(stats), wire.size());
+  auto decoded = ParseStatsResponse(wire);
+  ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(*decoded, stats);
 }
 

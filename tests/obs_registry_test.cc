@@ -28,37 +28,37 @@ TEST(ObsRegistryTest, SameNameReturnsSameInstrument) {
   g->Add(-2);
   EXPECT_EQ(g->Value(), 5u);
 
-  Histogram* h = registry.GetHistogram("zr_test_latency_ns");
-  EXPECT_EQ(h, registry.GetHistogram("zr_test_latency_ns"));
-
-  // The three namespaces are disjoint: a counter and a gauge may share a
+  // The two namespaces are disjoint: a counter and a gauge may share a
   // name without aliasing.
   EXPECT_NE(static_cast<void*>(registry.GetCounter("zr_shared")),
             static_cast<void*>(registry.GetGauge("zr_shared")));
 }
 
 TEST(ObsRegistryTest, HistogramMatchesLatencyHistogramExactly) {
-  // The registry histogram must be a lossless stand-in for the
+  // The multi-writer histogram must be a lossless stand-in for the
   // single-writer util::LatencyHistogram the load driver uses: same
   // bucket grid, same exact sum/min/max, same percentile semantics.
-  Registry registry;
-  Histogram* h = registry.GetHistogram("zr_test_latency_ns");
+  Histogram h;
   LatencyHistogram reference;
 
   Rng rng(42);
   for (int i = 0; i < 10000; ++i) {
     // Span the full grid: sub-minimum, mid-range, and huge samples.
     uint64_t nanos = rng.NextU64() % (uint64_t{1} << (1 + rng.Uniform(40)));
-    h->Record(nanos);
+    h.Record(nanos);
     reference.Add(nanos);
   }
 
-  HistogramSnapshot snap = h->Snapshot();
-  EXPECT_EQ(snap.count, reference.TotalCount());
-  EXPECT_EQ(snap.sum_ns, reference.SumNs());
-  EXPECT_EQ(snap.min_ns, reference.MinNs());
-  EXPECT_EQ(snap.max_ns, reference.MaxNs());
+  LatencyHistogram snap = h.Snapshot();
+  EXPECT_EQ(snap.TotalCount(), reference.TotalCount());
+  EXPECT_EQ(snap.SumNs(), reference.SumNs());
+  EXPECT_EQ(h.SumNs(), reference.SumNs());
+  EXPECT_EQ(snap.MinNs(), reference.MinNs());
+  EXPECT_EQ(snap.MaxNs(), reference.MaxNs());
   EXPECT_DOUBLE_EQ(snap.MeanNs(), reference.MeanNs());
+  for (size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i) {
+    EXPECT_EQ(snap.BucketCount(i), reference.BucketCount(i)) << "bucket " << i;
+  }
   for (double p : {50.0, 95.0, 99.0, 99.9}) {
     EXPECT_DOUBLE_EQ(snap.PercentileNs(p), reference.PercentileNs(p))
         << "p" << p;
@@ -66,19 +66,18 @@ TEST(ObsRegistryTest, HistogramMatchesLatencyHistogramExactly) {
 }
 
 TEST(ObsRegistryTest, BucketIndexSharesLatencyHistogramGrid) {
-  // Spot-check the factored-out bucket math against the documented grid:
+  // Spot-check the shared bucket routine against the documented grid:
   // everything below kMinNs lands in bucket 0, and each bucket's count in
-  // a snapshot matches a LatencyHistogram fed the same values.
-  EXPECT_EQ(LatencyBucketIndex(0), 0u);
-  EXPECT_EQ(LatencyBucketIndex(99), 0u);
-  Registry registry;
-  Histogram* h = registry.GetHistogram("zr_grid_ns");
+  // a snapshot matches the bucket the routine names.
+  EXPECT_EQ(LatencyHistogram::BucketIndex(0), 0u);
+  EXPECT_EQ(LatencyHistogram::BucketIndex(99), 0u);
+  Histogram h;
   std::array<uint64_t, LatencyHistogram::kNumBuckets> expected{};
   for (uint64_t nanos : {uint64_t{0}, uint64_t{100}, uint64_t{101},
                          uint64_t{999}, uint64_t{12345}, uint64_t{999999999},
                          ~uint64_t{0}}) {
-    h->Record(nanos);
-    size_t index = LatencyBucketIndex(nanos);
+    h.Record(nanos);
+    size_t index = LatencyHistogram::BucketIndex(nanos);
     ASSERT_LT(index, expected.size());
     // The bucket's lower edge must not exceed the sample (except the
     // catch-all first bucket below kMinNs).
@@ -90,11 +89,11 @@ TEST(ObsRegistryTest, BucketIndexSharesLatencyHistogramGrid) {
     }
     expected[index]++;
   }
-  HistogramSnapshot snap = h->Snapshot();
-  EXPECT_EQ(snap.buckets, expected);
-  uint64_t snap_total = 0;
-  for (uint64_t c : snap.buckets) snap_total += c;
-  EXPECT_EQ(snap_total, snap.count);
+  LatencyHistogram snap = h.Snapshot();
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(snap.BucketCount(i), expected[i]) << "bucket " << i;
+  }
+  EXPECT_EQ(snap.TotalCount(), 7u);
 }
 
 TEST(ObsRegistryTest, CollectorLifecycle) {
@@ -102,9 +101,9 @@ TEST(ObsRegistryTest, CollectorLifecycle) {
   std::atomic<uint64_t> source{11};
   {
     CollectorHandle handle =
-        registry.RegisterCollector([&source](std::vector<Sample>* out) {
-          out->push_back({"zr_collected_total", "shard=\"0\"",
-                          source.load(std::memory_order_relaxed)});
+        registry.RegisterCollector([&source](Scrape* out) {
+          out->samples.push_back({"zr_collected_total", "shard=\"0\"",
+                                  source.load(std::memory_order_relaxed)});
         });
     std::vector<Sample> samples = registry.CollectSamples();
     ASSERT_EQ(samples.size(), 1u);
@@ -121,7 +120,7 @@ TEST(ObsRegistryTest, CollectorLifecycle) {
 
   // Moved-from handles do not double-unregister.
   CollectorHandle a = registry.RegisterCollector(
-      [](std::vector<Sample>* out) { out->push_back({"zr_a", "", 1}); });
+      [](Scrape* out) { out->samples.push_back({"zr_a", "", 1}); });
   CollectorHandle b = std::move(a);
   EXPECT_EQ(registry.CollectSamples().size(), 1u);
   b.Release();
@@ -133,13 +132,14 @@ TEST(ObsRegistryTest, RenderPrometheusFormat) {
   Registry registry;
   registry.GetCounter("zr_frames_total")->Add(7);
   registry.GetGauge("zr_inflight")->Set(3);
-  Histogram* h = registry.GetHistogram("zr_latency_ns");
-  h->Record(150);
-  h->Record(2500);
-  CollectorHandle handle = registry.RegisterCollector(
-      [](std::vector<Sample>* out) {
-        out->push_back({"zr_shard_attempts_total", "shard=\"2\"", 9});
-      });
+  Histogram h;
+  h.Record(150);
+  h.Record(2500);
+  CollectorHandle handle = registry.RegisterCollector([&h](Scrape* out) {
+    out->samples.push_back({"zr_shard_attempts_total", "shard=\"2\"", 9});
+    out->AddHistogram("zr_latency_ns", "", h);
+    out->AddHistogram("zr_shard_latency_ns", "shard=\"2\"", h);
+  });
 
   std::string text = registry.RenderPrometheus();
   EXPECT_NE(text.find("zr_frames_total 7\n"), std::string::npos);
@@ -151,6 +151,12 @@ TEST(ObsRegistryTest, RenderPrometheusFormat) {
             std::string::npos);
   EXPECT_NE(text.find("zr_latency_ns_count 2\n"), std::string::npos);
   EXPECT_NE(text.find("zr_latency_ns_sum 2650\n"), std::string::npos);
+  // A labelled histogram puts `le` after the instance labels.
+  EXPECT_NE(
+      text.find("zr_shard_latency_ns_bucket{shard=\"2\",le=\"+Inf\"} 2\n"),
+      std::string::npos);
+  EXPECT_NE(text.find("zr_shard_latency_ns_sum{shard=\"2\"} 2650\n"),
+            std::string::npos);
   // Every line is `name value` or `name{labels} value` — parseable by the
   // scrape CLI's strict parser. No terms, no plaintext payloads.
   size_t pos = 0;
@@ -176,10 +182,13 @@ TEST(ObsRegistryTest, ConcurrentWritersAndScrapes) {
   // registry and a collector reads shared state.
   Registry registry;
   std::atomic<uint64_t> collected_source{0};
-  CollectorHandle handle =
-      registry.RegisterCollector([&collected_source](std::vector<Sample>* out) {
-        out->push_back({"zr_src_total", "",
-                        collected_source.load(std::memory_order_relaxed)});
+  Histogram histogram;
+  CollectorHandle handle = registry.RegisterCollector(
+      [&collected_source, &histogram](Scrape* out) {
+        out->samples.push_back(
+            {"zr_src_total", "",
+             collected_source.load(std::memory_order_relaxed)});
+        out->AddHistogram("zr_write_latency_ns", "", histogram);
       });
 
   constexpr int kWriters = 4;
@@ -197,13 +206,12 @@ TEST(ObsRegistryTest, ConcurrentWritersAndScrapes) {
 
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&registry, &collected_source, w] {
+    writers.emplace_back([&registry, &collected_source, &histogram, w] {
       Counter* counter = registry.GetCounter("zr_writes_total");
-      Histogram* histogram = registry.GetHistogram("zr_write_latency_ns");
       Gauge* gauge = registry.GetGauge("zr_write_gauge");
       for (int i = 0; i < kOpsPerWriter; ++i) {
         counter->Add(1);
-        histogram->Record(static_cast<uint64_t>(100 + (i % 1000) * w));
+        histogram.Record(static_cast<uint64_t>(100 + (i % 1000) * w));
         gauge->Set(static_cast<uint64_t>(i));
         collected_source.fetch_add(1, std::memory_order_relaxed);
         if (i % 4096 == 0) {
@@ -219,9 +227,8 @@ TEST(ObsRegistryTest, ConcurrentWritersAndScrapes) {
 
   EXPECT_EQ(registry.GetCounter("zr_writes_total")->Value(),
             static_cast<uint64_t>(kWriters) * kOpsPerWriter);
-  HistogramSnapshot snap =
-      registry.GetHistogram("zr_write_latency_ns")->Snapshot();
-  EXPECT_EQ(snap.count, static_cast<uint64_t>(kWriters) * kOpsPerWriter);
+  EXPECT_EQ(histogram.Snapshot().TotalCount(),
+            static_cast<uint64_t>(kWriters) * kOpsPerWriter);
 }
 
 }  // namespace

@@ -312,8 +312,13 @@ TEST_F(IndexServerTest, StatsAccumulate) {
   EXPECT_EQ(server.stats().fetch_requests, 1u);
   EXPECT_EQ(server.stats().elements_served, 1u);
   EXPECT_GT(server.stats().bytes_served, 0u);
-  server.ResetStats();
-  EXPECT_EQ(server.stats().fetch_requests, 0u);
+  // Consumers measure a window as the difference of two snapshots.
+  ServerStats before = server.stats();
+  ASSERT_TRUE(server.Fetch(kAlice, 0, 0, 10).ok());
+  ServerStats window = server.stats() - before;
+  EXPECT_EQ(window.fetch_requests, 1u);
+  EXPECT_EQ(window.elements_served, 1u);
+  EXPECT_EQ(window.insert_requests, 0u);
 }
 
 TEST_F(IndexServerTest, StatsCountDeletesAndDenials) {
@@ -334,10 +339,6 @@ TEST_F(IndexServerTest, StatsCountDeletesAndDenials) {
   ASSERT_TRUE(server.Delete(kBob, 99, 1).IsOutOfRange());
   EXPECT_EQ(server.stats().delete_requests, 4u);
   EXPECT_EQ(server.stats().delete_denied, 1u);
-
-  server.ResetStats();
-  EXPECT_EQ(server.stats().delete_requests, 0u);
-  EXPECT_EQ(server.stats().insert_denied, 0u);
 }
 
 TEST_F(IndexServerTest, UnregisteredGroupCountsAsDenied) {

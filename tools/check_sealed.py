@@ -60,6 +60,7 @@ BOUNDARY_FILES = (
     "src/net/messages.cc",
     "src/store/wal.h",
     "src/store/wal.cc",
+    "src/obs/counter_set.h",
     "src/obs/metrics.h",
     "src/obs/metrics.cc",
     "src/obs/registry.h",

@@ -37,7 +37,6 @@
 #include <string>
 
 #include "net/messages.h"
-#include "net/service.h"
 #include "net/tcp.h"
 #include "obs/registry.h"
 #include "obs/slow_op_log.h"
@@ -182,14 +181,13 @@ int main(int argc, char** argv) {
       net::ServerConfig::At(listen_addr)
           .WithLoops(std::strtoull(loops.c_str(), nullptr, 10))
           .WithServerId(shard_index);
+  // v2 scrape plane: the whole metrics registry (index histograms, WAL
+  // append latency, TCP counters, slow-op count) rides along in Prometheus
+  // text form. Metric names and numbers only — the sealed-telemetry
+  // invariant holds on this path by construction.
   server_config.WithStatsSource([&service] {
-    net::StatsResponse out = net::StatsResponseOf(service.server().stats());
-    // v2 scrape plane: the whole metrics registry (index histograms, WAL
-    // append latency, TCP counters, slow-op count) rides along in
-    // Prometheus text form. Metric names and numbers only — the
-    // sealed-telemetry invariant holds on this path by construction.
-    out.registry_text = obs::Registry::Global().RenderPrometheus();
-    return out;
+    return net::StatsResponse{service.server().stats(),
+                              obs::Registry::Global().RenderPrometheus()};
   });
   // Runs on the owning loop's thread under the server-wide writer dispatch
   // gate — no other frame is in flight on any loop, the quiescence the ACL
