@@ -233,7 +233,7 @@ std::unique_ptr<core::Pipeline> BuildDeploymentPipeline(
 
 /// The framing identity every clean tcp run must satisfy: the socket
 /// moved exactly the payload bytes (drift-checked per message against
-/// the analytic WireSizeOf* sizes — DirectTransport's accounting) plus
+/// the analytic net::WireSize — DirectTransport's accounting) plus
 /// one 4-byte frame header per message. Non-tcp runs pass trivially.
 /// Runs with op errors or reconnects are exempt: a frame is counted when
 /// it crosses the socket, but its payload is only accounted once the
@@ -442,6 +442,21 @@ bool RunClusterConfig(const Flags& flags, bool kill_one_shard,
 
   bool gate_ok = true;
   if (kill_one_shard) {
+    // The server block is a window delta of every shard's counters; a
+    // shard restarted inside the window counts again from zero, so the
+    // delta undercounts (it is clamped, never wrapped). Exact counts across
+    // a restart would need an incarnation id on the wire.
+    const load::LoadReport& report = out->back();
+    std::printf(
+        "%-10s inserts: %llu completed by clients, %llu server-side "
+        "insert_requests%s\n",
+        name.c_str(),
+        static_cast<unsigned long long>(
+            report.op_classes[static_cast<size_t>(load::OpClass::kInsert)]
+                .ok),
+        static_cast<unsigned long long>(report.server.insert_requests),
+        rs.rejoins > 0 ? " (undercount: a shard restarted in the window)"
+                       : "");
     // Survival gate: the run completed (MustRun exits otherwise) and the
     // restarted shard actually rejoined the router.
     gate_ok = rs.rejoins >= 1;
@@ -563,7 +578,7 @@ load::LoadReport RunHiconnOnce(const Flags& flags, size_t num_loops,
         net::QueryRequest warm{user, static_cast<uint32_t>(i) % num_lists,
                                /*offset=*/0, /*count=*/1};
         std::string response;
-        if (!conn->Call(net::SerializeQueryRequest(warm), &response).ok()) {
+        if (!conn->Call(net::Serialize(warm), &response).ok()) {
           ++mine.errors;
         }
         conn->ResetSocketStats();
@@ -581,7 +596,7 @@ load::LoadReport RunHiconnOnce(const Flags& flags, size_t num_loops,
               user,
               static_cast<uint32_t>((t * per_thread + i + round) % num_lists),
               /*offset=*/0, /*count=*/4};
-          std::string wire = net::SerializeQueryRequest(fetch);
+          std::string wire = net::Serialize(fetch);
           mine.payload_up += wire.size();
           if (!conns[i]->SendFrame(wire).ok()) ++mine.errors;
         }

@@ -6,6 +6,32 @@
 
 namespace zr::attack {
 
+namespace {
+
+// The plaintext request/response shape of query traffic, one overload per
+// message type the eavesdropper reads; other types keep only their sizes.
+void Observe(const net::QueryRequest& m, TraceRecord* record) {
+  record->ranges.push_back(ObservedRange{m.list, m.offset, m.count});
+}
+
+void Observe(const net::MultiFetchRequest& m, TraceRecord* record) {
+  for (const net::FetchRange& f : m.fetches) {
+    record->ranges.push_back(ObservedRange{f.list, f.offset, f.count});
+  }
+}
+
+void Observe(const net::QueryResponse& m, TraceRecord* record) {
+  record->response_elements.push_back(m.elements.size());
+}
+
+void Observe(const net::MultiFetchResponse& m, TraceRecord* record) {
+  for (const net::QueryResponse& r : m.responses) {
+    record->response_elements.push_back(r.elements.size());
+  }
+}
+
+}  // namespace
+
 TraceLog::TraceLog(NowFn now) : now_(std::move(now)) {}
 
 void TraceLog::OnFrame(uint64_t stream, bool client_to_server,
@@ -18,48 +44,14 @@ void TraceLog::OnFrame(uint64_t stream, bool client_to_server,
   record.frame_bytes = frame_bytes;
   record.ts_ns = now_ ? now_() : obs::MonotonicNowNs();
 
-  // The plaintext request/response shape of query traffic. Parse failures
-  // are not errors here: an eavesdropper keeps the sizes either way, and
-  // the serving path rejects malformed frames on its own.
-  switch (record.tag) {
-    case net::MessageTag::kQueryRequest: {
-      auto parsed = net::ParseQueryRequest(payload);
-      if (parsed.ok()) {
-        record.ranges.push_back(
-            ObservedRange{parsed->list, parsed->offset, parsed->count});
-      }
-      break;
+  // Parse failures are not errors here: an eavesdropper keeps the sizes
+  // either way, and the serving path rejects malformed frames on its own.
+  net::Messages::ForTag(record.tag, [&]<typename M>(std::type_identity<M>) {
+    if constexpr (requires(const M& m, TraceRecord* r) { Observe(m, r); }) {
+      auto parsed = net::Parse<M>(payload);
+      if (parsed.ok()) Observe(*parsed, &record);
     }
-    case net::MessageTag::kMultiFetchRequest: {
-      auto parsed = net::ParseMultiFetchRequest(payload);
-      if (parsed.ok()) {
-        record.ranges.reserve(parsed->fetches.size());
-        for (const net::FetchRange& f : parsed->fetches) {
-          record.ranges.push_back(ObservedRange{f.list, f.offset, f.count});
-        }
-      }
-      break;
-    }
-    case net::MessageTag::kQueryResponse: {
-      auto parsed = net::ParseQueryResponse(payload);
-      if (parsed.ok()) {
-        record.response_elements.push_back(parsed->elements.size());
-      }
-      break;
-    }
-    case net::MessageTag::kMultiFetchResponse: {
-      auto parsed = net::ParseMultiFetchResponse(payload);
-      if (parsed.ok()) {
-        record.response_elements.reserve(parsed->responses.size());
-        for (const net::QueryResponse& r : parsed->responses) {
-          record.response_elements.push_back(r.elements.size());
-        }
-      }
-      break;
-    }
-    default:
-      break;
-  }
+  });
 
   MutexLock lock(mu_);
   record.seq = next_seq_[stream]++;

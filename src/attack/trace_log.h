@@ -1,12 +1,12 @@
 // Passive wire-trace capture for the adversarial traffic suite.
 //
 // TraceLog is the eavesdropper's notebook: a net::FrameObserver that
-// records, for every complete frame crossing a tapped TcpSession or
-// TcpServer, exactly what an adversary on the wire path can see — sizes,
-// direction, timing, the (plaintext) message tag, and the plaintext
-// request shape of query traffic (merged-list id, offset, count; paper
-// Section 4.1's server adversary sees all of these). Posting elements
-// themselves stay sealed; the log never looks inside them.
+// records, for every complete frame crossing a tapped TcpSession, exactly
+// what an adversary on the wire path can see — sizes, direction, timing,
+// the (plaintext) message tag, and the plaintext request shape of query
+// traffic (merged-list id, offset, count; paper Section 4.1's server
+// adversary sees all of these). Posting elements themselves stay sealed;
+// the log never looks inside them.
 //
 // Determinism: with an injectable clock and a single tapped stream, two
 // identically seeded runs produce identical Records() — which is what
@@ -72,8 +72,8 @@ struct TraceRecord {
   std::vector<uint64_t> response_elements;
 };
 
-/// Thread-safe frame recorder. One instance may tap several sessions and
-/// a multi-loop server simultaneously; records are kept per arrival and
+/// Thread-safe frame recorder. One instance may tap several sessions on
+/// different threads simultaneously; records are kept per arrival and
 /// returned sorted by (stream, seq).
 class TraceLog : public net::FrameObserver {
  public:

@@ -101,11 +101,7 @@ Status ShardClient::ProbeOn(net::TcpSession* session) {
     MutexLock lock(mu_);
     ping.token = ++probe_token_;
   }
-  std::string wire;
-  ZR_RETURN_IF_ERROR(session->Call(net::SerializePingRequest(ping), &wire));
-  ZR_ASSIGN_OR_RETURN(net::PingResponse pong,
-                      net::DecodeResponse(session, wire,
-                                          net::ParsePingResponse));
+  ZR_ASSIGN_OR_RETURN(net::PingResponse pong, session->Call(ping));
   if (pong.token != ping.token) {
     return Status::Internal("shard " + options_.addr +
                             ": probe token mismatch");
@@ -170,8 +166,8 @@ StatusOr<std::unique_ptr<net::TcpSession>> ShardClient::Exchange(
     // context to the request frame and RecvFrame harvests the server's
     // span report; time the hop here so the trace attributes wire time
     // per attempt (only the successful attempt is recorded).
-    const bool traced = obs::CurrentTrace().active();
-    const uint64_t hop_start = traced ? obs::MonotonicNowNs() : 0;
+    const uint64_t hop_start =
+        obs::CurrentTrace().active() ? obs::MonotonicNowNs() : 0;
     Status sent = session->SendFrame(request_wire);
     if (!sent.ok()) {
       if (sent.IsInvalidArgument()) return sent;  // oversized, not a dead link
@@ -198,17 +194,7 @@ StatusOr<std::unique_ptr<net::TcpSession>> ShardClient::Exchange(
       last = received;
       continue;
     }
-    if (traced) {
-      obs::RecordSpan(obs::Stage::kTransport,
-                      obs::MonotonicNowNs() - hop_start,
-                      static_cast<uint64_t>(net::TagOf(request_wire)));
-      // Re-record the server-side spans that rode back on the response
-      // frame, so the client's tracer holds the complete cross-process
-      // trace (RecordSpan stamps the current trace id).
-      for (const obs::SpanRecord& span : session->response_spans()) {
-        obs::RecordSpan(span.stage, span.duration_ns, span.detail);
-      }
-    }
+    net::RecordHop(*session, request_wire, hop_start);
     RecordSuccess();
     return session;
   }
@@ -221,53 +207,46 @@ StatusOr<std::unique_ptr<net::TcpSession>> ShardClient::Exchange(
                              " attempts: " + last.message());
 }
 
-template <typename Response>
-StatusOr<Response> ShardClient::Call(
-    const std::string& request_wire, bool idempotent,
-    StatusOr<Response> (*parse)(std::string_view)) {
+template <net::WireRequest Request>
+StatusOr<typename Request::Response> ShardClient::Call(const Request& request,
+                                                       bool idempotent) {
   std::string wire;
   ZR_ASSIGN_OR_RETURN(std::unique_ptr<net::TcpSession> session,
-                      Exchange(request_wire, idempotent, &wire));
-  StatusOr<Response> response = net::DecodeResponse(session.get(), wire, parse);
+                      Exchange(net::Serialize(request), idempotent, &wire));
+  auto response =
+      net::DecodeResponse<typename Request::Response>(session.get(), wire);
   Return(std::move(session));
   return response;
 }
 
 StatusOr<net::InsertResponse> ShardClient::Insert(
     const net::InsertRequest& request) {
-  return Call(net::SerializeInsertRequest(request), /*idempotent=*/false,
-              net::ParseInsertResponse);
+  return Call(request, /*idempotent=*/false);
 }
 
 StatusOr<net::QueryResponse> ShardClient::Fetch(
     const net::QueryRequest& request) {
-  return Call(net::SerializeQueryRequest(request), /*idempotent=*/true,
-              net::ParseQueryResponse);
+  return Call(request, /*idempotent=*/true);
 }
 
 StatusOr<net::MultiFetchResponse> ShardClient::MultiFetch(
     const net::MultiFetchRequest& request) {
-  return Call(net::SerializeMultiFetchRequest(request), /*idempotent=*/true,
-              net::ParseMultiFetchResponse);
+  return Call(request, /*idempotent=*/true);
 }
 
 StatusOr<net::DeleteResponse> ShardClient::Delete(
     const net::DeleteRequest& request) {
-  return Call(net::SerializeDeleteRequest(request), /*idempotent=*/false,
-              net::ParseDeleteResponse);
+  return Call(request, /*idempotent=*/false);
 }
 
 Status ShardClient::Acl(const net::AclRequest& request) {
   // Idempotent by contract: the shard server applies ACL mutations
   // idempotently (a re-sent grant is a no-op), so receive failures retry.
-  return Call(net::SerializeAclRequest(request), /*idempotent=*/true,
-              net::ParseAclResponse)
-      .status();
+  return Call(request, /*idempotent=*/true).status();
 }
 
 StatusOr<net::StatsResponse> ShardClient::Stats() {
-  return Call(net::SerializeStatsRequest(net::StatsRequest{}),
-              /*idempotent=*/true, net::ParseStatsResponse);
+  return Call(net::StatsRequest{}, /*idempotent=*/true);
 }
 
 }  // namespace zr::cluster

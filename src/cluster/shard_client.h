@@ -159,19 +159,20 @@ class ShardClient : public net::ShardService {
   void RecordFailure();
   void RecordSuccess();
 
-  /// Retry loop shared by every op: serialize once, exchange with
+  /// Retry loop shared by every op: exchange the serialized request with
   /// admission/backoff/accounting, hand back the raw response payload
   /// (which may be a typed error frame) and the session that carried it.
   StatusOr<std::unique_ptr<net::TcpSession>> Exchange(
       const std::string& request_wire, bool idempotent,
       std::string* response_wire);
 
-  /// One op: Exchange, then net::DecodeResponse, then return the session
-  /// to the pool — in that order, so a session whose response did not
-  /// parse (and was disconnected) is dropped instead of pooled.
-  template <typename Response>
-  StatusOr<Response> Call(const std::string& request_wire, bool idempotent,
-                          StatusOr<Response> (*parse)(std::string_view));
+  /// One op, the one typed path of every request: serialize, Exchange,
+  /// net::DecodeResponse, then return the session to the pool — in that
+  /// order, so a session whose response did not parse (and was
+  /// disconnected) is dropped instead of pooled.
+  template <net::WireRequest Request>
+  StatusOr<typename Request::Response> Call(const Request& request,
+                                            bool idempotent);
 
   /// Probe over a session the caller holds; no pool or breaker traffic.
   Status ProbeOn(net::TcpSession* session);

@@ -59,6 +59,26 @@ class ZerberService {
   virtual StatusOr<DeleteResponse> Delete(const DeleteRequest& request) = 0;
 };
 
+/// The ZerberService call that answers each request type: the one
+/// request-to-method table that DirectTransport and TcpServer dispatch
+/// through.
+inline StatusOr<InsertResponse> Serve(ZerberService& service,
+                                      const InsertRequest& request) {
+  return service.Insert(request);
+}
+inline StatusOr<QueryResponse> Serve(ZerberService& service,
+                                     const QueryRequest& request) {
+  return service.Fetch(request);
+}
+inline StatusOr<MultiFetchResponse> Serve(ZerberService& service,
+                                          const MultiFetchRequest& request) {
+  return service.MultiFetch(request);
+}
+inline StatusOr<DeleteResponse> Serve(ZerberService& service,
+                                      const DeleteRequest& request) {
+  return service.Delete(request);
+}
+
 /// One shard behind a ShardRouter: the request protocol plus the
 /// operator's control-plane calls, which the router broadcasts (Acl) and
 /// sums (Stats). An in-process shard is an IndexService or a

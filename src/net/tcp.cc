@@ -35,9 +35,9 @@ Status ErrnoStatus(const char* what, int err) {
                           std::strerror(err));
 }
 
-Status TcpDriftError(const char* message_type) {
-  return Status::Internal(std::string("wire-size accounting drift in ") +
-                          message_type);
+/// The wire bytes of the error answer carrying `error`.
+std::string ErrorFrame(const Status& error) {
+  return Serialize(ErrorResponse::Of(error));
 }
 
 /// Parses "host:port" (numeric IPv4 + decimal port) into a sockaddr_in.
@@ -325,11 +325,6 @@ ServerConfig& ServerConfig::WithAclHandler(
   return *this;
 }
 
-ServerConfig& ServerConfig::WithWireTap(FrameObserver* tap) {
-  wire_tap_ = tap;
-  return *this;
-}
-
 Status ServerConfig::Validate() const {
   sockaddr_in sa;
   ZR_RETURN_IF_ERROR(ParseAddr(listen_addr_, &sa));
@@ -513,7 +508,6 @@ class TcpServer::Impl {
     size_t in_pos = 0;
     std::string out;
     size_t out_pos = 0;
-    uint64_t tap_stream = 0;       ///< server-unique id for the wire tap
     bool want_read = true;         ///< read interest currently armed
     bool want_write = false;       ///< write interest currently armed
     bool paused = false;           ///< reads suspended by backpressure
@@ -719,12 +713,7 @@ class TcpServer::Impl {
         ::close(fd);
         return;
       }
-      Session session;
-      // Stream ids are server-unique (not per-loop) so a tap can merge
-      // observations across loops without collisions; fds recycle, ids
-      // never do.
-      session.tap_stream = impl_->next_tap_stream_.fetch_add(1);
-      sessions_.emplace(fd, std::move(session));
+      sessions_.emplace(fd, Session());
       counters_.Add<&TcpServerStats::connections_accepted>();
       open_.fetch_add(1);
     }
@@ -818,7 +807,7 @@ class TcpServer::Impl {
         bool flagged = (raw & kFrameFlagExtension) != 0;
         if (length > FrameLengthLimit(flagged)) {
           counters_.Add<&TcpServerStats::protocol_errors>();
-          AppendResponse(s, SerializeErrorResponse(Status::InvalidArgument(
+          AppendResponse(s, ErrorFrame(Status::InvalidArgument(
                                 "tcp: frame payload exceeds limit")));
           s->close_after_flush = true;
           progress = true;
@@ -837,17 +826,11 @@ class TcpServer::Impl {
         }
         if (!frame_ok) {
           counters_.Add<&TcpServerStats::protocol_errors>();
-          AppendResponse(s, SerializeErrorResponse(Status::InvalidArgument(
+          AppendResponse(s, ErrorFrame(Status::InvalidArgument(
                                 "tcp: malformed frame extension")));
           s->close_after_flush = true;
           progress = true;
           break;
-        }
-        if (FrameObserver* tap = impl_->config_.wire_tap()) {
-          // The eavesdropper's view of the request: stripped payload,
-          // full on-socket frame size (header + extension + payload).
-          tap->OnFrame(s->tap_stream, /*client_to_server=*/true, payload,
-                       kFrameHeaderBytes + length);
         }
         Dispatch(s, payload, ctx);
         s->in_pos += kFrameHeaderBytes + length;
@@ -899,81 +882,60 @@ class TcpServer::Impl {
       UpdateInterest(fd, s);
     }
 
-    template <typename Request, typename Response>
-    std::string Serve(std::string_view payload,
-                      StatusOr<Request> (*parse)(std::string_view),
-                      StatusOr<Response> (ZerberService::*method)(
-                          const Request&),
-                      std::string (*serialize)(const Response&),
-                      bool* parsed_ok) {
-      auto parsed = parse(payload);
-      if (!parsed.ok()) {
-        *parsed_ok = false;
-        return SerializeErrorResponse(parsed.status());
-      }
-      *parsed_ok = true;
-      auto served = (impl_->backend_->*method)(*parsed);
-      if (!served.ok()) return SerializeErrorResponse(served.status());
-      return serialize(*served);
+    /// The answer to each request type: the backend serves the protocol
+    /// (net::Serve), the server itself the control plane.
+    template <WireRequest Request>
+    StatusOr<typename Request::Response> Handle(const Request& request) {
+      return Serve(*impl_->backend_, request);
     }
 
-    /// The dispatch switch proper: parses the payload, invokes the
-    /// backend, serializes the answer. Runs under the server-wide
-    /// dispatch gate (reader for regular traffic, writer for ACL frames
-    /// — see Dispatch).
-    std::string ServeFrame(std::string_view payload, bool* parsed_ok) {
-      switch (TagOf(payload)) {
-        case MessageTag::kQueryRequest:
-          return Serve(payload, ParseQueryRequest, &ZerberService::Fetch,
-                       SerializeQueryResponse, parsed_ok);
-        case MessageTag::kInsertRequest:
-          return Serve(payload, ParseInsertRequest, &ZerberService::Insert,
-                       SerializeInsertResponse, parsed_ok);
-        case MessageTag::kMultiFetchRequest:
-          return Serve(payload, ParseMultiFetchRequest,
-                       &ZerberService::MultiFetch,
-                       SerializeMultiFetchResponse, parsed_ok);
-        case MessageTag::kDeleteRequest:
-          return Serve(payload, ParseDeleteRequest, &ZerberService::Delete,
-                       SerializeDeleteResponse, parsed_ok);
-        case MessageTag::kPingRequest: {
-          auto parsed = ParsePingRequest(payload);
-          if (!parsed.ok()) return SerializeErrorResponse(parsed.status());
-          *parsed_ok = true;
-          PingResponse pong;
-          pong.token = parsed->token;
-          pong.server_id = impl_->config_.server_id();
-          // The owning loop's id: the session-pinning witness (a client
-          // pinging the same connection sees the same loop every time).
-          pong.loop_id = loop_id_;
-          return SerializePingResponse(pong);
-        }
-        case MessageTag::kStatsRequest: {
-          auto parsed = ParseStatsRequest(payload);
-          if (!parsed.ok()) return SerializeErrorResponse(parsed.status());
-          *parsed_ok = true;
-          const auto& source = impl_->config_.stats_source();
-          return source ? SerializeStatsResponse(source())
-                        : SerializeErrorResponse(Status::Unimplemented(
-                              "tcp: server exports no stats"));
-        }
-        case MessageTag::kAclRequest: {
-          auto parsed = ParseAclRequest(payload);
-          if (!parsed.ok()) return SerializeErrorResponse(parsed.status());
-          *parsed_ok = true;
-          const auto& handler = impl_->config_.acl_handler();
-          if (!handler) {
-            return SerializeErrorResponse(
-                Status::Unimplemented("tcp: server accepts no ACL changes"));
-          }
-          Status applied = handler(*parsed);
-          return applied.ok() ? SerializeAclResponse(AclResponse{})
-                              : SerializeErrorResponse(applied);
-        }
-        default:
-          return SerializeErrorResponse(
-              Status::InvalidArgument("tcp: unknown message tag"));
+    StatusOr<PingResponse> Handle(const PingRequest& ping) {
+      // The owning loop's id: the session-pinning witness (a client
+      // pinging the same connection sees the same loop every time).
+      return PingResponse{ping.token, impl_->config_.server_id(), loop_id_};
+    }
+
+    StatusOr<StatsResponse> Handle(const StatsRequest&) {
+      const auto& source = impl_->config_.stats_source();
+      if (!source) return Status::Unimplemented("tcp: server exports no stats");
+      return source();
+    }
+
+    StatusOr<AclResponse> Handle(const AclRequest& request) {
+      const auto& handler = impl_->config_.acl_handler();
+      if (!handler) {
+        return Status::Unimplemented("tcp: server accepts no ACL changes");
       }
+      ZR_RETURN_IF_ERROR(handler(request));
+      return AclResponse{};
+    }
+
+    /// The one dispatch path: parses the payload as the request its tag
+    /// names, answers it, serializes the answer. Runs under the
+    /// server-wide dispatch gate (reader for regular traffic, writer for
+    /// ACL frames — see Dispatch).
+    std::string ServeFrame(std::string_view payload, bool* parsed_ok) {
+      std::string response;
+      Messages::ForTag(TagOf(payload), [&]<typename M>(std::type_identity<M>) {
+        if constexpr (WireRequest<M>) {
+          StatusOr<M> request = Parse<M>(payload);
+          *parsed_ok = request.ok();
+          if (!request.ok()) {
+            response = ErrorFrame(request.status());
+            return;
+          }
+          auto answer = Handle(*request);
+          response = answer.ok() ? Serialize(*answer)
+                                 : ErrorFrame(answer.status());
+        }
+      });
+      // Every encoding is at least its tag byte: empty means the tag names
+      // no request.
+      if (response.empty()) {
+        response =
+            ErrorFrame(Status::InvalidArgument("tcp: unknown message tag"));
+      }
+      return response;
     }
 
     void Dispatch(Session* s, std::string_view payload,
@@ -1017,7 +979,7 @@ class TcpServer::Impl {
         // The client would reject (and tear its session down on) a frame
         // above the limit; tell it why instead of transmitting megabytes
         // it cannot accept. Mirrors the client-side send check.
-        response = SerializeErrorResponse(Status::InvalidArgument(
+        response = ErrorFrame(Status::InvalidArgument(
             "tcp: response exceeds frame payload limit"));
       }
       if (ctx.active()) {
@@ -1033,10 +995,6 @@ class TcpServer::Impl {
     void AppendResponse(Session* s, std::string_view payload) {
       AppendFrameHeader(&s->out, static_cast<uint32_t>(payload.size()));
       s->out.append(payload.data(), payload.size());
-      if (FrameObserver* tap = impl_->config_.wire_tap()) {
-        tap->OnFrame(s->tap_stream, /*client_to_server=*/false, payload,
-                     kFrameHeaderBytes + payload.size());
-      }
     }
 
     /// Frames a response to a traced request: the collected spans travel
@@ -1045,16 +1003,11 @@ class TcpServer::Impl {
     void AppendResponseWithSpans(Session* s, std::string_view payload,
                                  const std::vector<obs::SpanRecord>& spans) {
       std::string ext = EncodeSpanReportExt(spans);
-      size_t before = s->out.size();
       if (!AppendExtendedFrameHeader(&s->out, ext, payload.size())) {
         AppendResponse(s, payload);
         return;
       }
       s->out.append(payload.data(), payload.size());
-      if (FrameObserver* tap = impl_->config_.wire_tap()) {
-        tap->OnFrame(s->tap_stream, /*client_to_server=*/false, payload,
-                     s->out.size() - before);
-      }
     }
 
     /// Writes as much pending output as the socket accepts. Epoll
@@ -1139,10 +1092,6 @@ class TcpServer::Impl {
   /// it. Uncontended shared acquisition is nanoseconds against a dispatch
   /// that parses, serves and serializes.
   SharedMutex dispatch_gate_;
-
-  /// Wire-tap stream ids handed to sessions at accept time. Server-wide
-  /// so ids stay unique across loops.
-  std::atomic<uint64_t> next_tap_stream_{1};
 
   /// DisconnectAll's barrier: waiters sleep here; loops notify after
   /// publishing drain progress or exiting.
@@ -1465,56 +1414,52 @@ Status TcpTransport::ExchangeFrames(const std::string& request_wire,
   return session_.RecvFrame(response_wire);
 }
 
-template <typename Request, typename Response>
-StatusOr<Response> TcpTransport::Exchange(
-    const Request& request, std::string (*serialize_request)(const Request&),
-    size_t (*request_size)(const Request&), const char* request_name,
-    StatusOr<Response> (*parse_response)(std::string_view)) {
-  std::string wire_request = serialize_request(request);
-  if (wire_request.size() != request_size(request)) {
-    return TcpDriftError(request_name);
+void RecordHop(const TcpSession& session, std::string_view request,
+               uint64_t start_ns) {
+  if (!obs::CurrentTrace().active()) return;
+  obs::RecordSpan(obs::Stage::kTransport, obs::MonotonicNowNs() - start_ns,
+                  static_cast<uint64_t>(TagOf(request)));
+  for (const obs::SpanRecord& span : session.response_spans()) {
+    obs::RecordSpan(span.stage, span.duration_ns, span.detail);
+  }
+}
+
+template <WireRequest Request>
+StatusOr<typename Request::Response> TcpTransport::Exchange(
+    const Request& request) {
+  std::string wire_request = Serialize(request);
+  if (wire_request.size() != WireSize(request)) {
+    return Status::Internal(
+        "wire-size accounting drift in message tag " +
+        std::to_string(static_cast<int>(Request::kWireTag)));
   }
   std::string wire_response;
-  bool traced = obs::CurrentTrace().active();
-  uint64_t start = traced ? obs::MonotonicNowNs() : 0;
+  const uint64_t start =
+      obs::CurrentTrace().active() ? obs::MonotonicNowNs() : 0;
   ZR_RETURN_IF_ERROR(ExchangeFrames(wire_request, &wire_response));
-  if (traced) {
-    obs::RecordSpan(obs::Stage::kTransport, obs::MonotonicNowNs() - start,
-                    static_cast<uint64_t>(TagOf(wire_request)));
-    // Server-side spans from the response extension enter this process's
-    // tracer under the same trace id.
-    for (const obs::SpanRecord& span : session_.response_spans()) {
-      obs::RecordSpan(span.stage, span.duration_ns, span.detail);
-    }
-  }
-  StatusOr<Response> response =
-      DecodeResponse(&session_, wire_response, parse_response);
+  RecordHop(session_, wire_request, start);
+  auto response =
+      DecodeResponse<typename Request::Response>(&session_, wire_response);
   if (session_.broken()) return response;  // did not parse; not accounted
   Account(wire_request.size(), wire_response.size());
-  if (response.ok()) response->wire_size = wire_response.size();
   return response;
 }
 
 StatusOr<InsertResponse> TcpTransport::Insert(const InsertRequest& request) {
-  return Exchange(request, SerializeInsertRequest, WireSizeOfInsertRequest,
-                  "InsertRequest", ParseInsertResponse);
+  return Exchange(request);
 }
 
 StatusOr<QueryResponse> TcpTransport::Fetch(const QueryRequest& request) {
-  return Exchange(request, SerializeQueryRequest, WireSizeOfQueryRequest,
-                  "QueryRequest", ParseQueryResponse);
+  return Exchange(request);
 }
 
 StatusOr<DeleteResponse> TcpTransport::Delete(const DeleteRequest& request) {
-  return Exchange(request, SerializeDeleteRequest, WireSizeOfDeleteRequest,
-                  "DeleteRequest", ParseDeleteResponse);
+  return Exchange(request);
 }
 
 StatusOr<MultiFetchResponse> TcpTransport::MultiFetch(
     const MultiFetchRequest& request) {
-  return Exchange(request, SerializeMultiFetchRequest,
-                  WireSizeOfMultiFetchRequest, "MultiFetchRequest",
-                  ParseMultiFetchResponse);
+  return Exchange(request);
 }
 
 }  // namespace zr::net

@@ -53,8 +53,8 @@
 //
 //  * TcpTransport — the client-side Transport (ZerberService stub) over a
 //    TcpSession: serializes each request, drift-checks it against the
-//    analytic WireSizeOf* size, exchanges frames, and reconnects once on a
-//    dead connection. Byte accounting (Transport::stats()) records payload
+//    analytic WireSize, exchanges frames, and reconnects once on a dead
+//    connection. Byte accounting (Transport::stats()) records payload
 //    bytes — the same quantity DirectTransport accounts — while
 //    socket_stats() records the real socket bytes including frame headers.
 //
@@ -138,14 +138,14 @@ inline constexpr size_t kMaxEventLoops = 64;
 // Wire tap
 // ---------------------------------------------------------------------------
 
-/// Passive observer of complete frames crossing the wire. The adversarial
-/// traffic suite (src/attack/) implements this to reconstruct what an
-/// eavesdropper sees; net itself never parses on behalf of an observer —
-/// the tap hands over exactly the bytes, nothing more.
+/// Passive observer of the complete frames a client session sends and
+/// receives (TcpSession::SetWireTap). The adversarial traffic suite
+/// (src/attack/) implements this to reconstruct what an eavesdropper sees;
+/// net itself never parses on behalf of an observer — the tap hands over
+/// exactly the bytes, nothing more.
 ///
 /// Contract:
-///  * `stream` identifies one connection (client side: the id given at tap
-///    installation; server side: a server-unique session id).
+///  * `stream` identifies one connection: the id given at tap installation.
 ///  * `client_to_server` is true for request frames.
 ///  * `payload` is the message payload with any frame extension already
 ///    stripped — the same bytes Transport::stats() accounts.
@@ -154,11 +154,10 @@ inline constexpr size_t kMaxEventLoops = 64;
 ///    of a session must equal the socket byte counters exactly (asserted
 ///    in tests/attack_trace_test.cc).
 ///
-/// Threading: a TcpServer invokes its tap from every event-loop thread
-/// concurrently — implementations must be thread-safe. A TcpSession tap is
-/// only invoked from the session's (single) owning thread. Observers must
-/// not call back into the session/server. The tap is borrowed and must
-/// outlive the tapped object.
+/// Threading: a session invokes its tap only from its (single) owning
+/// thread; one observer tapping several sessions on different threads must
+/// be thread-safe. Observers must not call back into the session. The tap
+/// is borrowed and must outlive the tapped session.
 class FrameObserver {
  public:
   virtual ~FrameObserver() = default;
@@ -281,13 +280,6 @@ class ServerConfig {
   /// exactly the quiescence the backend's ACL surface requires.
   ServerConfig& WithAclHandler(std::function<Status(const AclRequest&)> handler);
 
-  /// Passive wire tap: every request frame the server decodes and every
-  /// response frame it queues is reported to the observer (see
-  /// FrameObserver's contract). Invoked on the event-loop threads, so the
-  /// observer must be thread-safe. nullptr (the default) keeps serving
-  /// byte-identical to a server built before the tap existed.
-  ServerConfig& WithWireTap(FrameObserver* tap);
-
   /// Rejects configurations that cannot serve: zero or absurdly many
   /// loops, a zero frame ceiling, a session backlog below the frame
   /// ceiling, or a listen address that does not parse. Start() calls this
@@ -306,7 +298,6 @@ class ServerConfig {
   const std::function<Status(const AclRequest&)>& acl_handler() const {
     return acl_handler_;
   }
-  FrameObserver* wire_tap() const { return wire_tap_; }
 
  private:
   std::string listen_addr_ = "127.0.0.1:0";
@@ -317,7 +308,6 @@ class ServerConfig {
   uint64_t server_id_ = 0;
   std::function<StatsResponse()> stats_source_;
   std::function<Status(const AclRequest&)> acl_handler_;
-  FrameObserver* wire_tap_ = nullptr;
 };
 
 /// Socket server for the ZerberService protocol.
@@ -450,6 +440,11 @@ class TcpSession {
   /// One round trip: SendFrame then RecvFrame.
   Status Call(std::string_view request, std::string* response);
 
+  /// One typed round trip: sends `request` and decodes the answer (see
+  /// DecodeResponse).
+  template <WireRequest Request>
+  StatusOr<typename Request::Response> Call(const Request& request);
+
   const TcpSocketStats& socket_stats() const { return socket_stats_; }
   void ResetSocketStats() { socket_stats_ = TcpSocketStats(); }
 
@@ -477,29 +472,43 @@ class TcpSession {
   uint64_t wire_tap_stream_ = 0;
 };
 
-/// Decodes a response payload received on `session`: a typed error frame
-/// becomes its Status, anything else goes through `parse`. A payload that
-/// does not parse disconnects the session — the stream position can no
-/// longer be trusted, and a frame queued behind the bad one must not be
+/// Decodes a response payload received on `session`: an ErrorResponse
+/// becomes its Status, anything else must parse as a Response. A payload
+/// that does not parse disconnects the session — the stream position can
+/// no longer be trusted, and a frame queued behind the bad one must not be
 /// read as the next call's answer. Every client of the protocol
 /// (TcpTransport, cluster::ShardClient) decodes through this.
-template <typename Response>
-StatusOr<Response> DecodeResponse(
-    TcpSession* session, std::string_view wire,
-    StatusOr<Response> (*parse)(std::string_view)) {
-  if (IsErrorResponse(wire)) {
-    Status decoded;
-    Status parsed = ParseErrorResponse(wire, &decoded);
-    if (!parsed.ok()) {
+template <WireMessage Response>
+StatusOr<Response> DecodeResponse(TcpSession* session, std::string_view wire) {
+  if (TagOf(wire) == MessageTag::kErrorResponse) {
+    StatusOr<ErrorResponse> error = Parse<ErrorResponse>(wire);
+    if (!error.ok()) {
       session->Disconnect();
-      return parsed;
+      return error.status();
     }
-    return decoded;
+    return error->status();
   }
-  StatusOr<Response> response = parse(wire);
+  StatusOr<Response> response = Parse<Response>(wire);
   if (!response.ok()) session->Disconnect();
   return response;
 }
+
+template <WireRequest Request>
+StatusOr<typename Request::Response> TcpSession::Call(const Request& request) {
+  std::string wire;
+  ZR_RETURN_IF_ERROR(Call(Serialize(request), &wire));
+  return DecodeResponse<typename Request::Response>(this, wire);
+}
+
+/// Records the hop of a traced request (`request` holds its wire bytes)
+/// that `session` carried, begun at `start_ns` (obs::MonotonicNowNs): the
+/// hop as an obs::Stage::kTransport span tagged with the request's tag,
+/// then the spans the server reported in the response frame, which enter
+/// this process's tracer under the same trace id. No-op when the calling
+/// thread carries no trace. TcpTransport and cluster::ShardClient record
+/// every hop through this.
+void RecordHop(const TcpSession& session, std::string_view request,
+               uint64_t start_ns);
 
 // ---------------------------------------------------------------------------
 // Client transport
@@ -509,7 +518,7 @@ StatusOr<Response> DecodeResponse(
 ///
 /// Byte accounting: Transport::stats() records message payload bytes (the
 /// identical quantity DirectTransport computes analytically — asserted per
-/// request via the WireSizeOf* drift check); socket_stats() additionally
+/// request via the WireSize drift check); socket_stats() additionally
 /// records the real socket traffic including the 4-byte frame headers.
 ///
 /// Reconnect-on-error: when the connection is found dead while *sending*
@@ -549,13 +558,9 @@ class TcpTransport final : public Transport {
   Status ExchangeFrames(const std::string& request_wire,
                         std::string* response_wire);
 
-  template <typename Request, typename Response>
-  StatusOr<Response> Exchange(const Request& request,
-                              std::string (*serialize_request)(const Request&),
-                              size_t (*request_size)(const Request&),
-                              const char* request_name,
-                              StatusOr<Response> (*parse_response)(
-                                  std::string_view));
+  /// The one exchange path of every request type.
+  template <WireRequest Request>
+  StatusOr<typename Request::Response> Exchange(const Request& request);
 
   TcpSession session_;
 };

@@ -37,28 +37,26 @@ void Transport::Account(uint64_t up, uint64_t down) {
 
 // gcc's -Wmaybe-uninitialized false-positives on the StatusOr/std::optional
 // temporaries of the Exchange template at -O1 under the sanitizers (the
-// optional's engaged flag is always set before any read; gcc loses track
-// of it across the member-function-pointer call). Suppressed only around
-// the template body, and only for gcc — clang does not know this warning
-// group.
+// optional's engaged flag is always set before any read). Suppressed only
+// around the template body, and only for gcc — clang does not know this
+// warning group.
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
-template <typename Request, typename Response>
-StatusOr<Response> DirectTransport::Exchange(
-    const Request& request,
-    StatusOr<Response> (ZerberService::*method)(const Request&),
-    size_t (*request_size)(const Request&),
-    size_t (*response_size)(const Response&)) {
-  auto served = (backend_->*method)(request);
+template <WireRequest Request>
+StatusOr<typename Request::Response> DirectTransport::Exchange(
+    const Request& request) {
+  auto served = Serve(*backend_, request);
   if (!served.ok()) {
-    Account(request_size(request), WireSizeOfErrorResponse(served.status()));
+    Account(WireSize(request), WireSize(ErrorResponse::Of(served.status())));
     return served.status();
   }
-  served->wire_size = response_size(*served);
-  Account(request_size(request), served->wire_size);
+  // What the wire parser records: the response's size and each nested
+  // response's own (per-list accounting).
+  RecordWireSizes(*served);
+  Account(WireSize(request), served->wire_size);
   return served;
 }
 
@@ -67,33 +65,20 @@ StatusOr<Response> DirectTransport::Exchange(
 #endif
 
 StatusOr<InsertResponse> DirectTransport::Insert(const InsertRequest& request) {
-  return Exchange(request, &ZerberService::Insert, WireSizeOfInsertRequest,
-                  WireSizeOfInsertResponse);
+  return Exchange(request);
 }
 
 StatusOr<QueryResponse> DirectTransport::Fetch(const QueryRequest& request) {
-  return Exchange(request, &ZerberService::Fetch, WireSizeOfQueryRequest,
-                  WireSizeOfQueryResponse);
+  return Exchange(request);
 }
 
 StatusOr<MultiFetchResponse> DirectTransport::MultiFetch(
     const MultiFetchRequest& request) {
-  auto response =
-      Exchange(request, &ZerberService::MultiFetch,
-               WireSizeOfMultiFetchRequest, WireSizeOfMultiFetchResponse);
-  if (response.ok()) {
-    // Mirror the wire parser, which records each nested response's own
-    // wire footprint for per-list accounting.
-    for (QueryResponse& r : response->responses) {
-      r.wire_size = WireSizeOfQueryResponse(r);
-    }
-  }
-  return response;
+  return Exchange(request);
 }
 
 StatusOr<DeleteResponse> DirectTransport::Delete(const DeleteRequest& request) {
-  return Exchange(request, &ZerberService::Delete, WireSizeOfDeleteRequest,
-                  WireSizeOfDeleteResponse);
+  return Exchange(request);
 }
 
 std::unique_ptr<Transport> MakeTransport(TransportKind kind,

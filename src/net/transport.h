@@ -6,8 +6,9 @@
 // requests cross a wire. Two implementations:
 //
 //  * DirectTransport — in-process pass-through, zero-copy. Byte accounting
-//    uses the analytic WireSizeOf* functions, so traces report exactly what
-//    a wire transport would transfer without paying for serialization.
+//    uses the analytic WireSize (net/messages.h), so traces report exactly
+//    what a wire transport would transfer without paying for
+//    serialization.
 //    Use in benches measuring CPU/protocol behavior.
 //
 //  * TcpTransport (net/tcp.h) — serializes every request and response
@@ -91,13 +92,10 @@ class DirectTransport final : public Transport {
   StatusOr<DeleteResponse> Delete(const DeleteRequest& request) override;
 
  private:
-  /// Dispatches to the backend and accounts the analytic message sizes.
-  template <typename Request, typename Response>
-  StatusOr<Response> Exchange(
-      const Request& request,
-      StatusOr<Response> (ZerberService::*method)(const Request&),
-      size_t (*request_size)(const Request&),
-      size_t (*response_size)(const Response&));
+  /// The one exchange path of every request type: dispatches to the
+  /// backend and accounts the analytic message sizes.
+  template <WireRequest Request>
+  StatusOr<typename Request::Response> Exchange(const Request& request);
 
   ZerberService* backend_;
 };

@@ -45,7 +45,10 @@ concept CounterSet = requires { Set::Fields(); };
 /// of every wire, JSON and scrape rendering. The struct gets:
 ///   Fields()  the {name, member} table, in list order;
 ///   a += b    the field-wise sum;
-///   a - b     the field-wise difference (the delta over a window);
+///   a - b     the field-wise difference, clamped at zero (the delta over
+///             a window: a counter only falls when its owner restarted
+///             inside the window, and that delta undercounts instead of
+///             wrapping);
 ///   a == b.
 #define ZR_COUNTER_SET(Type, LIST)                               \
   struct Type {                                                  \
@@ -59,7 +62,10 @@ concept CounterSet = requires { Set::Fields(); };
       return a;                                                  \
     }                                                            \
     friend Type operator-(Type a, const Type& b) {               \
-      for (const auto& f : Fields()) a.*f.member -= b.*f.member; \
+      for (const auto& f : Fields()) {                           \
+        uint64_t& x = a.*f.member;                               \
+        x = x > b.*f.member ? x - b.*f.member : 0;               \
+      }                                                          \
       return a;                                                  \
     }                                                            \
     friend bool operator==(const Type&, const Type&) = default;  \

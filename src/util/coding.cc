@@ -79,6 +79,14 @@ Status GetVarint32Cursor(std::string_view* data, uint32_t* value) {
   return Status::OK();
 }
 
+Status GetLengthPrefixedCursor(std::string_view* data,
+                               std::string_view* value) {
+  ByteReader reader(*data);
+  ZR_RETURN_IF_ERROR(reader.GetLengthPrefixed(value));
+  *data = data->substr(data->size() - reader.remaining());
+  return Status::OK();
+}
+
 Status ByteReader::GetFixed32(uint32_t* value) {
   if (remaining() < 4) return Status::Corruption("truncated fixed32");
   const unsigned char* p =

@@ -56,6 +56,10 @@ Status GetVarint64Cursor(std::string_view* data, uint64_t* value);
 /// Reads a varint32 from the front of `*data`, advancing it.
 Status GetVarint32Cursor(std::string_view* data, uint32_t* value);
 
+/// Reads a varint length and that many raw bytes (a view into `*data`)
+/// from the front of `*data`, advancing it.
+Status GetLengthPrefixedCursor(std::string_view* data, std::string_view* value);
+
 // ---------------------------------------------------------------------------
 // Decoder: a cursor over an immutable byte range.
 // ---------------------------------------------------------------------------

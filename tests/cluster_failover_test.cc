@@ -309,7 +309,7 @@ TEST(ShardClientTest, UnparseableResponseBreaksTheSession) {
     ASSERT_GT(::read(fd, buf, sizeof(buf)), 0);  // the Fetch request
     // QueryResponse tag followed by garbage, then a valid response.
     const std::string junk("\x02garbage", 8);
-    std::string valid = net::SerializeQueryResponse(net::QueryResponse{});
+    std::string valid = net::Serialize(net::QueryResponse{});
     std::string frames;
     PutFixed32(&frames, static_cast<uint32_t>(junk.size()));
     frames += junk;

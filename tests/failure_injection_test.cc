@@ -53,9 +53,9 @@ TEST(FailureInjectionTest, BitflipsInSealedElementsAlwaysDetected) {
 }
 
 TEST(FailureInjectionTest, TruncatedWireMessagesAllFail) {
-  std::string wire = net::SerializeQueryRequest(net::QueryRequest{1, 2, 3, 4});
+  std::string wire = net::Serialize(net::QueryRequest{1, 2, 3, 4});
   for (size_t n = 0; n < wire.size(); ++n) {
-    EXPECT_FALSE(net::ParseQueryRequest(wire.substr(0, n)).ok()) << n;
+    EXPECT_FALSE(net::Parse<net::QueryRequest>(wire.substr(0, n)).ok()) << n;
   }
 }
 

@@ -217,13 +217,13 @@ TEST_F(TcpTest, AccountingMatchesDirectPlusExactFraming) {
   auto direct_insert = direct.Insert(MakeInsert(0, 0.9));
   auto tcp_insert = tcp.Insert(MakeInsert(1, 0.9));
   ASSERT_TRUE(direct_insert.ok() && tcp_insert.ok());
-  EXPECT_EQ(tcp_insert->wire_size, WireSizeOfInsertResponse(*tcp_insert));
+  EXPECT_EQ(tcp_insert->wire_size, WireSize(*tcp_insert));
   EXPECT_EQ(tcp_insert->wire_size, direct_insert->wire_size);
 
   auto direct_fetch = direct.Fetch(MakeFetch(0));
   auto tcp_fetch = tcp.Fetch(MakeFetch(1));
   ASSERT_TRUE(direct_fetch.ok() && tcp_fetch.ok());
-  EXPECT_EQ(tcp_fetch->wire_size, WireSizeOfQueryResponse(*tcp_fetch));
+  EXPECT_EQ(tcp_fetch->wire_size, WireSize(*tcp_fetch));
   EXPECT_EQ(tcp_fetch->wire_size, direct_fetch->wire_size);
 
   MultiFetchRequest multi;
@@ -233,7 +233,7 @@ TEST_F(TcpTest, AccountingMatchesDirectPlusExactFraming) {
   auto direct_multi = direct.MultiFetch(multi);
   auto tcp_multi = tcp.MultiFetch(multi);
   ASSERT_TRUE(direct_multi.ok() && tcp_multi.ok());
-  EXPECT_EQ(tcp_multi->wire_size, WireSizeOfMultiFetchResponse(*tcp_multi));
+  EXPECT_EQ(tcp_multi->wire_size, WireSize(*tcp_multi));
   EXPECT_EQ(tcp_multi->wire_size, direct_multi->wire_size);
 
   DeleteRequest direct_del;
@@ -246,7 +246,7 @@ TEST_F(TcpTest, AccountingMatchesDirectPlusExactFraming) {
   auto direct_deleted = direct.Delete(direct_del);
   auto tcp_deleted = tcp.Delete(tcp_del);
   ASSERT_TRUE(direct_deleted.ok() && tcp_deleted.ok());
-  EXPECT_EQ(tcp_deleted->wire_size, WireSizeOfDeleteResponse(*tcp_deleted));
+  EXPECT_EQ(tcp_deleted->wire_size, WireSize(*tcp_deleted));
   EXPECT_EQ(tcp_deleted->wire_size, direct_deleted->wire_size);
 
   // Error responses: a bad list, and a MultiFetch whose one bad range
@@ -287,7 +287,7 @@ TEST_F(TcpTest, PartialWritesAreReassembledByTheServer) {
 
   // The same fetch a transport would send, dribbled one byte at a time
   // across separate write() calls: the server must buffer and reassemble.
-  std::string payload = SerializeQueryRequest(MakeFetch(0));
+  std::string payload = Serialize(MakeFetch(0));
   std::string frame = FrameHeader(static_cast<uint32_t>(payload.size())) + payload;
   int fd = RawConnect(tcp_server_->address());
   for (char byte : frame) {
@@ -296,8 +296,8 @@ TEST_F(TcpTest, PartialWritesAreReassembledByTheServer) {
   }
   std::string response = RawRecvFrame(fd);
   ASSERT_FALSE(response.empty());
-  EXPECT_FALSE(IsErrorResponse(response));
-  auto parsed = ParseQueryResponse(response);
+  EXPECT_FALSE(TagOf(response) == MessageTag::kErrorResponse);
+  auto parsed = Parse<QueryResponse>(response);
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   EXPECT_EQ(parsed->elements.size(), 1u);
   ::close(fd);
@@ -318,7 +318,7 @@ TEST_F(TcpTest, TruncatedPayloadFreesTheSession) {
   MultiFetchRequest multi;
   multi.user = kUser;
   multi.fetches.push_back(FetchRange{0, 0, 5});
-  std::string payload = SerializeMultiFetchRequest(multi);
+  std::string payload = Serialize(multi);
   int fd = RawConnect(tcp_server_->address());
   RawSendAll(fd, FrameHeader(static_cast<uint32_t>(payload.size()) + 64));
   RawSendAll(fd, payload);  // 64 bytes short of the promised length
@@ -340,10 +340,10 @@ TEST_F(TcpTest, OversizedFrameIsRejectedAndTheConnectionClosed) {
   RawSendAll(fd, FrameHeader(256u << 20));
   std::string response = RawRecvFrame(fd);
   ASSERT_FALSE(response.empty());
-  ASSERT_TRUE(IsErrorResponse(response));
-  Status carried;
-  ASSERT_TRUE(ParseErrorResponse(response, &carried).ok());
-  EXPECT_TRUE(carried.IsInvalidArgument());
+  ASSERT_TRUE(TagOf(response) == MessageTag::kErrorResponse);
+  auto carried = Parse<ErrorResponse>(response);
+  ASSERT_TRUE(carried.ok());
+  EXPECT_TRUE(carried->status().IsInvalidArgument());
   char byte;
   EXPECT_LE(::read(fd, &byte, 1), 0) << "server must close after rejecting";
   ::close(fd);
@@ -402,7 +402,7 @@ TEST_F(TcpTest, UnparseableResponseBreaksTheSession) {
     ASSERT_GT(n, 0);
     // QueryResponse tag followed by garbage, then a valid response.
     const std::string junk("\x02garbage", 8);
-    std::string valid = SerializeQueryResponse(QueryResponse{});
+    std::string valid = Serialize(QueryResponse{});
     std::string frames = FrameHeader(static_cast<uint32_t>(junk.size())) +
                          junk +
                          FrameHeader(static_cast<uint32_t>(valid.size())) +
@@ -430,7 +430,7 @@ TEST_F(TcpTest, UnknownTagIsAnsweredWithAnErrorAndClosed) {
   RawSendAll(fd, FrameHeader(3));
   RawSendAll(fd, "\x7f\x01\x02");  // no such message tag
   std::string response = RawRecvFrame(fd);
-  ASSERT_TRUE(IsErrorResponse(response));
+  ASSERT_TRUE(TagOf(response) == MessageTag::kErrorResponse);
   EXPECT_TRUE(WaitFor([&] { return tcp_server_->open_sessions() == 0u; }));
   EXPECT_EQ(tcp_server_->stats().protocol_errors, 1u);
   ::close(fd);
@@ -483,7 +483,7 @@ TEST_F(TcpTest, ClientDisconnectMidMultiFetchFreesTheServerSession) {
   multi.user = kUser;
   multi.fetches.push_back(FetchRange{0, 0, 5});
   multi.fetches.push_back(FetchRange{1, 0, 5});
-  std::string payload = SerializeMultiFetchRequest(multi);
+  std::string payload = Serialize(multi);
   std::string frame =
       FrameHeader(static_cast<uint32_t>(payload.size())) + payload;
   int fd = RawConnect(tcp_server_->address());
@@ -523,9 +523,9 @@ TEST_F(TcpTest, PipelinedSessionAnswersInOrder) {
   // responses arrive complete and in request order.
   TcpSession session(tcp_server_->address());
   std::vector<std::string> requests = {
-      SerializeQueryRequest(MakeFetch(0)),
-      SerializeQueryRequest(MakeFetch(1)),
-      SerializeQueryRequest(MakeFetch(0)),
+      Serialize(MakeFetch(0)),
+      Serialize(MakeFetch(1)),
+      Serialize(MakeFetch(0)),
   };
   for (const std::string& request : requests) {
     ASSERT_TRUE(session.SendFrame(request).ok());
@@ -534,7 +534,7 @@ TEST_F(TcpTest, PipelinedSessionAnswersInOrder) {
   for (size_t i = 0; i < requests.size(); ++i) {
     std::string wire;
     ASSERT_TRUE(session.RecvFrame(&wire).ok());
-    auto parsed = ParseQueryResponse(wire);
+    auto parsed = Parse<QueryResponse>(wire);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     responses.push_back(std::move(parsed).value());
   }
@@ -557,7 +557,7 @@ TEST_F(TcpTest, HalfCloseAfterPipelinedBatchStillGetsEveryResponse) {
   std::string batch;
   constexpr size_t kRequests = 3;
   for (size_t i = 0; i < kRequests; ++i) {
-    std::string payload = SerializeQueryRequest(MakeFetch(0));
+    std::string payload = Serialize(MakeFetch(0));
     batch += FrameHeader(static_cast<uint32_t>(payload.size())) + payload;
   }
   int fd = RawConnect(tcp_server_->address());
@@ -566,7 +566,7 @@ TEST_F(TcpTest, HalfCloseAfterPipelinedBatchStillGetsEveryResponse) {
   for (size_t i = 0; i < kRequests; ++i) {
     std::string response = RawRecvFrame(fd);
     ASSERT_FALSE(response.empty()) << "response " << i << " lost after EOF";
-    EXPECT_FALSE(IsErrorResponse(response));
+    EXPECT_FALSE(TagOf(response) == MessageTag::kErrorResponse);
   }
   char byte;
   EXPECT_LE(::read(fd, &byte, 1), 0) << "server closes after the batch";
@@ -590,14 +590,14 @@ TEST_F(TcpTest, BackpressurePausesAndResumesWithoutLosingResponses) {
 
   TcpSession session((*server)->address());
   constexpr size_t kRequests = 16;
-  std::string payload = SerializeQueryRequest(MakeFetch(0));
+  std::string payload = Serialize(MakeFetch(0));
   for (size_t i = 0; i < kRequests; ++i) {
     ASSERT_TRUE(session.SendFrame(payload).ok());
   }
   for (size_t i = 0; i < kRequests; ++i) {
     std::string wire;
     ASSERT_TRUE(session.RecvFrame(&wire).ok()) << "response " << i;
-    auto parsed = ParseQueryResponse(wire);
+    auto parsed = Parse<QueryResponse>(wire);
     ASSERT_TRUE(parsed.ok()) << parsed.status();
     EXPECT_EQ(parsed->elements.size(), 1u) << "response " << i;
   }
@@ -648,7 +648,7 @@ TEST_F(TcpTest, UntracedFramesAreByteIdenticalToPlainFraming) {
   ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len), 0);
   std::string addr = "127.0.0.1:" + std::to_string(ntohs(sa.sin_port));
 
-  const std::string payload = SerializeQueryRequest(MakeFetch(0));
+  const std::string payload = Serialize(MakeFetch(0));
   const std::string expected =
       FrameHeader(static_cast<uint32_t>(payload.size())) + payload;
 
@@ -664,7 +664,7 @@ TEST_F(TcpTest, UntracedFramesAreByteIdenticalToPlainFraming) {
       done += static_cast<size_t>(n);
     }
     // Reply with a plain (extension-less) frame so RecvFrame completes.
-    std::string response = SerializeQueryResponse(QueryResponse{});
+    std::string response = Serialize(QueryResponse{});
     std::string frame =
         FrameHeader(static_cast<uint32_t>(response.size())) + response;
     (void)::write(fd, frame.data(), frame.size());
@@ -733,7 +733,7 @@ TEST_F(TcpTest, TornFrameExtensionIsAProtocolError) {
   // A flagged frame whose ext_len byte overruns the announced frame
   // length must be rejected like a corrupt length prefix — session freed,
   // no dispatch — and the server must keep serving other clients.
-  std::string payload = SerializeQueryRequest(MakeFetch(0));
+  std::string payload = Serialize(MakeFetch(0));
   int fd = RawConnect(tcp_server_->address());
   // Announced body: ext_len byte + 2 ext bytes + payload; actual ext_len
   // claims 200 bytes that are not there.
@@ -757,7 +757,7 @@ TEST_F(TcpTest, TornFrameExtensionIsAProtocolError) {
   RawSendAll(fd2, FrameHeader(kFrameFlagExtension |
                               (1024u + kMaxFrameExtOverhead + 1)));
   std::string response = RawRecvFrame(fd2);
-  ASSERT_TRUE(IsErrorResponse(response));
+  ASSERT_TRUE(TagOf(response) == MessageTag::kErrorResponse);
   ::close(fd2);
   EXPECT_EQ((*small_server)->stats().protocol_errors, 1u);
 
@@ -828,10 +828,10 @@ TEST_F(TcpTest, ConnectTimeoutLeavesAWorkingSessionWhenTheServerIsUp) {
   ASSERT_TRUE(session.Connect().ok());
 
   QueryRequest request = MakeFetch(0);
-  ASSERT_TRUE(session.SendFrame(SerializeQueryRequest(request)).ok());
+  ASSERT_TRUE(session.SendFrame(Serialize(request)).ok());
   std::string wire;
   ASSERT_TRUE(session.RecvFrame(&wire).ok());
-  auto response = ParseQueryResponse(wire);
+  auto response = Parse<QueryResponse>(wire);
   ASSERT_TRUE(response.ok()) << response.status();
 }
 
@@ -843,9 +843,9 @@ TEST_F(TcpTest, ConnectTimeoutLeavesAWorkingSessionWhenTheServerIsUp) {
 /// loop stamped into the response (the session-pinning witness).
 uint64_t PingLoopId(TcpSession* session, uint64_t token = 42) {
   std::string wire;
-  EXPECT_TRUE(session->Call(SerializePingRequest(PingRequest{token}), &wire)
+  EXPECT_TRUE(session->Call(Serialize(PingRequest{token}), &wire)
                   .ok());
-  auto pong = ParsePingResponse(wire);
+  auto pong = Parse<PingResponse>(wire);
   EXPECT_TRUE(pong.ok()) << pong.status();
   if (!pong.ok()) return ~0ull;
   EXPECT_EQ(pong->token, token);
@@ -1100,8 +1100,8 @@ TEST_F(TcpTest, AclDispatchQuiescesEveryLoop) {
       acl.group = 5;
       std::string wire;
       ASSERT_TRUE(
-          acl_session.Call(SerializeAclRequest(acl), &wire).ok());
-      EXPECT_FALSE(IsErrorResponse(wire));
+          acl_session.Call(Serialize(acl), &wire).ok());
+      EXPECT_FALSE(TagOf(wire) == MessageTag::kErrorResponse);
     }
   }
   for (auto& thread : threads) thread.join();

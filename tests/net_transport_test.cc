@@ -68,7 +68,7 @@ TEST_F(TransportTest, InsertBehavesIdenticallyOverBothTransports) {
   EXPECT_NE(via_direct->handle, via_tcp->handle);
   // The ack message is tiny either way, and both account the same bytes.
   EXPECT_GT(via_direct->wire_size, 0u);
-  EXPECT_EQ(via_direct->wire_size, WireSizeOfInsertResponse(*via_direct));
+  EXPECT_EQ(via_direct->wire_size, WireSize(*via_direct));
 }
 
 TEST_F(TransportTest, FetchReturnsIdenticalResponsesAndBytes) {
@@ -97,11 +97,11 @@ TEST_F(TransportTest, FetchReturnsIdenticalResponsesAndBytes) {
   // Byte accounting: tcp counts real serialized messages; direct's
   // analytic accounting must agree bit-for-bit.
   EXPECT_EQ(via_direct->wire_size, via_tcp->wire_size);
-  EXPECT_EQ(via_tcp->wire_size, SerializeQueryResponse(*via_tcp).size());
+  EXPECT_EQ(via_tcp->wire_size, Serialize(*via_tcp).size());
   EXPECT_EQ(direct_.stats().exchanges, tcp_.stats().exchanges);
   EXPECT_EQ(direct_.stats().bytes_up, tcp_.stats().bytes_up);
   EXPECT_EQ(direct_.stats().bytes_down, tcp_.stats().bytes_down);
-  EXPECT_EQ(tcp_.stats().bytes_up, SerializeQueryRequest(request).size());
+  EXPECT_EQ(tcp_.stats().bytes_up, Serialize(request).size());
 }
 
 // ServerStats::bytes_served counts what a response carries: the served
@@ -162,7 +162,7 @@ TEST_F(TransportTest, MultiFetchReturnsIdenticalResponsesAndBytes) {
   ASSERT_EQ(via_direct->responses.size(), 2u);
   ASSERT_EQ(via_tcp->responses.size(), 2u);
   EXPECT_EQ(via_direct->wire_size, via_tcp->wire_size);
-  EXPECT_EQ(via_tcp->wire_size, SerializeMultiFetchResponse(*via_tcp).size());
+  EXPECT_EQ(via_tcp->wire_size, Serialize(*via_tcp).size());
   for (size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(via_direct->responses[i].wire_size,
               via_tcp->responses[i].wire_size);

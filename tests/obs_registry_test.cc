@@ -7,12 +7,33 @@
 #include <thread>
 #include <vector>
 
+#include "obs/counter_set.h"
 #include "obs/metrics.h"
 #include "util/histogram.h"
 #include "util/random.h"
 
 namespace zr::obs {
 namespace {
+
+#define ZR_TEST_COUNTERS_FIELDS(X) \
+  X(requests)                      \
+  X(bytes)
+ZR_COUNTER_SET(TestCounters, ZR_TEST_COUNTERS_FIELDS);
+
+// A window delta subtracts the counters seen at its start. A counter only
+// falls when its owner restarted inside the window; that field's delta is
+// clamped at zero (an undercount) instead of wrapping to near 2^64.
+TEST(ObsCounterSetTest, DeltaClampsAFallenCounterAtZero) {
+  TestCounters before{10, 500};
+  TestCounters after{25, 200};  // bytes restarted from zero and reached 200
+  TestCounters delta = after - before;
+  EXPECT_EQ(delta.requests, 15u);
+  EXPECT_EQ(delta.bytes, 0u);
+  EXPECT_EQ((before - before), TestCounters{});
+  TestCounters sum = before;
+  sum += after;
+  EXPECT_EQ(sum, (TestCounters{35, 700}));
+}
 
 TEST(ObsRegistryTest, SameNameReturnsSameInstrument) {
   Registry registry;

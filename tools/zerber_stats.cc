@@ -125,17 +125,8 @@ StatusOr<std::string> Scrape(const std::string& addr) {
   options.deadlines = net::Deadlines::Of(/*connect_ms=*/5000,
                                          /*recv_ms=*/5000);
   net::TcpSession session(addr, options);
-  ZR_RETURN_IF_ERROR(session.SendFrame(
-      net::SerializeStatsRequest(net::StatsRequest{})));
-  std::string wire;
-  ZR_RETURN_IF_ERROR(session.RecvFrame(&wire));
-  if (net::IsErrorResponse(wire)) {
-    Status remote;
-    ZR_RETURN_IF_ERROR(net::ParseErrorResponse(wire, &remote));
-    return remote;
-  }
   ZR_ASSIGN_OR_RETURN(net::StatsResponse stats,
-                      net::ParseStatsResponse(wire));
+                      session.Call(net::StatsRequest{}));
   if (stats.registry_text.empty()) {
     return Status::Internal(addr + ": empty registry dump (pre-v2 server?)");
   }
@@ -151,10 +142,7 @@ Status Ping(const std::string& addr, uint64_t token) {
   net::TcpSession session(addr, options);
   net::PingRequest ping;
   ping.token = token;
-  ZR_RETURN_IF_ERROR(session.SendFrame(net::SerializePingRequest(ping)));
-  std::string wire;
-  ZR_RETURN_IF_ERROR(session.RecvFrame(&wire));
-  ZR_ASSIGN_OR_RETURN(net::PingResponse pong, net::ParsePingResponse(wire));
+  ZR_ASSIGN_OR_RETURN(net::PingResponse pong, session.Call(ping));
   if (pong.token != ping.token) {
     return Status::Internal(addr + ": ping token mismatch");
   }
