@@ -1,7 +1,7 @@
 // Microbenchmarks: sharded serving throughput (google-benchmark).
 //
 // Measures multi-threaded query throughput against the sharded backend:
-// QueryTopKMulti (top-10, b = 10, MultiFetch initial round) on the query
+// QueryTopKMulti (top-10, b = 10, one MultiFetch per round) on the query
 // workload, for 1/2/4/8 concurrent client threads x 1/4/16 index shards.
 // The 1-shard rows are the single-server baseline (IndexServer behind an
 // IndexService); the acceptance target for the sharded serving layer is

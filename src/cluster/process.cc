@@ -27,18 +27,30 @@ StatusOr<std::unique_ptr<ShardProcess>> ShardProcess::Start(
     return Status::Internal(std::string("cluster: pipe: ") +
                             std::strerror(errno));
   }
+  // The child reports a failed execv's errno here; a successful exec closes
+  // the write end (close-on-exec), so the parent reads EOF.
+  int exec_pipe[2];
+  if (::pipe2(exec_pipe, O_CLOEXEC) != 0) {
+    int err = errno;
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+    return Status::Internal(std::string("cluster: pipe: ") +
+                            std::strerror(err));
+  }
 
   pid_t pid = ::fork();
   if (pid < 0) {
     int err = errno;
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
+    for (int fd : {out_pipe[0], out_pipe[1], exec_pipe[0], exec_pipe[1]}) {
+      ::close(fd);
+    }
     return Status::Internal(std::string("cluster: fork: ") +
                             std::strerror(err));
   }
   if (pid == 0) {
     // Child: stdout -> pipe, then exec. Only async-signal-safe calls here.
     ::close(out_pipe[0]);
+    ::close(exec_pipe[0]);
     ::dup2(out_pipe[1], STDOUT_FILENO);
     ::close(out_pipe[1]);
     std::vector<char*> argv;
@@ -49,13 +61,27 @@ StatusOr<std::unique_ptr<ShardProcess>> ShardProcess::Start(
     }
     argv.push_back(nullptr);
     ::execv(binary.c_str(), argv.data());
+    int err = errno;
+    (void)!::write(exec_pipe[1], &err, sizeof(err));
     _exit(127);  // exec failed
   }
 
   ::close(out_pipe[1]);
+  ::close(exec_pipe[1]);
   auto process = std::unique_ptr<ShardProcess>(new ShardProcess());
   process->pid_ = pid;
   process->stdout_fd_ = out_pipe[0];
+
+  int exec_errno = 0;
+  ssize_t got;
+  do {
+    got = ::read(exec_pipe[0], &exec_errno, sizeof(exec_errno));
+  } while (got < 0 && errno == EINTR);
+  ::close(exec_pipe[0]);
+  if (got == static_cast<ssize_t>(sizeof(exec_errno))) {
+    return Status::Internal("cluster: cannot execute shard server '" +
+                            binary + "': " + std::strerror(exec_errno));
+  }
 
   // Wait for the readiness line: "listening on <host:port>\n".
   static constexpr char kReadyPrefix[] = "listening on ";
@@ -101,8 +127,8 @@ StatusOr<std::unique_ptr<ShardProcess>> ShardProcess::Start(
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    // EOF: the child exited (bad flags, port in use, exec failure) before
-    // announcing readiness.
+    // EOF: the child exited (bad flags, port in use) before announcing
+    // readiness.
     return Status::Internal("cluster: shard server '" + binary +
                             "' exited before becoming ready");
   }

@@ -35,7 +35,8 @@ std::string ShardServerBinary();
 class ShardProcess {
  public:
   /// Spawns `binary` with `args` (argv[0] is derived from the binary path)
-  /// and waits up to `ready_timeout_ms` for the readiness line.
+  /// and waits up to `ready_timeout_ms` for the readiness line. A binary
+  /// that cannot be executed fails at once, with the exec error.
   static StatusOr<std::unique_ptr<ShardProcess>> Start(
       const std::string& binary, const std::vector<std::string>& args,
       uint64_t ready_timeout_ms = 15000);

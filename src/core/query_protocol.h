@@ -36,21 +36,25 @@ struct ProtocolOptions {
   bool adaptive_initial_size = false;
 };
 
-/// Transfer accounting of one top-k query (inputs of Equations 12-14).
+/// Transfer accounting of one top-k query (inputs of Equations 12-14). A
+/// multi-term query counts its terms together: each round is one exchange.
 struct QueryTrace {
-  /// Server round trips (1 = answered by the initial response).
+  /// Server round trips, one per exchange (1 = answered by the initial
+  /// response).
   uint64_t requests = 0;
 
   /// Total posting elements transferred — the paper's TRes.
   uint64_t elements_fetched = 0;
 
-  /// Bytes transferred server -> client.
+  /// Bytes transferred server -> client: the wire size of every response
+  /// message received.
   uint64_t bytes_fetched = 0;
 
-  /// Elements of the queried term among those fetched.
+  /// Elements of the queried terms among those fetched (at most k per
+  /// term).
   uint64_t hits = 0;
 
-  /// True when the accessible list was exhausted before k hits were found.
+  /// True when an accessible list was exhausted before k hits were found.
   bool exhausted = false;
 };
 

@@ -1,6 +1,7 @@
 #include "core/zerber_r_client.h"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 
 namespace zr::core {
@@ -32,10 +33,19 @@ StatusOr<ZerberRClient::TermQuery> ZerberRClient::BeginQuery(
 }
 
 Status ZerberRClient::AbsorbResponse(TermQuery* q, size_t k,
+                                     const net::FetchRange& range,
                                      const net::QueryResponse& response) {
-  ++q->out.trace.requests;
-  q->out.trace.elements_fetched += response.elements.size();
-  q->out.trace.bytes_fetched += response.wire_size;
+  // A server serves min(count, accessible - offset) elements and marks the
+  // list exhausted when that reaches its tail; anything else is a lie.
+  size_t served = response.elements.size();
+  if (served > range.count || (served < range.count && !response.exhausted)) {
+    return Status::Corruption(
+        "server served " + std::to_string(served) + " of " +
+        std::to_string(range.count) + " requested elements of list " +
+        std::to_string(range.list) + " at offset " +
+        std::to_string(range.offset) +
+        (response.exhausted ? "" : " without reaching the list's end"));
+  }
 
   for (const zerber::ServedElement& element : response.elements) {
     auto payload = OpenPostingElement(element, *keys_);
@@ -44,108 +54,100 @@ Status ZerberRClient::AbsorbResponse(TermQuery* q, size_t k,
       return payload.status();
     }
     if (payload->term != q->term) continue;
-    if (q->out.trace.hits < k) {
-      q->out.results.push_back(
-          index::ScoredDoc{payload->doc, payload->score});
-      ++q->out.trace.hits;
+    if (q->hits.size() < k) {
+      q->hits.push_back(index::ScoredDoc{payload->doc, payload->score});
     }
   }
 
-  if (response.exhausted) q->out.trace.exhausted = true;
-  q->offset += response.elements.size();
+  q->exhausted = q->exhausted || response.exhausted;
+  q->offset += served;
   ++q->request_index;
   return Status::OK();
 }
 
 bool ZerberRClient::Done(const TermQuery& q, size_t k) const {
-  return q.out.trace.hits >= k || q.out.trace.exhausted ||
-         q.out.trace.requests >= protocol_.max_requests;
+  return q.hits.size() >= k || q.exhausted ||
+         q.request_index >= protocol_.max_requests;
 }
 
-Status ZerberRClient::RunToCompletion(TermQuery* q, size_t k) {
-  while (!Done(*q, k)) {
-    net::QueryRequest request;
-    request.user = user_;
-    request.list = q->list;
-    request.offset = q->offset;
-    request.count = RequestSize(q->initial, q->request_index);
-    ZR_ASSIGN_OR_RETURN(net::QueryResponse response,
-                        service_->Fetch(request));
-    ZR_RETURN_IF_ERROR(AbsorbResponse(q, k, response));
+StatusOr<QueryTrace> ZerberRClient::RunRounds(std::span<TermQuery> queries,
+                                              size_t k) {
+  QueryTrace trace;
+  std::vector<TermQuery*> open;
+  net::MultiFetchRequest round{user_, {}};
+  for (;;) {
+    open.clear();
+    round.fetches.clear();
+    for (TermQuery& q : queries) {
+      if (Done(q, k)) continue;
+      open.push_back(&q);
+      round.fetches.push_back(net::FetchRange{
+          q.list, q.offset, RequestSize(q.initial, q.request_index)});
+    }
+    if (open.empty()) break;
+
+    net::MultiFetchResponse answer;
+    if (open.size() == 1) {
+      const net::FetchRange& r = round.fetches[0];
+      ZR_ASSIGN_OR_RETURN(net::QueryResponse response,
+                          service_->Fetch({user_, r.list, r.offset, r.count}));
+      answer.wire_size = response.wire_size;
+      answer.responses.push_back(std::move(response));
+    } else {
+      ZR_ASSIGN_OR_RETURN(answer, service_->MultiFetch(round));
+      if (answer.responses.size() != open.size()) {
+        return Status::Corruption(
+            "MultiFetch answered " + std::to_string(answer.responses.size()) +
+            " of " + std::to_string(open.size()) + " ranges");
+      }
+    }
+    ++trace.requests;
+    trace.bytes_fetched += answer.wire_size;
+    for (size_t i = 0; i < open.size(); ++i) {
+      trace.elements_fetched += answer.responses[i].elements.size();
+      ZR_RETURN_IF_ERROR(
+          AbsorbResponse(open[i], k, round.fetches[i], answer.responses[i]));
+    }
   }
-  return Status::OK();
+  for (const TermQuery& q : queries) {
+    trace.hits += q.hits.size();
+    trace.exhausted = trace.exhausted || q.exhausted;
+  }
+  return trace;
 }
 
 StatusOr<TopKResult> ZerberRClient::QueryTopK(text::TermId term, size_t k) {
   ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term, k));
-  ZR_RETURN_IF_ERROR(RunToCompletion(&q, k));
+  TopKResult out;
+  ZR_ASSIGN_OR_RETURN(out.trace, RunRounds({&q, 1}, k));
 
   // Elements arrive in descending TRS order; within one term that is
   // descending raw-score order (RSTF monotonicity), so results are already
   // ranked. Sort defensively for exact tie determinism.
-  std::stable_sort(q.out.results.begin(), q.out.results.end(),
+  out.results = std::move(q.hits);
+  std::stable_sort(out.results.begin(), out.results.end(),
                    [](const index::ScoredDoc& a, const index::ScoredDoc& b) {
                      return a.score > b.score;
                    });
-  return std::move(q.out);
+  return out;
 }
 
 StatusOr<TopKResult> ZerberRClient::QueryTopKMulti(
     const std::vector<text::TermId>& terms, size_t k) {
-  TopKResult out;
-  if (terms.empty()) return out;
-
-  // Initial requests of every term batched into one round trip.
   std::vector<TermQuery> queries;
   queries.reserve(terms.size());
-  net::MultiFetchRequest batch;
-  batch.user = user_;
-  batch.fetches.reserve(terms.size());
   for (text::TermId term : terms) {
     ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term, k));
-    net::FetchRange range;
-    range.list = q.list;
-    range.offset = 0;
-    range.count = RequestSize(q.initial, 0);
-    batch.fetches.push_back(range);
     queries.push_back(std::move(q));
   }
-  ZR_ASSIGN_OR_RETURN(net::MultiFetchResponse initial,
-                      service_->MultiFetch(batch));
-  if (initial.responses.size() != queries.size()) {
-    return Status::Internal("MultiFetch answered " +
-                            std::to_string(initial.responses.size()) +
-                            " of " + std::to_string(queries.size()) +
-                            " ranges");
-  }
+  TopKResult out;
+  ZR_ASSIGN_OR_RETURN(out.trace, RunRounds(queries, k));
 
-  // Absorb the batched responses, then run per-term follow-ups.
-  uint64_t nested_bytes = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    nested_bytes += initial.responses[i].wire_size;
-    ZR_RETURN_IF_ERROR(AbsorbResponse(&queries[i], k, initial.responses[i]));
-    ZR_RETURN_IF_ERROR(RunToCompletion(&queries[i], k));
-  }
-
-  // Merge by summed raw scores; fold per-term traces into one. The batched
-  // round collapses the terms' initial requests into a single request, and
-  // its bytes are the real MultiFetchResponse message (envelope included)
-  // rather than the nested per-term responses absorbed above.
+  // Merge by summed raw scores.
   std::unordered_map<text::DocId, double> acc;
-  for (TermQuery& q : queries) {
-    out.trace.requests += q.out.trace.requests;
-    out.trace.elements_fetched += q.out.trace.elements_fetched;
-    out.trace.bytes_fetched += q.out.trace.bytes_fetched;
-    out.trace.hits += q.out.trace.hits;
-    out.trace.exhausted = out.trace.exhausted || q.out.trace.exhausted;
-    for (const index::ScoredDoc& d : q.out.results) {
-      acc[d.doc_id] += d.score;
-    }
+  for (const TermQuery& q : queries) {
+    for (const index::ScoredDoc& d : q.hits) acc[d.doc_id] += d.score;
   }
-  out.trace.requests -= queries.size() - 1;
-  out.trace.bytes_fetched += initial.wire_size;
-  out.trace.bytes_fetched -= nested_bytes;
-
   out.results.reserve(acc.size());
   for (const auto& [doc, score] : acc) {
     out.results.push_back(index::ScoredDoc{doc, score});

@@ -3,6 +3,7 @@
 #ifndef ZERBERR_CORE_ZERBER_R_CLIENT_H_
 #define ZERBERR_CORE_ZERBER_R_CLIENT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,12 +51,14 @@ class ZerberRClient : public zerber::ZerberClient {
   /// hits *are* the term's top-k documents.
   StatusOr<TopKResult> QueryTopK(text::TermId term, size_t k);
 
-  /// Multi-term query as a set of single-term queries (Section 3.2) whose
-  /// *initial* requests are batched into a single MultiFetch round trip;
-  /// follow-ups (when a term's initial response lacks k hits) proceed
-  /// per-term. Results are merged client-side by summed raw scores; the
-  /// paper accepts the slight accuracy loss vs TFxIDF as the price of
-  /// hiding collection statistics.
+  /// Multi-term query as a set of single-term queries (Section 3.2), run
+  /// side by side: each round sends the next request of every term that
+  /// still lacks k hits as one exchange (a MultiFetch while several terms
+  /// are open, a Fetch when one is), so the query costs as many round trips
+  /// as its slowest term. Each term's requests are exactly those of its
+  /// single-term query. Results are merged client-side by summed raw
+  /// scores; the paper accepts the slight accuracy loss vs TFxIDF as the
+  /// price of hiding collection statistics.
   StatusOr<TopKResult> QueryTopKMulti(const std::vector<text::TermId>& terms,
                                       size_t k);
 
@@ -70,22 +73,26 @@ class ZerberRClient : public zerber::ZerberClient {
     size_t initial = 0;        ///< initial response size b for this list
     size_t offset = 0;         ///< accessible elements consumed so far
     size_t request_index = 0;  ///< next request's slot in the schedule
-    TopKResult out;
+    bool exhausted = false;    ///< a response served the list's tail
+    std::vector<index::ScoredDoc> hits;  ///< the term's hits, at most k
   };
 
   /// Resolves the term's list and initial response size.
   StatusOr<TermQuery> BeginQuery(text::TermId term, size_t k) const;
 
-  /// Folds one response into the query state: decrypts, filters to the
-  /// term, counts trace fields (one request, its elements and bytes).
-  Status AbsorbResponse(TermQuery* q, size_t k,
+  /// Checks a response against the range it answers (the server is
+  /// untrusted), then folds it into the query state: decrypts and keeps
+  /// the term's hits.
+  Status AbsorbResponse(TermQuery* q, size_t k, const net::FetchRange& range,
                         const net::QueryResponse& response);
 
   /// True when the query needs no further requests.
   bool Done(const TermQuery& q, size_t k) const;
 
-  /// Issues Fetch rounds (from the current request_index) until Done.
-  Status RunToCompletion(TermQuery* q, size_t k);
+  /// Runs the queries in rounds until every one is Done: a round is one
+  /// exchange carrying the next request of each open query. Returns the
+  /// summed trace.
+  StatusOr<QueryTrace> RunRounds(std::span<TermQuery> queries, size_t k);
 
   const TrsAssigner* assigner_;
   ProtocolOptions protocol_;

@@ -253,8 +253,8 @@ void LoadDriver::ExecuteOp(WorkerState* w, const Op& op, bool measured) {
         if (op.extra_term_ranks.empty()) {
           return client->QueryTopK(t.term, spec_.top_k);
         }
-        // Multi-term query (spec.terms_per_query_mean > 1): all initial
-        // requests travel as one MultiFetch round trip.
+        // Multi-term query (spec.terms_per_query_mean > 1): every round
+        // sends the next request of each open term as one MultiFetch.
         std::vector<text::TermId> query_terms;
         query_terms.reserve(1 + op.extra_term_ranks.size());
         query_terms.push_back(t.term);

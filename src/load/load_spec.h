@@ -83,8 +83,8 @@ struct LoadSpec {
   /// Mean terms per Zerber+R query (the paper's query log averages 2.4).
   /// 1.0 — the default — keeps the historical single-term op stream
   /// byte-identical: no extra RNG draws happen at all. Above 1.0 each
-  /// Zerber+R query draws additional Zipf term ranks and issues all of
-  /// its initial requests as one batched MultiFetch round trip — the
+  /// Zerber+R query draws additional Zipf term ranks and issues each
+  /// round's requests as one batched MultiFetch; its initial round is the
   /// co-occurrence observable the adversarial traffic suite attacks.
   /// Echoed into the report's spec JSON only when != 1.0, so existing
   /// perf baselines compare unchanged.

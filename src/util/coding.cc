@@ -126,18 +126,17 @@ Status ByteReader::GetVarint32(uint32_t* value) {
 
 Status ByteReader::GetVarint64(uint64_t* value) {
   uint64_t result = 0;
-  for (int shift = 0; shift <= 63; shift += 7) {
+  for (int shift = 0;; shift += 7) {
     if (empty()) return Status::Corruption("truncated varint");
     uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    if (byte & 0x80) {
-      result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    } else {
-      result |= static_cast<uint64_t>(byte) << shift;
+    // The tenth byte holds bit 63 alone: anything more would not fit.
+    if (shift == 63 && byte > 1) return Status::Corruption("varint too long");
+    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if (!(byte & 0x80)) {
       *value = result;
       return Status::OK();
     }
   }
-  return Status::Corruption("varint too long");
 }
 
 Status ByteReader::GetLengthPrefixed(std::string_view* value) {

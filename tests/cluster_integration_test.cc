@@ -299,5 +299,14 @@ TEST_F(ClusterIntegrationTest, LoadDriverSurfacesFaultCountersInTheReport) {
   EXPECT_NE(json.find("\"unavailable\""), std::string::npos);
 }
 
+TEST(ShardProcessTest, BinaryThatCannotRunReportsTheExecFailure) {
+  const std::string missing = "/nonexistent/shard_server";
+  auto proc = ShardProcess::Start(missing, {"--listen=127.0.0.1:0"});
+  ASSERT_FALSE(proc.ok());
+  EXPECT_EQ(proc.status().message(),
+            "cluster: cannot execute shard server '" + missing +
+                "': No such file or directory");
+}
+
 }  // namespace
 }  // namespace zr::cluster

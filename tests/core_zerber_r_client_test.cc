@@ -2,12 +2,63 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <set>
+#include <tuple>
+#include <vector>
 
 #include "core/pipeline.h"
 
 namespace zr::core {
 namespace {
+
+// A ZerberService decorator over a real server: records the ranges of every
+// exchange in order, and, when `lie` is set, rewrites every response before
+// the client sees it (a lying server).
+class TapService : public net::ZerberService {
+ public:
+  struct Exchange {
+    bool multi = false;  // a MultiFetch, else a Fetch
+    std::vector<net::FetchRange> ranges;
+  };
+
+  explicit TapService(net::ZerberService* inner) : inner_(inner) {}
+
+  StatusOr<net::InsertResponse> Insert(
+      const net::InsertRequest& request) override {
+    return inner_->Insert(request);
+  }
+  StatusOr<net::QueryResponse> Fetch(
+      const net::QueryRequest& request) override {
+    exchanges.push_back(
+        {false, {{request.list, request.offset, request.count}}});
+    auto response = inner_->Fetch(request);
+    if (response.ok() && lie) lie(&*response);
+    return response;
+  }
+  StatusOr<net::MultiFetchResponse> MultiFetch(
+      const net::MultiFetchRequest& request) override {
+    exchanges.push_back({true, request.fetches});
+    auto response = inner_->MultiFetch(request);
+    if (response.ok() && lie) {
+      for (net::QueryResponse& r : response->responses) lie(&r);
+    }
+    return response;
+  }
+  StatusOr<net::DeleteResponse> Delete(
+      const net::DeleteRequest& request) override {
+    return inner_->Delete(request);
+  }
+
+  std::vector<Exchange> exchanges;
+  std::function<void(net::QueryResponse*)> lie;
+
+ private:
+  net::ZerberService* inner_;
+};
 
 // One shared deployment for all tests in this suite (construction builds an
 // encrypted index; reuse keeps the suite fast).
@@ -25,6 +76,29 @@ class ZerberRClientTest : public ::testing::Test {
   static void TearDownTestSuite() {
     delete pipeline_;
     pipeline_ = nullptr;
+  }
+
+  // A client of the deployment's user that speaks to `service`.
+  static std::unique_ptr<ZerberRClient> ClientOver(
+      net::ZerberService* service) {
+    return std::make_unique<ZerberRClient>(
+        pipeline_->user, pipeline_->keys.get(), &pipeline_->plan, service,
+        &pipeline_->corpus.vocabulary(), pipeline_->assigner.get());
+  }
+
+  // The first term whose single-term top-k query takes between `min` and
+  // `max` requests.
+  static text::TermId TermTakingRequests(size_t k, uint64_t min,
+                                         uint64_t max = UINT64_MAX) {
+    for (text::TermId t : pipeline_->corpus.vocabulary().AllTermIds()) {
+      auto result = pipeline_->client->QueryTopK(t, k);
+      if (!result.ok()) continue;
+      if (result->trace.requests >= min && result->trace.requests <= max) {
+        return t;
+      }
+    }
+    ADD_FAILURE() << "no term takes " << min << ".." << max << " requests";
+    return text::kInvalidTermId;
   }
 
   static Pipeline* pipeline_;
@@ -153,17 +227,21 @@ TEST_F(ZerberRClientTest, ResultsOrderedByDecryptedScore) {
 }
 
 TEST_F(ZerberRClientTest, MultiTermMergesSingleTermResults) {
-  auto ids = pipeline_->corpus.vocabulary().AllTermIds();
-  std::vector<text::TermId> terms{ids[0], ids[1]};
+  // Two terms that each need follow-ups, one more than the other.
+  text::TermId ta = TermTakingRequests(5, 2, 3);
+  text::TermId tb = TermTakingRequests(5, 4);
+  std::vector<text::TermId> terms{ta, tb};
   auto multi = pipeline_->client->QueryTopKMulti(terms, 5);
   ASSERT_TRUE(multi.ok());
   EXPECT_LE(multi->results.size(), 5u);
-  auto a = pipeline_->client->QueryTopK(ids[0], 5);
-  auto b = pipeline_->client->QueryTopK(ids[1], 5);
+  auto a = pipeline_->client->QueryTopK(ta, 5);
+  auto b = pipeline_->client->QueryTopK(tb, 5);
   ASSERT_TRUE(a.ok() && b.ok());
-  // The terms' initial requests are batched into one MultiFetch round trip,
-  // saving a round trip per extra term; follow-ups stay per-term.
-  EXPECT_EQ(multi->trace.requests, a->trace.requests + b->trace.requests - 1);
+  // Every round carries the next request of each open term in one
+  // exchange, so the query takes as many round trips as its slowest term
+  // and fetches exactly what the two single-term queries fetch.
+  EXPECT_EQ(multi->trace.requests,
+            std::max(a->trace.requests, b->trace.requests));
   EXPECT_EQ(multi->trace.elements_fetched,
             a->trace.elements_fetched + b->trace.elements_fetched);
   // Every multi result doc must come from one of the single-term results.
@@ -172,6 +250,61 @@ TEST_F(ZerberRClientTest, MultiTermMergesSingleTermResults) {
   for (const auto& d : b->results) sources.insert(d.doc_id);
   for (const auto& d : multi->results) {
     EXPECT_TRUE(sources.count(d.doc_id) > 0);
+  }
+}
+
+TEST_F(ZerberRClientTest, MultiTermSendsEachTermsRequestsOneRoundPerExchange) {
+  // Terms that finish after one, two or three, and four or more requests.
+  const size_t k = 5;
+  std::vector<text::TermId> terms{TermTakingRequests(k, 1, 1),
+                                  TermTakingRequests(k, 2, 3),
+                                  TermTakingRequests(k, 4)};
+  TapService tap(pipeline_->service.get());
+  auto client = ClientOver(&tap);
+
+  // Each term's single-term requests, in order: one Fetch each.
+  std::vector<std::vector<net::FetchRange>> per_term;
+  for (text::TermId term : terms) {
+    tap.exchanges.clear();
+    ASSERT_TRUE(client->QueryTopK(term, k).ok());
+    per_term.emplace_back();
+    for (const TapService::Exchange& e : tap.exchanges) {
+      EXPECT_FALSE(e.multi);
+      per_term.back().insert(per_term.back().end(), e.ranges.begin(),
+                             e.ranges.end());
+    }
+  }
+
+  tap.exchanges.clear();
+  auto multi = client->QueryTopKMulti(terms, k);
+  ASSERT_TRUE(multi.ok()) << multi.status();
+
+  // The server sees the same ranges as the single-term queries together...
+  auto key = [](const net::FetchRange& r) {
+    return std::tuple(r.list, r.offset, r.count);
+  };
+  std::multiset<std::tuple<uint32_t, uint64_t, uint64_t>> sent, expected;
+  for (const TapService::Exchange& e : tap.exchanges) {
+    for (const net::FetchRange& r : e.ranges) sent.insert(key(r));
+  }
+  for (const auto& ranges : per_term) {
+    for (const net::FetchRange& r : ranges) expected.insert(key(r));
+  }
+  EXPECT_EQ(sent, expected);
+
+  // ...grouped one exchange per round: round i carries the i-th request of
+  // every term that makes one, a MultiFetch while several terms are open.
+  size_t rounds = 0;
+  for (const auto& ranges : per_term) rounds = std::max(rounds, ranges.size());
+  ASSERT_EQ(tap.exchanges.size(), rounds);
+  EXPECT_EQ(multi->trace.requests, rounds);
+  for (size_t i = 0; i < rounds; ++i) {
+    std::vector<net::FetchRange> round;
+    for (const auto& ranges : per_term) {
+      if (i < ranges.size()) round.push_back(ranges[i]);
+    }
+    EXPECT_EQ(tap.exchanges[i].ranges, round) << "round " << i;
+    EXPECT_EQ(tap.exchanges[i].multi, round.size() > 1) << "round " << i;
   }
 }
 
@@ -205,6 +338,38 @@ TEST_F(ZerberRClientTest, LargerInitialResponseReducesRequests) {
     EXPECT_DOUBLE_EQ(with_small->results[i].score,
                      with_large->results[i].score);
   }
+}
+
+// A lying server: the client checks each response against the range it
+// asked for, on the Fetch and the MultiFetch path alike.
+TEST_F(ZerberRClientTest, MoreElementsThanRequestedIsCorruption) {
+  TapService tap(pipeline_->service.get());
+  tap.lie = [](net::QueryResponse* r) {
+    if (!r->elements.empty()) r->elements.push_back(r->elements.back());
+  };
+  auto client = ClientOver(&tap);
+  // Terms whose first response is a full one, not the list's tail.
+  text::TermId ta = TermTakingRequests(5, 2);
+  text::TermId tb = TermTakingRequests(5, 4);
+  auto single = client->QueryTopK(ta, 5);
+  EXPECT_TRUE(single.status().IsCorruption()) << single.status();
+  auto multi = client->QueryTopKMulti({ta, tb}, 5);
+  EXPECT_TRUE(multi.status().IsCorruption()) << multi.status();
+}
+
+TEST_F(ZerberRClientTest, ShortResponseWithoutExhaustedIsCorruption) {
+  TapService tap(pipeline_->service.get());
+  tap.lie = [](net::QueryResponse* r) {
+    if (!r->elements.empty()) r->elements.pop_back();
+    r->exhausted = false;
+  };
+  auto client = ClientOver(&tap);
+  text::TermId ta = TermTakingRequests(5, 2);
+  text::TermId tb = TermTakingRequests(5, 4);
+  auto single = client->QueryTopK(ta, 5);
+  EXPECT_TRUE(single.status().IsCorruption()) << single.status();
+  auto multi = client->QueryTopKMulti({ta, tb}, 5);
+  EXPECT_TRUE(multi.status().IsCorruption()) << multi.status();
 }
 
 }  // namespace

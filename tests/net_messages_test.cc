@@ -263,6 +263,17 @@ TEST(MessagesTest, InsertResponseRejectsCorruptInput) {
   EXPECT_TRUE(Parse<InsertResponse>(wire + "x").status().IsCorruption());
 }
 
+TEST(MessagesTest, InsertResponseHandleTakesAtMost64Bits) {
+  // Tag 04, then the handle as a varint: nine ff bytes carry bits 0..62,
+  // and the tenth byte may carry bit 63 alone.
+  const std::string nine(9, static_cast<char>(0xff));
+  auto max = Parse<InsertResponse>("\x04" + nine + "\x01");
+  ASSERT_TRUE(max.ok()) << max.status();
+  EXPECT_EQ(max->handle, UINT64_MAX);
+  EXPECT_TRUE(
+      Parse<InsertResponse>("\x04" + nine + "\x7f").status().IsCorruption());
+}
+
 TEST(MessagesTest, MultiFetchRequestRoundTrip) {
   MultiFetchRequest request;
   request.user = 9;

@@ -136,10 +136,14 @@ TEST(CodingTest, TruncatedVarintFails) {
 }
 
 TEST(CodingTest, OverlongVarintFails) {
-  std::string buf(11, static_cast<char>(0x80));  // > 10 bytes
-  ByteReader reader(buf);
-  uint64_t v;
-  EXPECT_TRUE(reader.GetVarint64(&v).IsCorruption());
+  // More than ten bytes, and ten bytes whose last carries bits beyond 64.
+  for (const std::string& buf :
+       {std::string(11, static_cast<char>(0x80)),
+        std::string(9, static_cast<char>(0xff)) + '\x7f'}) {
+    ByteReader reader(buf);
+    uint64_t v;
+    EXPECT_TRUE(reader.GetVarint64(&v).IsCorruption()) << buf.size();
+  }
 }
 
 TEST(CodingTest, Varint32OverflowFails) {
