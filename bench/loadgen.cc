@@ -106,7 +106,6 @@ struct Flags {
   /// scrape plane answers with parseable, non-empty exposition text.
   std::string zerber_stats;
   std::string scrape_out = "BENCH_scrape.prom";
-  std::string argv0;
 
   /// --attack: run the adversarial traffic sweep (src/attack/) instead of
   /// a load spec and write the deterministic privacy report that
@@ -124,7 +123,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
 
 Flags ParseFlags(int argc, char** argv) {
   Flags flags;
-  flags.argv0 = argc > 0 ? argv[0] : "loadgen";
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (ParseFlag(argv[i], "--spec", &value)) {
@@ -304,14 +302,11 @@ void PrintSummary(const load::LoadReport& r) {
   std::printf("\n");
 }
 
-/// The shard-server binary for cluster configs: --shard-server flag, then
-/// $ZR_SHARD_SERVER (cluster::ShardServerBinary), then next to loadgen.
+/// The shard-server binary for cluster configs: the --shard-server flag,
+/// else cluster::ShardServerBinary().
 std::string ResolveShardServer(const Flags& flags) {
-  if (!flags.shard_server.empty()) return flags.shard_server;
-  const char* env = std::getenv("ZR_SHARD_SERVER");
-  if (env != nullptr && env[0] != '\0') return env;
-  std::filesystem::path self(flags.argv0);
-  return (self.parent_path() / "shard_server").string();
+  return flags.shard_server.empty() ? cluster::ShardServerBinary()
+                                    : flags.shard_server;
 }
 
 /// Mixed workload routed by a cluster::RouterService over 4 real

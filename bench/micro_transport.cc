@@ -50,7 +50,7 @@ Harness& GetHarness() {
       std::exit(1);
     }
     h->tcp_server = std::move(server).value();
-    h->tcp = net::MakeTransport(net::TransportKind::kTcp, nullptr, nullptr,
+    h->tcp = net::MakeTransport(net::TransportKind::kTcp, nullptr,
                                 h->tcp_server->address());
     h->direct_client = std::make_unique<core::ZerberRClient>(
         h->pipeline->user, h->pipeline->keys.get(), &h->pipeline->plan,

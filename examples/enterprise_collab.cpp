@@ -17,7 +17,6 @@
 #include "core/trs.h"
 #include "core/zerber_r_client.h"
 #include "net/bandwidth.h"
-#include "net/channel.h"
 #include "net/service.h"
 #include "net/transport.h"
 #include "synth/corpus_generator.h"
@@ -102,8 +101,7 @@ int main() {
   (void)server.acl().GrantMembership(kDana, kProjectB);
 
   net::IndexService service(&server);
-  net::SimChannel gprs(net::kModem56k, net::kModem56k);
-  net::DirectTransport transport(&service, &gprs);
+  net::DirectTransport transport(&service);
 
   core::ZerberRClient john(kJohn, &keys, &*plan, &transport,
                            &corpus.vocabulary(), &*assigner);
@@ -122,13 +120,14 @@ int main() {
               static_cast<unsigned long long>(server.TotalElements()),
               server.NumLists());
 
-  // --- queries: "controller" is a Project-Alpha term. Reset the channel so
-  // the GPRS session below covers only John's query traffic.
-  gprs.Reset();
+  // --- queries: "controller" is a Project-Alpha term. Reset the transport's
+  // counters so the GPRS session below covers only John's query traffic.
+  transport.ResetStats();
   text::TermId controller = corpus.vocabulary().Lookup("controller");
   auto johns = john.QueryTopK(controller, 2);
   if (!johns.ok()) return 1;
-  double john_gprs_seconds = gprs.TotalTransferSeconds();
+  double john_gprs_seconds =
+      net::TransferSeconds(transport.stats(), net::kModem56k, net::kModem56k);
   auto danas = dana.QueryTopK(controller, 2);
   if (!danas.ok()) return 1;
 
@@ -141,9 +140,8 @@ int main() {
               "documents server-side\n\n",
               danas->results.size());
 
-  // --- bandwidth: John's PDA on GPRS (Section 2 / 6.6). The channel was
-  // fed by the transport with the wire size of every message of John's
-  // query.
+  // --- bandwidth: John's PDA on GPRS (Section 2 / 6.6). The transport
+  // counted the wire size of every message of John's query.
   std::printf("John's GPRS session for this query: %llu bytes down, "
               "%.2f s on the 56 kb/s link\n",
               static_cast<unsigned long long>(johns->trace.bytes_fetched),

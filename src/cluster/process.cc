@@ -10,13 +10,18 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 
 namespace zr::cluster {
 
 std::string ShardServerBinary() {
   const char* env = std::getenv("ZR_SHARD_SERVER");
   if (env != nullptr && env[0] != '\0') return env;
-  return "./shard_server";
+  std::error_code ec;
+  std::filesystem::path self =
+      std::filesystem::read_symlink("/proc/self/exe", ec);
+  if (ec) return "shard_server";
+  return (self.parent_path() / "shard_server").string();
 }
 
 StatusOr<std::unique_ptr<ShardProcess>> ShardProcess::Start(

@@ -29,7 +29,9 @@
 namespace zr::cluster {
 
 /// Path of the shard-server binary: $ZR_SHARD_SERVER when set (CMake points
-/// it at the build tree for tests), else "./shard_server".
+/// it at the build tree for tests), else the shard_server beside the running
+/// executable (every binary of a build lands in one directory), so callers
+/// work from any working directory.
 std::string ShardServerBinary();
 
 class ShardProcess {

@@ -176,10 +176,8 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
   }
 
   // 8. Client traffic routed through the configured transport (byte counts
-  // land on the channel). kTcp serves the backend just built over a real
+  // land in its stats). kTcp serves the backend just built over a real
   // socket and connects the client transport to it.
-  p->channel = std::make_unique<net::SimChannel>(net::kModem56k,
-                                                 net::kModem56k);
   if (options.transport == net::TransportKind::kTcp) {
     std::string connect_addr = options.connect_addr;
     if (!client_only) {
@@ -189,11 +187,9 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
                           net::TcpServer::Start(backend, std::move(tcp)));
       connect_addr = p->tcp_server->address();
     }
-    p->transport = std::make_unique<net::TcpTransport>(std::move(connect_addr),
-                                                       p->channel.get());
+    p->transport = std::make_unique<net::TcpTransport>(std::move(connect_addr));
   } else {
-    p->transport = net::MakeTransport(options.transport, backend,
-                                      p->channel.get());
+    p->transport = net::MakeTransport(options.transport, backend);
   }
 
   // 9. Client + encrypted index build (a client-only pipeline queries the

@@ -21,7 +21,6 @@
 #include "core/trs.h"
 #include "core/zerber_r_client.h"
 #include "index/inverted_index.h"
-#include "net/channel.h"
 #include "net/service.h"
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -182,17 +181,16 @@ struct Pipeline {
   std::unique_ptr<cluster::RouterService> router;
 
   /// Service boundary: the server behind the typed ZerberService API, and
-  /// the transport the client's traffic is routed through. The channel
-  /// accumulates that traffic under the paper's user link model (56 kb/s).
+  /// the transport the client's traffic is routed through (its stats price
+  /// under the paper's user link model with net::TransferSeconds).
   /// `service` is null in sharded, durable and cluster deployments (their
   /// net::ShardRouter is itself the ZerberService backend). `tcp_server`
   /// is set only when options.transport == kTcp with no connect_addr: the
   /// deployment's backend served over a real socket (declared before
-  /// channel/transport so the client side tears down first, then the
-  /// server, then the backend it dispatches into).
+  /// transport so the client side tears down first, then the server, then
+  /// the backend it dispatches into).
   std::unique_ptr<net::IndexService> service;
   std::unique_ptr<net::TcpServer> tcp_server;
-  std::unique_ptr<net::SimChannel> channel;
   std::unique_ptr<net::Transport> transport;
 
   std::unique_ptr<ZerberRClient> client;

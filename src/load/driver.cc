@@ -204,7 +204,7 @@ Status LoadDriver::Setup() {
     auto state = std::make_unique<WorkerState>(spec_, w, terms_.size());
     state->transport =
         net::MakeTransport(deployment_.transport, deployment_.backend,
-                           /*channel=*/nullptr, deployment_.connect_addr);
+                           deployment_.connect_addr);
     if (deployment_.wire_tap != nullptr &&
         deployment_.transport == net::TransportKind::kTcp) {
       // Stream id worker+1: nonzero and stable, so a capture's streams map

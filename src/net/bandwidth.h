@@ -44,6 +44,14 @@ struct SearchEngineResponseSizes {
   uint64_t yahoo_bytes = 59 * 1024;
 };
 
+struct TransportStats;
+
+/// Modelled wall-clock seconds of the traffic in `stats` on the wire: the
+/// bytes up serialized on `up` and the bytes down on `down`, plus each
+/// link's latency once per exchange.
+double TransferSeconds(const TransportStats& stats, LinkModel up,
+                       LinkModel down);
+
 /// Queries per second a server link sustains for a given per-query byte
 /// cost (paper: ~750 q/s for 2.4-term queries on 100 Mb/s).
 double QueriesPerSecond(const LinkModel& link, uint64_t bytes_per_query);

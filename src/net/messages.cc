@@ -17,15 +17,4 @@ ErrorResponse ErrorResponse::Of(const Status& error) {
   return ErrorResponse{error.code(), error.message()};
 }
 
-namespace codec {
-
-Status GetByte(std::string_view* in, uint8_t* byte) {
-  if (in->empty()) return Status::Corruption("truncated message");
-  *byte = static_cast<uint8_t>(in->front());
-  in->remove_prefix(1);
-  return Status::OK();
-}
-
-}  // namespace codec
-
 }  // namespace zr::net

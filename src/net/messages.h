@@ -5,8 +5,8 @@
 // message type below, and each type is defined once: its tag (kWireTag), a
 // request's Response type, and Fields, which names its fields in wire
 // order. The encoder (Serialize), the parser (Parse) and the analytic wire
-// size (WireSize) are derived from that list through one codec per field
-// type (codec::Field), so adding a field to a message is one line in its
+// size (WireSize) are derived from that list through the field-list codec
+// of util/codec.h, so adding a field to a message is one line in its
 // Fields, and adding a message is one definition plus its entry in
 // Messages; no transport changes. DirectTransport (net/transport.h)
 // accounts bytes with WireSize without serializing; TcpTransport /
@@ -14,27 +14,21 @@
 // length-prefixed frames, and the byte counts agree message for message
 // (the Section 6.6 bandwidth numbers are these sizes).
 //
-// Encoding: the tag byte, then each field in Fields order —
-//   uint32_t, uint64_t   LEB128 varint
-//   bool                 one byte, 0 or 1 (any nonzero byte parses as true)
-//   enum                 its integer, range-checked (codec::EnumField)
-//   std::string          varint length, then the bytes
-//   std::vector<T>       varint count, then the elements
-//   record (FetchRange)  its own fields, inline
+// Encoding: the tag byte, then each field in Fields order, each as
+// util/codec.h encodes its type — plus, defined here:
 //   nested message       varint length, then the message with its tag
-//   posting elements     the leaf codecs of zerber/posting_element.h
 //   VersionedTail        nothing while empty, else a version byte and the
 //                        length-prefixed text (last field only)
+// Posting elements are records with their own field lists
+// (zerber/posting_element.h).
 //
 // Threading: every function here is a pure function of its arguments —
 // safe from any thread, no shared state. Ownership: Serialize returns
 // bytes by value; Parse copies out of its input view, so the input buffer
 // may be discarded as soon as the call returns. Parsers never trust input
 // (the server and the wire are the adversary's): a malformed byte sequence
-// comes back as a Corruption status, never UB, and every repeated field
-// obeys one count rule — a count above the remaining bytes divided by the
-// fewest bytes one element takes is Corruption before anything is
-// reserved, so allocation stays bounded by the input
+// comes back as a Corruption status, never UB, and repeated fields obey
+// the codec's one count rule, so allocation stays bounded by the input
 // (tests/net_messages_test.cc mutates every message type's goldens).
 
 #ifndef ZERBERR_NET_MESSAGES_H_
@@ -46,6 +40,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/codec.h"
 #include "util/coding.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -96,21 +91,9 @@ struct VersionedTail {
 template <typename Text>
 VersionedTail(Text&, uint8_t) -> VersionedTail<Text>;
 
-namespace codec {
-/// A visitor that accepts any field (detects a Fields list).
-struct AnyField {
-  void operator()(const auto&) const {}
-};
-}  // namespace codec
-
-/// A type with a Fields list: `T::Fields(t, f)` calls f(field) once per
-/// field, in wire order, with the constness of `t`.
-template <typename T>
-concept WireRecord = requires(T& t) { T::Fields(t, codec::AnyField{}); };
-
 /// A record that is a message on its own: it has a tag.
 template <typename T>
-concept WireMessage = WireRecord<T> && requires { T::kWireTag; };
+concept WireMessage = codec::WireRecord<T> && requires { T::kWireTag; };
 
 /// A message a client sends; the server answers with T::Response (or an
 /// ErrorResponse).
@@ -395,223 +378,35 @@ using Messages =
                 DeleteResponse, ErrorResponse, PingRequest, PingResponse,
                 StatsRequest, StatsResponse, AclRequest, AclResponse>;
 
+}  // namespace zr::net
+
 // ---------------------------------------------------------------------------
-// Field codecs: how each field type crosses the wire.
+// The field codecs of message-only field types.
 // ---------------------------------------------------------------------------
 
-namespace codec {
-
-/// The codec of field type T. Every specialization provides
-///   Put(out, x)  appends x's encoding to *out;
-///   Size(x)      the number of bytes Put appends;
-///   Get(in, x)   reads x from the front of *in, advancing it past the
-///                bytes read (Corruption on malformed input);
-///   MinBytes()   the fewest bytes any encoding of T takes, which bounds
-///                the count of a repeated T.
-template <typename T>
-struct Field;
-
-/// Reads one raw byte.
-Status GetByte(std::string_view* in, uint8_t* byte);
-
-template <typename T>
-using FieldOf = Field<std::remove_cvref_t<T>>;
-
-template <typename T>
-void PutFields(std::string* out, const T& record) {
-  T::Fields(record,
-            [out](const auto& x) { FieldOf<decltype(x)>::Put(out, x); });
-}
-
-template <typename T>
-size_t FieldsSize(const T& record) {
-  size_t size = 0;
-  T::Fields(record,
-            [&](const auto& x) { size += FieldOf<decltype(x)>::Size(x); });
-  return size;
-}
-
-template <typename T>
-Status GetFields(std::string_view* in, T* record) {
-  Status status;
-  T::Fields(*record, [&](auto&& x) {
-    if (!status.ok()) return;
-    Status got = FieldOf<decltype(x)>::Get(in, &x);
-    if (!got.ok()) status = std::move(got);
-  });
-  return status;
-}
-
-template <typename T>
-size_t FieldsMinBytes() {
-  T record{};
-  size_t size = 0;
-  T::Fields(record, [&](const auto& x) {
-    size += FieldOf<decltype(x)>::MinBytes();
-  });
-  return size;
-}
+namespace zr::codec {
 
 template <>
-struct Field<uint8_t> {
-  static void Put(std::string* out, uint8_t x) {
-    out->push_back(static_cast<char>(x));
-  }
-  static size_t Size(uint8_t) { return 1; }
-  static Status Get(std::string_view* in, uint8_t* x) { return GetByte(in, x); }
-  static size_t MinBytes() { return 1; }
-};
-
-template <>
-struct Field<bool> {
-  static void Put(std::string* out, bool x) { out->push_back(x ? 1 : 0); }
-  static size_t Size(bool) { return 1; }
-  static Status Get(std::string_view* in, bool* x) {
-    uint8_t byte;
-    ZR_RETURN_IF_ERROR(GetByte(in, &byte));
-    *x = byte != 0;
-    return Status::OK();
-  }
-  static size_t MinBytes() { return 1; }
-};
-
-template <>
-struct Field<uint32_t> {
-  static void Put(std::string* out, uint32_t x) { PutVarint32(out, x); }
-  static size_t Size(uint32_t x) { return VarintLength32(x); }
-  static Status Get(std::string_view* in, uint32_t* x) {
-    return GetVarint32Cursor(in, x);
-  }
-  static size_t MinBytes() { return 1; }
-};
-
-template <>
-struct Field<uint64_t> {
-  static void Put(std::string* out, uint64_t x) { PutVarint64(out, x); }
-  static size_t Size(uint64_t x) { return VarintLength64(x); }
-  static Status Get(std::string_view* in, uint64_t* x) {
-    return GetVarint64Cursor(in, x);
-  }
-  static size_t MinBytes() { return 1; }
-};
-
-template <>
-struct Field<std::string> {
-  static void Put(std::string* out, std::string_view x) {
-    PutLengthPrefixed(out, x);
-  }
-  static size_t Size(std::string_view x) {
-    return VarintLength64(x.size()) + x.size();
-  }
-  static Status Get(std::string_view* in, std::string* x) {
-    std::string_view bytes;
-    ZR_RETURN_IF_ERROR(GetLengthPrefixedCursor(in, &bytes));
-    x->assign(bytes);
-    return Status::OK();
-  }
-  static size_t MinBytes() { return 1; }
-};
-
-/// An enum whose valid values run kFirst..kLast, carried as integer type
-/// Int (uint8_t: one raw byte; uint32_t: a varint). Any other value is
-/// Corruption.
-template <typename E, typename Int, E kFirst, E kLast>
-struct EnumField {
-  static void Put(std::string* out, E x) {
-    Field<Int>::Put(out, static_cast<Int>(x));
-  }
-  static size_t Size(E x) { return Field<Int>::Size(static_cast<Int>(x)); }
-  static Status Get(std::string_view* in, E* x) {
-    Int value;
-    ZR_RETURN_IF_ERROR(Field<Int>::Get(in, &value));
-    if (value < static_cast<Int>(kFirst) || value > static_cast<Int>(kLast)) {
-      return Status::Corruption("enum value out of range");
-    }
-    *x = static_cast<E>(value);
-    return Status::OK();
-  }
-  static size_t MinBytes() { return 1; }
-};
-
-template <>
-struct Field<AclRequest::Op>
-    : EnumField<AclRequest::Op, uint8_t, AclRequest::Op::kAddGroup,
-                AclRequest::Op::kRevoke> {};
+struct Field<net::AclRequest::Op>
+    : EnumField<net::AclRequest::Op, uint8_t, net::AclRequest::Op::kAddGroup,
+                net::AclRequest::Op::kRevoke> {};
 
 template <>
 struct Field<StatusCode>
     : EnumField<StatusCode, uint32_t, StatusCode::kInvalidArgument,
                 StatusCode::kUnavailable> {};
 
-template <>
-struct Field<zerber::ServedElement> {
-  static void Put(std::string* out, const zerber::ServedElement& x) {
-    zerber::AppendServedElement(out, x);
-  }
-  static size_t Size(const zerber::ServedElement& x) { return x.WireSize(); }
-  static Status Get(std::string_view* in, zerber::ServedElement* x) {
-    ZR_ASSIGN_OR_RETURN(*x, zerber::ParseServedElement(in));
-    return Status::OK();
-  }
-  static size_t MinBytes() { return zerber::kMinServedElementBytes; }
-};
-
-template <>
-struct Field<zerber::EncryptedPostingElement> {
-  static void Put(std::string* out, const zerber::EncryptedPostingElement& x) {
-    zerber::AppendElement(out, x);
-  }
-  static size_t Size(const zerber::EncryptedPostingElement& x) {
-    return x.WireSize();
-  }
-  static Status Get(std::string_view* in, zerber::EncryptedPostingElement* x) {
-    ZR_ASSIGN_OR_RETURN(*x, zerber::ParseElement(in));
-    return Status::OK();
-  }
-  // A served element plus the fixed64 TRS.
-  static size_t MinBytes() { return zerber::kMinServedElementBytes + 8; }
-};
-
-/// The one count rule of every repeated field.
-template <typename T>
-struct Field<std::vector<T>> {
-  static void Put(std::string* out, const std::vector<T>& xs) {
-    PutVarint64(out, xs.size());
-    for (const T& x : xs) Field<T>::Put(out, x);
-  }
-  static size_t Size(const std::vector<T>& xs) {
-    size_t size = VarintLength64(xs.size());
-    for (const T& x : xs) size += Field<T>::Size(x);
-    return size;
-  }
-  static Status Get(std::string_view* in, std::vector<T>* xs) {
-    uint64_t count;
-    ZR_RETURN_IF_ERROR(GetVarint64Cursor(in, &count));
-    // A count the remaining bytes cannot hold is corrupt, not a reason to
-    // allocate: each element takes at least MinBytes().
-    if (count > in->size() / Field<T>::MinBytes()) {
-      return Status::Corruption("element count exceeds message size");
-    }
-    xs->reserve(static_cast<size_t>(count));
-    for (uint64_t i = 0; i < count; ++i) {
-      ZR_RETURN_IF_ERROR(Field<T>::Get(in, &xs->emplace_back()));
-    }
-    return Status::OK();
-  }
-  static size_t MinBytes() { return 1; }
-};
-
 template <typename Text>
-struct Field<VersionedTail<Text>> {
-  static void Put(std::string* out, const VersionedTail<Text>& x) {
+struct Field<net::VersionedTail<Text>> {
+  static void Put(std::string* out, const net::VersionedTail<Text>& x) {
     if (x.text.empty()) return;
     out->push_back(static_cast<char>(x.version));
     PutLengthPrefixed(out, x.text);
   }
-  static size_t Size(const VersionedTail<Text>& x) {
+  static size_t Size(const net::VersionedTail<Text>& x) {
     return x.text.empty() ? 0 : 1 + Field<std::string>::Size(x.text);
   }
-  static Status Get(std::string_view* in, VersionedTail<Text>* x) {
+  static Status Get(std::string_view* in, net::VersionedTail<Text>* x) {
     if (in->empty()) return Status::OK();  // absent: an older encoding
     uint8_t version;
     ZR_RETURN_IF_ERROR(GetByte(in, &version));
@@ -623,16 +418,9 @@ struct Field<VersionedTail<Text>> {
   static size_t MinBytes() { return 0; }
 };
 
-/// A record's fields, inline.
-template <WireRecord T>
-struct Field<T> {
-  static void Put(std::string* out, const T& x) { PutFields(out, x); }
-  static size_t Size(const T& x) { return FieldsSize(x); }
-  static Status Get(std::string_view* in, T* x) { return GetFields(in, x); }
-  static size_t MinBytes() { return FieldsMinBytes<T>(); }
-};
+}  // namespace zr::codec
 
-}  // namespace codec
+namespace zr::net {
 
 // ---------------------------------------------------------------------------
 // The encoder, the parser and the analytic wire size of every message.
@@ -661,39 +449,40 @@ StatusOr<M> Parse(std::string_view data) {
   if (TagOf(data) != M::kWireTag) {
     return Status::Corruption("unexpected message tag");
   }
-  std::string_view in = data.substr(1);
-  M message;
-  ZR_RETURN_IF_ERROR(codec::GetFields(&in, &message));
-  if (!in.empty()) return Status::Corruption("trailing bytes after message");
+  ZR_ASSIGN_OR_RETURN(M message, codec::Decode<M>(data.substr(1)));
   if constexpr (requires { message.wire_size; }) {
     message.wire_size = data.size();
   }
   return message;
 }
 
-namespace codec {
+}  // namespace zr::net
+
+namespace zr::codec {
 
 /// A message nested in another: length-prefixed, with its own tag.
-template <WireMessage T>
+template <net::WireMessage T>
 struct Field<T> {
   static void Put(std::string* out, const T& x) {
-    PutLengthPrefixed(out, Serialize(x));
+    PutLengthPrefixed(out, net::Serialize(x));
   }
   static size_t Size(const T& x) {
-    size_t size = WireSize(x);
+    size_t size = net::WireSize(x);
     return VarintLength64(size) + size;
   }
   static Status Get(std::string_view* in, T* x) {
     std::string_view bytes;
     ZR_RETURN_IF_ERROR(GetLengthPrefixedCursor(in, &bytes));
-    ZR_ASSIGN_OR_RETURN(*x, Parse<T>(bytes));
+    ZR_ASSIGN_OR_RETURN(*x, net::Parse<T>(bytes));
     return Status::OK();
   }
   // Its length prefix and tag, then its fields.
   static size_t MinBytes() { return 2 + FieldsMinBytes<T>(); }
 };
 
-}  // namespace codec
+}  // namespace zr::codec
+
+namespace zr::net {
 
 /// Sets `wire_size` on `message` and on every message nested in it to its
 /// encoded size, as Parse records it — computed without serializing

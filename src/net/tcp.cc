@@ -72,38 +72,13 @@ std::string FormatAddr(const sockaddr_in& sa) {
 // private byte-order implementation.
 uint32_t DecodeFrameLength(const char* p) {
   uint32_t length = 0;
-  ByteReader reader(std::string_view(p, kFrameHeaderBytes));
-  (void)reader.GetFixed32(&length);  // 4 bytes are present by construction
+  std::string_view header(p, kFrameHeaderBytes);
+  (void)GetFixed32Cursor(&header, &length);  // 4 bytes present by construction
   return length;
 }
 
 void AppendFrameHeader(std::string* out, uint32_t length) {
   PutFixed32(out, length);
-}
-
-// ---------------------------------------------------------------------------
-// Frame extension codec (tracing — see the framing comment in tcp.h).
-// ---------------------------------------------------------------------------
-
-std::string EncodeTraceContextExt(const obs::TraceContext& ctx) {
-  std::string ext;
-  ext.push_back(static_cast<char>(kFrameExtTraceContext));
-  PutFixed64(&ext, ctx.trace_id);
-  PutFixed64(&ext, ctx.span_id);
-  return ext;
-}
-
-std::string EncodeSpanReportExt(const std::vector<obs::SpanRecord>& spans) {
-  size_t count = std::min(spans.size(), kMaxSpansPerFrame);
-  std::string ext;
-  ext.push_back(static_cast<char>(kFrameExtSpanReport));
-  ext.push_back(static_cast<char>(count));
-  for (size_t i = 0; i < count; ++i) {
-    ext.push_back(static_cast<char>(spans[i].stage));
-    PutVarint64(&ext, spans[i].duration_ns);
-    PutVarint64(&ext, spans[i].detail);
-  }
-  return ext;
 }
 
 /// Appends the header + extension block of a flagged frame. Returns false
@@ -119,12 +94,24 @@ bool AppendExtendedFrameHeader(std::string* out, std::string_view ext,
   return true;
 }
 
-/// Strips the extension block off a flagged frame body and decodes what
-/// the receiving side cares about: the trace context (server side, `ctx`
-/// non-null) or the span report (client side, `spans` non-null). Unknown
-/// extension types are skipped for forward compatibility. Returns false on
-/// a torn/oversized/malformed extension — receivers treat that exactly
-/// like a corrupt length prefix.
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Frame extension codec (tracing — see the framing comment in tcp.h).
+// ---------------------------------------------------------------------------
+
+std::string EncodeTraceContextExt(const obs::TraceContext& ctx) {
+  return codec::Encode(
+      FrameExtension{FrameExtension::Type::kTraceContext, ctx, {}});
+}
+
+std::string EncodeSpanReportExt(const std::vector<obs::SpanRecord>& spans) {
+  size_t count = std::min(spans.size(), kMaxSpansPerFrame);
+  return codec::Encode(FrameExtension{FrameExtension::Type::kSpanReport,
+                                      {},
+                                      {spans.begin(), spans.begin() + count}});
+}
+
 bool ConsumeFrameExtension(std::string_view* body, obs::TraceContext* ctx,
                            std::vector<obs::SpanRecord>* spans) {
   if (body->empty()) return false;  // flagged frame too short for ext_len
@@ -132,36 +119,27 @@ bool ConsumeFrameExtension(std::string_view* body, obs::TraceContext* ctx,
   if (1u + ext_len > body->size()) return false;  // torn extension
   std::string_view ext = body->substr(1, ext_len);
   body->remove_prefix(1u + ext_len);
-  if (ext.empty()) return true;  // flagged but empty: no context attached
-  uint8_t type = static_cast<uint8_t>(ext[0]);
-  if (type == kFrameExtTraceContext && ctx != nullptr) {
-    if (ext.size() != kTraceContextExtBytes) return false;
-    ByteReader reader(ext.substr(1));
-    (void)reader.GetFixed64(&ctx->trace_id);
-    (void)reader.GetFixed64(&ctx->span_id);
+  // Empty (no context attached), or a type this side does not read.
+  using Type = FrameExtension::Type;
+  const auto type =
+      static_cast<Type>(ext.empty() ? 0 : static_cast<uint8_t>(ext[0]));
+  if (!(type == Type::kTraceContext && ctx != nullptr) &&
+      !(type == Type::kSpanReport && spans != nullptr)) {
     return true;
   }
-  if (type == kFrameExtSpanReport && spans != nullptr) {
-    if (ext.size() < 2) return false;
-    size_t count = static_cast<uint8_t>(ext[1]);
-    if (count > kMaxSpansPerFrame) return false;
-    ByteReader reader(ext.substr(2));
-    for (size_t i = 0; i < count; ++i) {
-      std::string_view stage_byte;
-      obs::SpanRecord span;
-      if (!reader.GetRaw(1, &stage_byte).ok() ||
-          !obs::IsValidStageByte(static_cast<uint8_t>(stage_byte[0])) ||
-          !reader.GetVarint64(&span.duration_ns).ok() ||
-          !reader.GetVarint64(&span.detail).ok()) {
-        return false;
-      }
-      span.stage = static_cast<obs::Stage>(stage_byte[0]);
-      spans->push_back(span);
-    }
-    return reader.ExpectEof().ok();
+  StatusOr<FrameExtension> decoded = codec::Decode<FrameExtension>(ext);
+  if (!decoded.ok() || decoded->spans.size() > kMaxSpansPerFrame) {
+    return false;
+  }
+  if (type == Type::kTraceContext) {
+    *ctx = decoded->trace;
+  } else {
+    *spans = std::move(decoded->spans);
   }
   return true;
 }
+
+namespace {
 
 void SetNoDelay(int fd) {
   int one = 1;
@@ -1390,9 +1368,9 @@ Status TcpSession::Call(std::string_view request, std::string* response) {
 // TcpTransport
 // ---------------------------------------------------------------------------
 
-TcpTransport::TcpTransport(std::string connect_addr, SimChannel* channel,
+TcpTransport::TcpTransport(std::string connect_addr,
                            TcpSession::Options options)
-    : Transport(channel), session_(std::move(connect_addr), options) {}
+    : session_(std::move(connect_addr), options) {}
 
 void TcpTransport::ResetStats() {
   Transport::ResetStats();

@@ -24,13 +24,14 @@
 //     [u32 LE: kFrameFlagExtension | (1 + ext_len + payload_len)]
 //     [u8 ext_len][ext bytes][payload]
 //
-// Requests carry the trace context (kFrameExtTraceContext: two fixed64
-// ids); responses to traced requests carry the spans the server collected
-// while dispatching (kFrameExtSpanReport), which the client records into
-// its own process tracer under the originating trace id. Untraced frames
-// never set the flag and are byte-identical to the plain framing above
-// (asserted in net_tcp_test.cc), so the top bit costs nothing until a
-// trace passes through. Extension bytes are accounted separately
+// The extension block is a FrameExtension record (util/codec.h encoding):
+// requests carry the trace context (kTraceContext: two fixed64 ids);
+// responses to traced requests carry the spans the server collected while
+// dispatching (kSpanReport), which the client records into its own process
+// tracer under the originating trace id. Untraced frames never set the
+// flag and are byte-identical to the plain framing above (asserted in
+// net_tcp_test.cc), so the top bit costs nothing until a trace passes
+// through. Extension bytes are accounted separately
 // (TcpSocketStats::ext_bytes_*), keeping the payload identity exact:
 // socket_bytes == payload_bytes + kFrameHeaderBytes * frames + ext_bytes.
 // A torn or oversized extension (ext_len overrunning the frame) is a
@@ -87,9 +88,9 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
-#include "net/channel.h"
 #include "net/messages.h"
 #include "net/transport.h"
 #include "obs/counter_set.h"
@@ -114,20 +115,74 @@ inline constexpr size_t kDefaultMaxFramePayload = 64u << 20;
 inline constexpr uint32_t kFrameFlagExtension = 0x80000000u;
 inline constexpr uint32_t kFrameLengthMask = 0x7FFFFFFFu;
 
-/// Extension block types (first byte of a non-empty extension).
-inline constexpr uint8_t kFrameExtTraceContext = 1;  ///< requests: 2× fixed64
-inline constexpr uint8_t kFrameExtSpanReport = 2;    ///< responses: span list
-
 /// Size of an encoded trace-context extension (type + trace id + span id).
 inline constexpr size_t kTraceContextExtBytes = 17;
 
-/// Ceiling on spans returned per response frame (the u8 count and the u8
-/// ext_len both bound it; 8 comfortably covers one dispatch's stages).
+/// Ceiling on spans returned per response frame (it keeps the varint span
+/// count one byte and the block within the u8 ext_len; 8 comfortably
+/// covers one dispatch's stages).
 inline constexpr size_t kMaxSpansPerFrame = 8;
 
 /// Worst-case extension overhead per frame: the ext_len byte plus a
 /// maximal (255-byte) extension block.
 inline constexpr size_t kMaxFrameExtOverhead = 256;
+
+/// An extension block: its type byte, then the fields that type carries.
+struct FrameExtension {
+  enum class Type : uint8_t {
+    kTraceContext = 1,  ///< requests
+    kSpanReport = 2,    ///< responses to traced requests
+  };
+
+  Type type = Type::kTraceContext;
+  obs::TraceContext trace;             ///< kTraceContext
+  std::vector<obs::SpanRecord> spans;  ///< kSpanReport
+
+  static void Fields(auto& x, auto&& f) {
+    f(x.type);
+    if (x.type == Type::kTraceContext) {
+      f(codec::Fixed64{x.trace.trace_id});
+      f(codec::Fixed64{x.trace.span_id});
+    } else {
+      f(x.spans);
+    }
+  }
+};
+
+}  // namespace zr::net
+
+namespace zr::codec {
+
+template <>
+struct Field<net::FrameExtension::Type>
+    : EnumField<net::FrameExtension::Type, uint8_t,
+                net::FrameExtension::Type::kTraceContext,
+                net::FrameExtension::Type::kSpanReport> {};
+
+template <>
+struct Field<obs::Stage>
+    : EnumField<obs::Stage, uint8_t, obs::Stage::kClientSeal,
+                obs::Stage::kWalAppend> {};
+
+}  // namespace zr::codec
+
+namespace zr::net {
+
+/// The extension block of a traced request: its trace context.
+std::string EncodeTraceContextExt(const obs::TraceContext& ctx);
+
+/// The extension block of the response to a traced request: the first
+/// kMaxSpansPerFrame of `spans`.
+std::string EncodeSpanReportExt(const std::vector<obs::SpanRecord>& spans);
+
+/// Strips the extension block ([u8 ext_len][ext bytes]) off a flagged
+/// frame body and decodes what the receiving side cares about: the trace
+/// context (server side, `ctx` non-null) or the span report (client side,
+/// `spans` non-null, replaced). Unknown extension types are skipped for
+/// forward compatibility. Returns false on a torn/oversized/malformed
+/// extension — receivers treat that exactly like a corrupt length prefix.
+bool ConsumeFrameExtension(std::string_view* body, obs::TraceContext* ctx,
+                           std::vector<obs::SpanRecord>* spans);
 
 /// Ceiling on ServerConfig::WithLoops — beyond this a "number of loops"
 /// is almost certainly a units mistake, and per-loop listen sockets /
@@ -536,7 +591,7 @@ void RecordHop(const TcpSession& session, std::string_view request,
 /// thread.
 class TcpTransport final : public Transport {
  public:
-  explicit TcpTransport(std::string connect_addr, SimChannel* channel = nullptr,
+  explicit TcpTransport(std::string connect_addr,
                         TcpSession::Options options = TcpSession::Options());
 
   StatusOr<InsertResponse> Insert(const InsertRequest& request) override;

@@ -25,10 +25,6 @@ void Transport::Account(uint64_t up, uint64_t down) {
   ++stats_.exchanges;
   stats_.bytes_up += up;
   stats_.bytes_down += down;
-  if (channel_ != nullptr) {
-    channel_->RecordRequest(up);
-    channel_->RecordResponse(down);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -83,14 +79,13 @@ StatusOr<DeleteResponse> DirectTransport::Delete(const DeleteRequest& request) {
 
 std::unique_ptr<Transport> MakeTransport(TransportKind kind,
                                          ZerberService* backend,
-                                         SimChannel* channel,
                                          const std::string& connect_addr) {
   switch (kind) {
     case TransportKind::kDirect:
-      return std::make_unique<DirectTransport>(backend, channel);
+      return std::make_unique<DirectTransport>(backend);
     case TransportKind::kTcp:
       if (connect_addr.empty()) return nullptr;
-      return std::make_unique<TcpTransport>(connect_addr, channel);
+      return std::make_unique<TcpTransport>(connect_addr);
   }
   return nullptr;
 }

@@ -16,8 +16,8 @@
 //    Byte counts come from the real serialized messages; they equal
 //    Direct's analytic sizes message for message (integration_tcp_test).
 //
-// Both feed an optional SimChannel so transfer-time models see the same
-// byte stream.
+// Both account into the same TransportStats, which the Section 6.6 link
+// model prices (net::TransferSeconds in net/bandwidth.h).
 
 #ifndef ZERBERR_NET_TRANSPORT_H_
 #define ZERBERR_NET_TRANSPORT_H_
@@ -27,7 +27,6 @@
 #include <string>
 #include <string_view>
 
-#include "net/channel.h"
 #include "net/service.h"
 #include "obs/counter_set.h"
 
@@ -57,8 +56,7 @@ ZR_COUNTER_SET(TransportStats, ZR_TRANSPORT_STATS_FIELDS);
 /// Base: a client-side service stub with byte accounting.
 ///
 /// Threading: a Transport is single-threaded — concurrent callers each own
-/// their own instance (the load driver builds one per worker). Ownership:
-/// `channel` is borrowed and must outlive the transport.
+/// their own instance (the load driver builds one per worker).
 class Transport : public ZerberService {
  public:
   const TransportStats& stats() const { return stats_; }
@@ -67,13 +65,9 @@ class Transport : public ZerberService {
   virtual void ResetStats() { stats_ = TransportStats(); }
 
  protected:
-  /// `channel` may be null.
-  explicit Transport(SimChannel* channel) : channel_(channel) {}
-
   /// Records one exchange of `up` request bytes and `down` response bytes.
   void Account(uint64_t up, uint64_t down);
 
-  SimChannel* channel_;
   TransportStats stats_;
 };
 
@@ -81,9 +75,7 @@ class Transport : public ZerberService {
 /// borrowed and must outlive the transport.
 class DirectTransport final : public Transport {
  public:
-  explicit DirectTransport(ZerberService* backend,
-                           SimChannel* channel = nullptr)
-      : Transport(channel), backend_(backend) {}
+  explicit DirectTransport(ZerberService* backend) : backend_(backend) {}
 
   StatusOr<InsertResponse> Insert(const InsertRequest& request) override;
   StatusOr<QueryResponse> Fetch(const QueryRequest& request) override;
@@ -106,7 +98,6 @@ class DirectTransport final : public Transport {
 /// returned when kTcp is requested without an address.
 std::unique_ptr<Transport> MakeTransport(TransportKind kind,
                                          ZerberService* backend,
-                                         SimChannel* channel = nullptr,
                                          const std::string& connect_addr = {});
 
 }  // namespace zr::net

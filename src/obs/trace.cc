@@ -38,10 +38,6 @@ const char* StageName(Stage stage) {
   return "unknown";
 }
 
-bool IsValidStageByte(uint8_t byte) {
-  return byte >= 1 && byte <= kNumStages;
-}
-
 TraceContext CurrentTrace() { return tls_trace; }
 
 ScopedTrace::ScopedTrace(TraceContext ctx) : prev_(tls_trace) {

@@ -50,9 +50,6 @@ inline constexpr size_t kNumStages = 7;
 /// Lowercase stable name ("client_seal", ...), or "unknown".
 const char* StageName(Stage stage);
 
-/// True if `byte` encodes a known Stage.
-bool IsValidStageByte(uint8_t byte);
-
 struct TraceContext {
   uint64_t trace_id = 0;  // 0 = no trace
   uint64_t span_id = 0;
@@ -65,6 +62,15 @@ struct SpanRecord {
   uint64_t duration_ns = 0;
   uint64_t detail = 0;  // list id / handle / shard index / wire tag — only
                         // ever numeric ids, never plaintext
+
+  /// The span-report encoding (net/tcp.h): stage byte, varint duration,
+  /// varint detail. The trace id stays off the wire: the receiver owns the
+  /// context.
+  static void Fields(auto& s, auto&& f) {
+    f(s.stage);
+    f(s.duration_ns);
+    f(s.detail);
+  }
 
   friend bool operator==(const SpanRecord&, const SpanRecord&) = default;
 };

@@ -44,26 +44,7 @@ const char* WalSyncModeName(WalSyncMode mode) {
 }
 
 std::string EncodeWalRecord(const WalRecord& record) {
-  std::string frame;
-  frame.push_back(static_cast<char>(record.type));
-  switch (record.type) {
-    case WalRecord::Type::kInsert:
-      PutVarint32(&frame, record.list);
-      zerber::AppendElement(&frame, record.element);
-      break;
-    case WalRecord::Type::kDelete:
-      PutVarint32(&frame, record.list);
-      PutVarint64(&frame, record.handle);
-      break;
-    case WalRecord::Type::kAddGroup:
-      PutVarint32(&frame, record.group);
-      break;
-    case WalRecord::Type::kGrantMembership:
-    case WalRecord::Type::kRevokeMembership:
-      PutVarint32(&frame, record.user);
-      PutVarint32(&frame, record.group);
-      break;
-  }
+  std::string frame = codec::Encode(record);
   std::string out;
   PutVarint64(&out, frame.size());
   out += frame;
@@ -72,36 +53,7 @@ std::string EncodeWalRecord(const WalRecord& record) {
 }
 
 StatusOr<WalRecord> DecodeWalFrame(std::string_view frame) {
-  if (frame.empty()) return Status::Corruption("empty WAL frame");
-  WalRecord record;
-  record.type = static_cast<WalRecord::Type>(frame[0]);
-  std::string_view cursor = frame.substr(1);
-  switch (record.type) {
-    case WalRecord::Type::kInsert: {
-      ZR_RETURN_IF_ERROR(GetVarint32Cursor(&cursor, &record.list));
-      ZR_ASSIGN_OR_RETURN(record.element, zerber::ParseElement(&cursor));
-      break;
-    }
-    case WalRecord::Type::kDelete:
-      ZR_RETURN_IF_ERROR(GetVarint32Cursor(&cursor, &record.list));
-      ZR_RETURN_IF_ERROR(GetVarint64Cursor(&cursor, &record.handle));
-      break;
-    case WalRecord::Type::kAddGroup:
-      ZR_RETURN_IF_ERROR(GetVarint32Cursor(&cursor, &record.group));
-      break;
-    case WalRecord::Type::kGrantMembership:
-    case WalRecord::Type::kRevokeMembership:
-      ZR_RETURN_IF_ERROR(GetVarint32Cursor(&cursor, &record.user));
-      ZR_RETURN_IF_ERROR(GetVarint32Cursor(&cursor, &record.group));
-      break;
-    default:
-      return Status::Corruption("unknown WAL record type " +
-                                std::to_string(frame[0]));
-  }
-  if (!cursor.empty()) {
-    return Status::Corruption("trailing bytes in WAL frame");
-  }
-  return record;
+  return codec::Decode<WalRecord>(frame);
 }
 
 StatusOr<WalReadResult> ReadWal(const std::string& path) {

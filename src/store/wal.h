@@ -10,7 +10,9 @@
 // On-disk record format (all integers in util/coding conventions):
 //
 //   varint frame_len
-//   frame: type (1 byte) + payload (posting-element wire format for inserts)
+//   frame: the WalRecord (WalRecord::Fields: its type byte, then the
+//          fields that type carries; inserts carry the stored-element
+//          encoding)
 //   checksum: first 8 bytes of SHA-256(frame)
 //
 // The truncated SHA-256 checksum detects torn writes and bit rot per
@@ -38,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "util/codec.h"
 #include "util/mutex.h"
 #include "util/status.h"
 #include "util/statusor.h"
@@ -73,7 +76,44 @@ struct WalRecord {
   zerber::EncryptedPostingElement element;  ///< kInsert
   uint32_t user = 0;    ///< kGrantMembership / kRevokeMembership
   uint32_t group = 0;   ///< ACL record types
+
+  /// The frame: the type byte, then the fields that type carries.
+  static void Fields(auto& r, auto&& f) {
+    f(r.type);
+    switch (r.type) {
+      case Type::kInsert:
+        f(r.list);
+        f(r.element);
+        break;
+      case Type::kDelete:
+        f(r.list);
+        f(r.handle);
+        break;
+      case Type::kAddGroup:
+        f(r.group);
+        break;
+      case Type::kGrantMembership:
+      case Type::kRevokeMembership:
+        f(r.user);
+        f(r.group);
+        break;
+    }
+  }
 };
+
+}  // namespace zr::store
+
+namespace zr::codec {
+
+template <>
+struct Field<store::WalRecord::Type>
+    : EnumField<store::WalRecord::Type, uint8_t,
+                store::WalRecord::Type::kInsert,
+                store::WalRecord::Type::kRevokeMembership> {};
+
+}  // namespace zr::codec
+
+namespace zr::store {
 
 /// Serializes one record (length prefix + frame + truncated checksum).
 std::string EncodeWalRecord(const WalRecord& record);

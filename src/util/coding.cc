@@ -65,90 +65,79 @@ int VarintLength64(uint64_t value) {
   return len;
 }
 
+namespace {
+
+/// Reads the `n`-byte little-endian integer at the front of `*data`; false
+/// (nothing read) when fewer bytes remain.
+bool GetLittleEndian(std::string_view* data, size_t n, uint64_t* value) {
+  if (data->size() < n) return false;
+  uint64_t v = 0;
+  for (size_t i = n; i-- > 0;) v = (v << 8) | static_cast<uint8_t>((*data)[i]);
+  *value = v;
+  data->remove_prefix(n);
+  return true;
+}
+
+/// Decodes the varint64 at the front of `in` into *value and returns its
+/// length; 0 (value untouched) when `in` ends inside it or it is longer
+/// than ten bytes, the tenth holding bit 63 alone.
+size_t DecodeVarint64(std::string_view in, uint64_t* value) {
+  uint64_t result = 0;
+  for (size_t i = 0, shift = 0; i < in.size(); ++i, shift += 7) {
+    const uint64_t byte = static_cast<uint8_t>(in[i]);
+    if (shift == 63 && byte > 1) return 0;
+    result |= (byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      *value = result;
+      return i + 1;
+    }
+  }
+  return 0;
+}
+
+}  // namespace
+
+Status GetFixed32Cursor(std::string_view* data, uint32_t* value) {
+  uint64_t v = 0;
+  if (!GetLittleEndian(data, 4, &v)) {
+    return Status::Corruption("truncated fixed32");
+  }
+  *value = static_cast<uint32_t>(v);
+  return Status::OK();
+}
+
+Status GetFixed64Cursor(std::string_view* data, uint64_t* value) {
+  if (!GetLittleEndian(data, 8, value)) {
+    return Status::Corruption("truncated fixed64");
+  }
+  return Status::OK();
+}
+
 Status GetVarint64Cursor(std::string_view* data, uint64_t* value) {
-  ByteReader reader(*data);
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(value));
-  *data = data->substr(data->size() - reader.remaining());
+  size_t n = DecodeVarint64(*data, value);
+  if (n == 0) return Status::Corruption("truncated or overlong varint");
+  data->remove_prefix(n);
   return Status::OK();
 }
 
 Status GetVarint32Cursor(std::string_view* data, uint32_t* value) {
-  ByteReader reader(*data);
-  ZR_RETURN_IF_ERROR(reader.GetVarint32(value));
-  *data = data->substr(data->size() - reader.remaining());
+  uint64_t v = 0;
+  size_t n = DecodeVarint64(*data, &v);
+  if (n == 0 || v > UINT32_MAX) return Status::Corruption("bad varint32");
+  *value = static_cast<uint32_t>(v);
+  data->remove_prefix(n);
   return Status::OK();
 }
 
 Status GetLengthPrefixedCursor(std::string_view* data,
                                std::string_view* value) {
-  ByteReader reader(*data);
-  ZR_RETURN_IF_ERROR(reader.GetLengthPrefixed(value));
-  *data = data->substr(data->size() - reader.remaining());
-  return Status::OK();
-}
-
-Status ByteReader::GetFixed32(uint32_t* value) {
-  if (remaining() < 4) return Status::Corruption("truncated fixed32");
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
-  *value = static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-           (static_cast<uint32_t>(p[2]) << 16) |
-           (static_cast<uint32_t>(p[3]) << 24);
-  pos_ += 4;
-  return Status::OK();
-}
-
-Status ByteReader::GetFixed64(uint64_t* value) {
-  if (remaining() < 8) return Status::Corruption("truncated fixed64");
-  const unsigned char* p =
-      reinterpret_cast<const unsigned char*>(data_.data()) + pos_;
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  *value = v;
-  pos_ += 8;
-  return Status::OK();
-}
-
-Status ByteReader::GetDouble(double* value) {
-  uint64_t bits;
-  ZR_RETURN_IF_ERROR(GetFixed64(&bits));
-  std::memcpy(value, &bits, sizeof(*value));
-  return Status::OK();
-}
-
-Status ByteReader::GetVarint32(uint32_t* value) {
-  uint64_t v;
-  ZR_RETURN_IF_ERROR(GetVarint64(&v));
-  if (v > UINT32_MAX) return Status::Corruption("varint32 overflow");
-  *value = static_cast<uint32_t>(v);
-  return Status::OK();
-}
-
-Status ByteReader::GetVarint64(uint64_t* value) {
-  uint64_t result = 0;
-  for (int shift = 0;; shift += 7) {
-    if (empty()) return Status::Corruption("truncated varint");
-    uint8_t byte = static_cast<uint8_t>(data_[pos_++]);
-    // The tenth byte holds bit 63 alone: anything more would not fit.
-    if (shift == 63 && byte > 1) return Status::Corruption("varint too long");
-    result |= static_cast<uint64_t>(byte & 0x7f) << shift;
-    if (!(byte & 0x80)) {
-      *value = result;
-      return Status::OK();
-    }
+  uint64_t len = 0;
+  size_t n = DecodeVarint64(*data, &len);
+  if (n == 0 || len > data->size() - n) {
+    return Status::Corruption("bad length-prefixed bytes");
   }
-}
-
-Status ByteReader::GetLengthPrefixed(std::string_view* value) {
-  uint64_t len;
-  ZR_RETURN_IF_ERROR(GetVarint64(&len));
-  return GetRaw(static_cast<size_t>(len), value);
-}
-
-Status ByteReader::GetRaw(size_t n, std::string_view* value) {
-  if (remaining() < n) return Status::Corruption("truncated raw bytes");
-  *value = data_.substr(pos_, n);
-  pos_ += n;
+  *value = data->substr(n, static_cast<size_t>(len));
+  data->remove_prefix(n + static_cast<size_t>(len));
   return Status::OK();
 }
 

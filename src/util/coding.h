@@ -45,59 +45,26 @@ int VarintLength32(uint32_t value);
 int VarintLength64(uint64_t value);
 
 // ---------------------------------------------------------------------------
-// Cursor-style decoding: reads from the front of a string_view, advancing
-// it past the consumed bytes. Composes with other cursor-style parsers
-// (e.g. zerber::ParseElement).
+// Decoders, cursor-style: each reads from the front of `*data` and
+// advances it past the bytes read. On malformed or exhausted input they
+// return Corruption and leave `*data` as it was. Record formats compose
+// them through the field-list codec (util/codec.h).
 // ---------------------------------------------------------------------------
 
-/// Reads a varint64 from the front of `*data`, advancing it.
+/// Reads a 32-bit little-endian integer.
+Status GetFixed32Cursor(std::string_view* data, uint32_t* value);
+
+/// Reads a 64-bit little-endian integer.
+Status GetFixed64Cursor(std::string_view* data, uint64_t* value);
+
+/// Reads a varint64 (at most ten bytes, the tenth holding bit 63 alone).
 Status GetVarint64Cursor(std::string_view* data, uint64_t* value);
 
-/// Reads a varint32 from the front of `*data`, advancing it.
+/// Reads a varint32 (a varint64 that must fit in 32 bits).
 Status GetVarint32Cursor(std::string_view* data, uint32_t* value);
 
-/// Reads a varint length and that many raw bytes (a view into `*data`)
-/// from the front of `*data`, advancing it.
+/// Reads a varint length and that many raw bytes (a view into `*data`).
 Status GetLengthPrefixedCursor(std::string_view* data, std::string_view* value);
-
-// ---------------------------------------------------------------------------
-// Decoder: a cursor over an immutable byte range.
-// ---------------------------------------------------------------------------
-
-/// Sequentially decodes values from a byte buffer. Every Get* consumes input
-/// and returns Corruption when the buffer is exhausted or malformed.
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
-
-  /// Bytes not yet consumed.
-  size_t remaining() const { return data_.size() - pos_; }
-
-  /// True when all input has been consumed.
-  bool empty() const { return pos_ >= data_.size(); }
-
-  Status GetFixed32(uint32_t* value);
-  Status GetFixed64(uint64_t* value);
-  Status GetDouble(double* value);
-  Status GetVarint32(uint32_t* value);
-  Status GetVarint64(uint64_t* value);
-
-  /// Reads a varint length then that many raw bytes (view into the buffer).
-  Status GetLengthPrefixed(std::string_view* value);
-
-  /// Reads exactly n raw bytes (view into the buffer).
-  Status GetRaw(size_t n, std::string_view* value);
-
-  /// Fails unless the input is fully consumed (detects trailing garbage).
-  Status ExpectEof() const {
-    if (!empty()) return Status::Corruption("trailing bytes after message");
-    return Status::OK();
-  }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 }  // namespace zr
 

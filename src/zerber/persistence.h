@@ -4,11 +4,12 @@
 // server must survive restarts. The format is a single snapshot file:
 //
 //   magic "ZBRIDX01"
-//   placement (1 byte)
-//   varint num_lists
-//     per list: varint element_count, elements (posting_element wire format)
-//   varint num_groups
-//     per group: varint group_id, varint num_users, varint user_ids
+//   body (SnapshotBody::Fields):
+//     placement (1 byte)
+//     varint num_lists
+//       per list: varint element_count, elements (posting_element format)
+//     varint num_groups
+//       per group: varint group_id, varint num_users, varint user_ids
 //   SHA-256 checksum of everything above (32 bytes)
 //
 // The checksum detects torn writes and bit rot; element-level integrity is
@@ -25,12 +26,39 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "util/codec.h"
 #include "util/status.h"
 #include "util/statusor.h"
 #include "zerber/zerber_index.h"
 
 namespace zr::zerber {
+
+/// The body of a snapshot, between its magic and its checksum (parsed in
+/// full before any server is touched).
+struct SnapshotBody {
+  /// One ACL group and its members.
+  struct Group {
+    crypto::GroupId group = 0;
+    std::vector<UserId> users;
+
+    static void Fields(auto& g, auto&& f) {
+      f(g.group);
+      f(g.users);
+    }
+  };
+
+  Placement placement = Placement::kTrsSorted;
+  std::vector<std::vector<EncryptedPostingElement>> lists;
+  std::vector<Group> groups;
+
+  static void Fields(auto& s, auto&& f) {
+    f(s.placement);
+    f(s.lists);
+    f(s.groups);
+  }
+};
 
 /// Serializes the full server state (lists + ACL) to a byte string.
 std::string SerializeIndexSnapshot(const IndexServer& server);
@@ -63,5 +91,14 @@ StatusOr<std::unique_ptr<IndexServer>> LoadIndex(const std::string& path,
                                                  HandleSpace handles = {});
 
 }  // namespace zr::zerber
+
+namespace zr::codec {
+
+template <>
+struct Field<zerber::Placement>
+    : EnumField<zerber::Placement, uint8_t, zerber::Placement::kRandomPlacement,
+                zerber::Placement::kTrsSorted> {};
+
+}  // namespace zr::codec
 
 #endif  // ZERBERR_ZERBER_PERSISTENCE_H_

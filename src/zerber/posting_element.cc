@@ -3,18 +3,22 @@
 #include <utility>
 
 #include "crypto/ctr.h"
-#include "util/coding.h"
+
+namespace zr::codec {
+
+Status Field<zerber::SealedBytes>::Get(std::string_view* in,
+                                       zerber::SealedBytes* x) {
+  std::string_view bytes;
+  ZR_RETURN_IF_ERROR(GetLengthPrefixedCursor(in, &bytes));
+  *x = zerber::SealedBytes::Adopt(bytes);
+  return Status::OK();
+}
+
+}  // namespace zr::codec
 
 namespace zr::zerber {
 
 namespace {
-// Group, handle and sealed bytes: the fields both encodings carry.
-size_t ServedBytes(crypto::GroupId group, uint64_t handle,
-                   const SealedBytes& sealed) {
-  return static_cast<size_t>(VarintLength32(group)) +
-         static_cast<size_t>(VarintLength64(handle)) +
-         static_cast<size_t>(VarintLength64(sealed.size())) + sealed.size();
-}
 
 StatusOr<PostingPayload> OpenSealed(crypto::GroupId group,
                                     const SealedBytes& sealed,
@@ -30,16 +34,14 @@ StatusOr<PostingPayload> OpenSealed(crypto::GroupId group,
 }  // namespace
 
 size_t EncryptedPostingElement::WireSize() const {
-  return ServedBytes(group, handle, sealed) + 8 /* trs */;
+  return codec::FieldsSize(*this);
 }
 
 size_t EncryptedPostingElement::ServedWireSize() const {
-  return ServedBytes(group, handle, sealed);
+  return WireSize() - codec::Field<double>::Size(trs);
 }
 
-size_t ServedElement::WireSize() const {
-  return ServedBytes(group, handle, sealed);
-}
+size_t ServedElement::WireSize() const { return codec::FieldsSize(*this); }
 
 ServedElement ServeElement(EncryptedPostingElement element) {
   return ServedElement{element.group, element.handle,
@@ -47,21 +49,11 @@ ServedElement ServeElement(EncryptedPostingElement element) {
 }
 
 std::string SerializePayload(const PostingPayload& payload) {
-  std::string out;
-  PutVarint32(&out, payload.term);
-  PutVarint32(&out, payload.doc);
-  PutDouble(&out, payload.score);
-  return out;
+  return codec::Encode(payload);
 }
 
 StatusOr<PostingPayload> ParsePayload(std::string_view data) {
-  ByteReader reader(data);
-  PostingPayload p;
-  ZR_RETURN_IF_ERROR(reader.GetVarint32(&p.term));
-  ZR_RETURN_IF_ERROR(reader.GetVarint32(&p.doc));
-  ZR_RETURN_IF_ERROR(reader.GetDouble(&p.score));
-  ZR_RETURN_IF_ERROR(reader.ExpectEof());
-  return p;
+  return codec::Decode<PostingPayload>(data);
 }
 
 StatusOr<EncryptedPostingElement> SealPostingElement(
@@ -85,44 +77,6 @@ StatusOr<PostingPayload> OpenPostingElement(
 StatusOr<PostingPayload> OpenPostingElement(const ServedElement& element,
                                             const crypto::KeyStore& keys) {
   return OpenSealed(element.group, element.sealed, keys);
-}
-
-void AppendElement(std::string* dst, const EncryptedPostingElement& element) {
-  PutVarint32(dst, element.group);
-  PutVarint64(dst, element.handle);
-  PutDouble(dst, element.trs);
-  PutLengthPrefixed(dst, element.sealed);
-}
-
-StatusOr<EncryptedPostingElement> ParseElement(std::string_view* data) {
-  ByteReader reader(*data);
-  EncryptedPostingElement element;
-  ZR_RETURN_IF_ERROR(reader.GetVarint32(&element.group));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&element.handle));
-  ZR_RETURN_IF_ERROR(reader.GetDouble(&element.trs));
-  std::string_view sealed;
-  ZR_RETURN_IF_ERROR(reader.GetLengthPrefixed(&sealed));
-  element.sealed = SealedBytes::Adopt(sealed);
-  *data = data->substr(data->size() - reader.remaining());
-  return element;
-}
-
-void AppendServedElement(std::string* dst, const ServedElement& element) {
-  PutVarint32(dst, element.group);
-  PutVarint64(dst, element.handle);
-  PutLengthPrefixed(dst, element.sealed);
-}
-
-StatusOr<ServedElement> ParseServedElement(std::string_view* data) {
-  ByteReader reader(*data);
-  ServedElement element;
-  ZR_RETURN_IF_ERROR(reader.GetVarint32(&element.group));
-  ZR_RETURN_IF_ERROR(reader.GetVarint64(&element.handle));
-  std::string_view sealed;
-  ZR_RETURN_IF_ERROR(reader.GetLengthPrefixed(&sealed));
-  element.sealed = SealedBytes::Adopt(sealed);
-  *data = data->substr(data->size() - reader.remaining());
-  return element;
 }
 
 }  // namespace zr::zerber

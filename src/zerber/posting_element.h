@@ -23,6 +23,7 @@
 #include "crypto/keys.h"
 #include "text/document.h"
 #include "text/vocabulary.h"
+#include "util/codec.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -34,6 +35,14 @@ struct PostingPayload {
   text::DocId doc = 0;
   /// Raw relevance score rscore(t, d) = TF/|d| (Equation 4).
   double score = 0.0;
+
+  /// Encoding (SerializePayload): varint term, varint doc, fixed64 score
+  /// bits.
+  static void Fields(auto& p, auto&& f) {
+    f(p.term);
+    f(p.doc);
+    f(p.score);
+  }
 
   friend bool operator==(const PostingPayload&, const PostingPayload&) = default;
 };
@@ -79,6 +88,29 @@ class SealedBytes {
   std::string bytes_;
 };
 
+}  // namespace zr::zerber
+
+namespace zr::codec {
+
+/// Sealed bytes: varint length, then the ciphertext. Get adopts the bytes
+/// it reads — the deserialization boundary of SealedBytes, defined in
+/// posting_element.cc.
+template <>
+struct Field<zerber::SealedBytes> {
+  static void Put(std::string* out, const zerber::SealedBytes& x) {
+    PutLengthPrefixed(out, x.view());
+  }
+  static size_t Size(const zerber::SealedBytes& x) {
+    return Field<std::string>::Size(x.view());
+  }
+  static Status Get(std::string_view* in, zerber::SealedBytes* x);
+  static size_t MinBytes() { return 1; }
+};
+
+}  // namespace zr::codec
+
+namespace zr::zerber {
+
 /// A posting element as stored on the (untrusted) index server.
 struct EncryptedPostingElement {
   /// Owning collaboration group (server-visible; drives ACL filtering).
@@ -96,8 +128,16 @@ struct EncryptedPostingElement {
   /// Seal(group's SealingKey, nonce, serialized PostingPayload).
   SealedBytes sealed;
 
-  /// Serialized wire size in bytes (AppendElement: inserts, WAL records and
-  /// snapshots).
+  /// Encoding (inserts, WAL records and snapshots): varint group, varint
+  /// handle, fixed64 TRS bits, length-prefixed sealed bytes.
+  static void Fields(auto& e, auto&& f) {
+    f(e.group);
+    f(e.handle);
+    f(e.trs);
+    f(e.sealed);
+  }
+
+  /// Encoded size in bytes.
   size_t WireSize() const;
 
   /// Wire size of this element as a query response serves it (no TRS).
@@ -117,18 +157,21 @@ struct ServedElement {
   /// The stored element's sealed bytes, unchanged.
   SealedBytes sealed;
 
-  /// Serialized wire size in bytes (AppendServedElement).
+  /// Encoding (query responses): the stored encoding without the TRS.
+  static void Fields(auto& e, auto&& f) {
+    f(e.group);
+    f(e.handle);
+    f(e.sealed);
+  }
+
+  /// Encoded size in bytes.
   size_t WireSize() const;
 };
-
-/// Fewest bytes a served element takes on the wire: one byte each for the
-/// group, the handle and the length of empty sealed bytes.
-inline constexpr size_t kMinServedElementBytes = 3;
 
 /// The served form of a stored element: drops the TRS, keeps the rest.
 ServedElement ServeElement(EncryptedPostingElement element);
 
-/// Serializes a payload (varint term, varint doc, fixed64 score bits).
+/// Serializes a payload (PostingPayload::Fields).
 std::string SerializePayload(const PostingPayload& payload);
 
 /// Parses a payload; Corruption on malformed input.
@@ -146,20 +189,6 @@ StatusOr<PostingPayload> OpenPostingElement(
     const EncryptedPostingElement& element, const crypto::KeyStore& keys);
 StatusOr<PostingPayload> OpenPostingElement(const ServedElement& element,
                                             const crypto::KeyStore& keys);
-
-/// Serializes a stored element (varint group, varint handle, fixed64 TRS,
-/// length-prefixed sealed bytes) for inserts, WAL records and snapshots.
-void AppendElement(std::string* dst, const EncryptedPostingElement& element);
-
-/// Parses one stored element from a reader; Corruption on malformed input.
-StatusOr<EncryptedPostingElement> ParseElement(std::string_view* data);
-
-/// Serializes a served element for a query response: varint group, varint
-/// handle, length-prefixed sealed bytes.
-void AppendServedElement(std::string* dst, const ServedElement& element);
-
-/// Parses one served element from a reader; Corruption on malformed input.
-StatusOr<ServedElement> ParseServedElement(std::string_view* data);
 
 }  // namespace zr::zerber
 

@@ -14,6 +14,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -306,6 +307,23 @@ TEST(ShardProcessTest, BinaryThatCannotRunReportsTheExecFailure) {
   EXPECT_EQ(proc.status().message(),
             "cluster: cannot execute shard server '" + missing +
                 "': No such file or directory");
+}
+
+// Without $ZR_SHARD_SERVER the binary is the shard_server beside the
+// running executable (the test binary and shard_server share the build
+// directory), whatever the working directory.
+TEST(ShardProcessTest, BinaryIsFoundFromAnyWorkingDirectory) {
+  const char* env = std::getenv("ZR_SHARD_SERVER");
+  const std::string saved_env = env != nullptr ? env : "";
+  const std::filesystem::path saved_cwd = std::filesystem::current_path();
+  ::unsetenv("ZR_SHARD_SERVER");
+  std::filesystem::current_path(std::filesystem::temp_directory_path());
+
+  const std::string binary = ShardServerBinary();
+  EXPECT_EQ(::access(binary.c_str(), X_OK), 0) << binary;
+
+  std::filesystem::current_path(saved_cwd);
+  if (!saved_env.empty()) ::setenv("ZR_SHARD_SERVER", saved_env.c_str(), 1);
 }
 
 }  // namespace

@@ -21,13 +21,13 @@ TEST(FailureInjectionTest, RandomBytesNeverParseAsElement) {
       junk.push_back(static_cast<char>(rng.NextU32() & 0xff));
     }
     std::string_view cursor = junk;
-    auto parsed = zerber::ParseElement(&cursor);
-    if (parsed.ok()) {
+    zerber::EncryptedPostingElement parsed;
+    if (codec::GetFields(&cursor, &parsed).ok()) {
       // Parsing random bytes may accidentally succeed structurally, but the
       // sealed payload must then fail authentication.
       crypto::KeyStore keys("failure-test");
-      ASSERT_TRUE(keys.CreateGroup(parsed->group).ok());
-      EXPECT_FALSE(zerber::OpenPostingElement(*parsed, keys).ok());
+      ASSERT_TRUE(keys.CreateGroup(parsed.group).ok());
+      EXPECT_FALSE(zerber::OpenPostingElement(parsed, keys).ok());
     }
   }
 }

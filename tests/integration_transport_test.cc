@@ -89,9 +89,9 @@ Pipeline* TransportEquivalenceTest::direct_ = nullptr;
 TEST_P(TransportEquivalenceTest, IndexBuildCrossedTheTransport) {
   EXPECT_EQ(pipeline_->server->TotalElements(),
             direct_->server->TotalElements());
-  // The pipeline's channel saw the whole index build as uplink traffic
-  // (one insert message per posting element).
-  EXPECT_GE(pipeline_->channel->messages_up(),
+  // The pipeline's transport carried the whole index build (one insert
+  // exchange per posting element).
+  EXPECT_GE(pipeline_->transport->stats().exchanges,
             pipeline_->server->TotalElements());
   EXPECT_EQ(pipeline_->tcp_server != nullptr,
             GetParam() == net::TransportKind::kTcp);

@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "net/channel.h"
+#include "net/transport.h"
 
 namespace zr::net {
 namespace {
@@ -46,36 +46,34 @@ TEST(SearchEngineSizesTest, PaperComparisonConstants) {
   EXPECT_EQ(sizes.yahoo_bytes, 59u * 1024);
 }
 
-TEST(SimChannelTest, AccumulatesTraffic) {
-  SimChannel channel(kModem56k, kLan100M);
-  channel.RecordRequest(100);
-  channel.RecordRequest(50);
-  channel.RecordResponse(2000);
-  EXPECT_EQ(channel.bytes_up(), 150u);
-  EXPECT_EQ(channel.bytes_down(), 2000u);
-  EXPECT_EQ(channel.messages_up(), 2u);
-  EXPECT_EQ(channel.messages_down(), 1u);
-  EXPECT_GT(channel.TotalTransferSeconds(), 0.0);
+TEST(TransferSecondsTest, PricesTrafficPerLinkAndExchange) {
+  TransportStats stats;
+  stats.exchanges = 2;
+  stats.bytes_up = 150;
+  stats.bytes_down = 2000;
+  // 150 B up on the modem, 2000 B down on the LAN, each link's latency
+  // once per exchange.
+  EXPECT_DOUBLE_EQ(TransferSeconds(stats, kModem56k, kLan100M),
+                   150 * 8.0 / kModem56k.bits_per_second +
+                       2 * kModem56k.latency_seconds +
+                       2000 * 8.0 / kLan100M.bits_per_second +
+                       2 * kLan100M.latency_seconds);
+  EXPECT_GT(TransferSeconds(stats, kModem56k, kLan100M), 0.0);
 }
 
-TEST(SimChannelTest, ResetClearsCounters) {
-  SimChannel channel(kModem56k, kLan100M);
-  channel.RecordRequest(100);
-  channel.Reset();
-  EXPECT_EQ(channel.bytes_up(), 0u);
-  EXPECT_EQ(channel.messages_up(), 0u);
-  EXPECT_DOUBLE_EQ(channel.TotalTransferSeconds(), 0.0);
+TEST(TransferSecondsTest, NoTrafficTakesNoTime) {
+  EXPECT_DOUBLE_EQ(TransferSeconds(TransportStats(), kModem56k, kLan100M),
+                   0.0);
 }
 
-TEST(SimChannelTest, AsymmetricLinksModelled) {
+TEST(TransferSecondsTest, AsymmetricLinksModelled) {
   // Downloading 10 KB over the modem downlink dominates; same bytes on the
   // LAN are negligible.
-  SimChannel modem_down(kLan100M, kModem56k);
-  modem_down.RecordResponse(10240);
-  SimChannel lan_down(kLan100M, kLan100M);
-  lan_down.RecordResponse(10240);
-  EXPECT_GT(modem_down.TotalTransferSeconds(),
-            10 * lan_down.TotalTransferSeconds());
+  TransportStats stats;
+  stats.exchanges = 1;
+  stats.bytes_down = 10240;
+  EXPECT_GT(TransferSeconds(stats, kLan100M, kModem56k),
+            10 * TransferSeconds(stats, kLan100M, kLan100M));
 }
 
 }  // namespace

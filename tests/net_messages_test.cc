@@ -8,8 +8,12 @@
 #include <vector>
 
 #include "crypto/keys.h"
+#include "net/tcp.h"
+#include "store/wal.h"
+#include "util/codec.h"
 #include "util/coding.h"
 #include "util/random.h"
+#include "zerber/persistence.h"
 
 namespace zr::net {
 namespace {
@@ -134,22 +138,20 @@ TEST(MessagesTest, ServedElementRoundTrip) {
   crypto::KeyStore keys("msg-test");
   ASSERT_TRUE(keys.CreateGroup(4).ok());
   zerber::ServedElement element = MakeServed(&keys, 4, uint64_t{1} << 40);
-  std::string wire;
-  zerber::AppendServedElement(&wire, element);
+  std::string wire = codec::Encode(element);
   EXPECT_EQ(wire.size(), element.WireSize());
   wire += "next";
 
   std::string_view cursor = wire;
-  auto parsed = zerber::ParseServedElement(&cursor);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed->group, 4u);
-  EXPECT_EQ(parsed->handle, uint64_t{1} << 40);
-  EXPECT_EQ(parsed->sealed, element.sealed);
+  zerber::ServedElement parsed;
+  ASSERT_TRUE(codec::GetFields(&cursor, &parsed).ok());
+  EXPECT_EQ(parsed.group, 4u);
+  EXPECT_EQ(parsed.handle, uint64_t{1} << 40);
+  EXPECT_EQ(parsed.sealed, element.sealed);
   EXPECT_EQ(cursor, "next");  // consumed exactly one element
   for (size_t n = 0; n < element.WireSize(); ++n) {
     std::string_view truncated = std::string_view(wire).substr(0, n);
-    EXPECT_TRUE(zerber::ParseServedElement(&truncated).status().IsCorruption())
-        << n;
+    EXPECT_TRUE(codec::GetFields(&truncated, &parsed).IsCorruption()) << n;
   }
 }
 
@@ -687,6 +689,67 @@ std::vector<AclResponse> Goldens() {
   return {AclResponse{}};
 }
 
+// The goldens of every other format's record types: posting elements and
+// the sealed payload, WAL records, the snapshot body and frame extensions.
+
+template <>
+std::vector<zerber::EncryptedPostingElement> Goldens() {
+  return {GoldenStored(300)};
+}
+
+template <>
+std::vector<zerber::ServedElement> Goldens() {
+  return {GoldenServed(uint64_t{1} << 56)};
+}
+
+template <>
+std::vector<zerber::PostingPayload> Goldens() {
+  return {zerber::PostingPayload{1, 2, 0.5},
+          zerber::PostingPayload{0xFFFFFFFFu, 16384, 1.0 / 3}};
+}
+
+template <>
+std::vector<store::WalRecord> Goldens() {
+  using Type = store::WalRecord::Type;
+  std::vector<store::WalRecord> records(5);
+  records[0].type = Type::kInsert;
+  records[0].list = 300;
+  records[0].element = GoldenStored(42);
+  records[1].type = Type::kDelete;
+  records[1].list = 7;
+  records[1].handle = uint64_t{1} << 35;
+  records[2].type = Type::kAddGroup;
+  records[2].group = 0xFFFFFFFFu;
+  records[3].type = Type::kGrantMembership;
+  records[3].user = 11;
+  records[3].group = 16384;
+  records[4].type = Type::kRevokeMembership;
+  records[4].user = uint32_t{1} << 21;
+  records[4].group = 5;
+  return records;
+}
+
+template <>
+std::vector<zerber::SnapshotBody> Goldens() {
+  zerber::SnapshotBody body;
+  body.placement = zerber::Placement::kTrsSorted;
+  body.lists = {{GoldenStored(1), GoldenStored(300)}, {}};
+  body.groups = {{1, {7, 300}}, {0xFFFFFFFFu, {}}};
+  return {body};
+}
+
+template <>
+std::vector<FrameExtension> Goldens() {
+  FrameExtension trace;
+  trace.type = FrameExtension::Type::kTraceContext;
+  trace.trace = obs::TraceContext{0x0102030405060708, 0xA1};
+  FrameExtension report;
+  report.type = FrameExtension::Type::kSpanReport;
+  report.spans = {{0, obs::Stage::kShardServe, 300, 7},
+                  {0, obs::Stage::kWalAppend, uint64_t{1} << 20, 0}};
+  return {trace, report};
+}
+
 /// Checks the goldens of M against their hex images: the exact bytes, the
 /// analytic wire size, and a parse that re-encodes to the same bytes.
 template <typename M>
@@ -833,7 +896,7 @@ class RandomFields {
     xs.resize(rng_->Uniform(5));
     for (T& x : xs) (*this)(x);
   }
-  template <WireRecord T>
+  template <codec::WireRecord T>
   void operator()(T& record) {
     T::Fields(record, *this);
   }
@@ -916,35 +979,89 @@ std::vector<std::string> Mutants(const std::string& wire, Rng* rng) {
   return out;
 }
 
-// The tier-1 hostile-input driver for every message parser: seeded
-// mutations of every golden. A parse either accepts or fails with
-// Corruption (never a crash, and never an allocation sized by a hostile
-// count: std::bad_alloc would escape and fail the test), and an accepted
-// mutant re-encodes to bytes that parse and re-encode to themselves.
+/// A format's encoder, parser and size: a message with its tag
+/// (Serialize, Parse, WireSize), any other record untagged (codec::Encode,
+/// codec::Decode, codec::FieldsSize).
+template <typename T>
+std::string EncodeOf(const T& x) {
+  if constexpr (WireMessage<T>) {
+    return Serialize(x);
+  } else {
+    return codec::Encode(x);
+  }
+}
+
+template <typename T>
+StatusOr<T> DecodeOf(std::string_view bytes) {
+  if constexpr (WireMessage<T>) {
+    return Parse<T>(bytes);
+  } else {
+    return codec::Decode<T>(bytes);
+  }
+}
+
+template <typename T>
+size_t SizeOf(const T& x) {
+  if constexpr (WireMessage<T>) {
+    return WireSize(x);
+  } else {
+    return codec::FieldsSize(x);
+  }
+}
+
+/// Calls fn(std::type_identity<T>{}) for every record type of every
+/// format: the messages, then the records the other formats are made of.
+template <typename Fn>
+void ForEachFormat(Fn&& fn) {
+  ForEachMessage(fn);
+  [&]<typename... Ts>(std::type_identity<Ts>... types) {
+    (fn(types), ...);
+  }(std::type_identity<zerber::EncryptedPostingElement>{},
+    std::type_identity<zerber::ServedElement>{},
+    std::type_identity<zerber::PostingPayload>{},
+    std::type_identity<store::WalRecord>{},
+    std::type_identity<zerber::SnapshotBody>{},
+    std::type_identity<FrameExtension>{});
+}
+
+// The tier-1 hostile-input driver for every parser of every format: seeded
+// mutations of every golden (each of which first round-trips). A parse
+// either accepts or fails with Corruption (never a crash, and never an
+// allocation sized by a hostile count: std::bad_alloc would escape and fail
+// the test), and an accepted mutant re-encodes to bytes of its analytic
+// size that parse and re-encode to themselves.
 TEST(MessagesPropertyTest, SeededMutationsOfEveryGoldenParseCleanly) {
   Rng rng(19);
+  size_t types = 0;
   size_t mutants = 0;
   size_t accepted = 0;
-  ForEachMessage([&]<typename M>(std::type_identity<M>) {
-    for (const M& golden : Goldens<M>()) {
-      for (const std::string& mutant : Mutants(Serialize(golden), &rng)) {
+  ForEachFormat([&]<typename T>(std::type_identity<T>) {
+    ++types;
+    for (const T& golden : Goldens<T>()) {
+      const std::string bytes = EncodeOf(golden);
+      ASSERT_EQ(SizeOf(golden), bytes.size());
+      auto decoded = DecodeOf<T>(bytes);
+      ASSERT_TRUE(decoded.ok()) << decoded.status() << " on " << HexOf(bytes);
+      ASSERT_EQ(EncodeOf(*decoded), bytes);
+      for (const std::string& mutant : Mutants(bytes, &rng)) {
         ++mutants;
-        StatusOr<M> parsed = Parse<M>(mutant);
+        StatusOr<T> parsed = DecodeOf<T>(mutant);
         if (!parsed.ok()) {
           EXPECT_TRUE(parsed.status().IsCorruption())
               << parsed.status() << " on " << HexOf(mutant);
           continue;
         }
         ++accepted;
-        const std::string again = Serialize(*parsed);
-        EXPECT_EQ(WireSize(*parsed), again.size());
-        auto reparsed = Parse<M>(again);
+        const std::string again = EncodeOf(*parsed);
+        EXPECT_EQ(SizeOf(*parsed), again.size());
+        auto reparsed = DecodeOf<T>(again);
         ASSERT_TRUE(reparsed.ok()) << reparsed.status() << " on "
                                    << HexOf(mutant);
-        EXPECT_EQ(Serialize(*reparsed), again) << HexOf(mutant);
+        EXPECT_EQ(EncodeOf(*reparsed), again) << HexOf(mutant);
       }
     }
   });
+  EXPECT_EQ(types, 21u);
   EXPECT_GT(mutants, 10000u);
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, mutants);

@@ -353,7 +353,7 @@ TEST_F(TcpTest, OversizedFrameIsRejectedAndTheConnectionClosed) {
   // limit is refused client-side before anything is sent.
   TcpSession::Options session_options;
   session_options.max_frame_payload = 16;  // below any insert's wire size
-  TcpTransport tcp((*small_server)->address(), nullptr, session_options);
+  TcpTransport tcp((*small_server)->address(), session_options);
   EXPECT_TRUE(tcp.Insert(MakeInsert(0, 0.9)).status().IsInvalidArgument());
   EXPECT_EQ(tcp.socket_stats().frames_up, 0u);
 }
@@ -729,6 +729,105 @@ TEST_F(TcpTest, TracedExchangeCarriesSpansWithExactByteAccounting) {
   EXPECT_TRUE(tcp.session().response_spans().empty());
 }
 
+std::string HexOf(std::string_view bytes) {
+  static const char* kHex = "0123456789abcdef";
+  std::string out;
+  for (char c : bytes) {
+    out.push_back(kHex[static_cast<uint8_t>(c) >> 4]);
+    out.push_back(kHex[static_cast<uint8_t>(c) & 0xf]);
+  }
+  return out;
+}
+
+/// `ext` as the body of a flagged frame carrying `payload`.
+std::string ExtendedBody(std::string_view ext, std::string_view payload) {
+  return std::string(1, static_cast<char>(ext.size())) + std::string(ext) +
+         std::string(payload);
+}
+
+// Golden bytes of a trace-context extension: the type byte, then both ids
+// as fixed64.
+TEST(FrameExtensionTest, TraceContextIsByteIdentical) {
+  const obs::TraceContext ctx{0x0102030405060708, 0xA1};
+  const std::string ext = EncodeTraceContextExt(ctx);
+  EXPECT_EQ(HexOf(ext), "01" "0807060504030201" "a100000000000000");
+  EXPECT_EQ(ext.size(), kTraceContextExtBytes);
+
+  const std::string body = ExtendedBody(ext, "payload");
+  std::string_view rest(body);
+  obs::TraceContext parsed;
+  ASSERT_TRUE(ConsumeFrameExtension(&rest, &parsed, nullptr));
+  EXPECT_EQ(rest, "payload");
+  EXPECT_EQ(parsed.trace_id, ctx.trace_id);
+  EXPECT_EQ(parsed.span_id, ctx.span_id);
+}
+
+// Golden bytes of a two-span report: the type byte, the span count, then
+// per span its stage byte, varint duration and varint detail.
+TEST(FrameExtensionTest, TwoSpanReportIsByteIdentical) {
+  const std::vector<obs::SpanRecord> spans = {
+      {0, obs::Stage::kShardServe, 300, 7},
+      {0, obs::Stage::kWalAppend, uint64_t{1} << 20, 0}};
+  const std::string ext = EncodeSpanReportExt(spans);
+  EXPECT_EQ(HexOf(ext), "02" "02"             // type, span count
+                        "05" "ac02" "07"     // shard serve, 300 ns, 7
+                        "07" "808040" "00");  // WAL append, 2^20 ns, 0
+
+  const std::string body = ExtendedBody(ext, "payload");
+  std::string_view rest(body);
+  std::vector<obs::SpanRecord> parsed;
+  ASSERT_TRUE(ConsumeFrameExtension(&rest, nullptr, &parsed));
+  EXPECT_EQ(rest, "payload");
+  EXPECT_EQ(parsed, spans);
+}
+
+// A span report with an unknown stage or more than kMaxSpansPerFrame spans
+// is malformed; an extension of a type the receiving side does not read is
+// skipped whole.
+TEST(FrameExtensionTest, MalformedReportsFailAndUnreadTypesAreSkipped) {
+  const obs::SpanRecord span{0, obs::Stage::kShardServe, 1, 2};
+  const std::string ext = EncodeSpanReportExt({span});
+  std::vector<obs::SpanRecord> spans;
+  for (uint8_t stage : {uint8_t{0}, uint8_t{obs::kNumStages + 1}}) {
+    std::string bad = ext;
+    bad[2] = static_cast<char>(stage);  // type, count, then the stage byte
+    const std::string body = ExtendedBody(bad, "p");
+    std::string_view rest(body);
+    EXPECT_FALSE(ConsumeFrameExtension(&rest, nullptr, &spans)) << +stage;
+  }
+
+  // The encoder keeps the first kMaxSpansPerFrame spans; a report that
+  // claims more is refused.
+  const std::vector<obs::SpanRecord> many(kMaxSpansPerFrame + 1, span);
+  std::string body = ExtendedBody(EncodeSpanReportExt(many), "p");
+  std::string_view rest(body);
+  ASSERT_TRUE(ConsumeFrameExtension(&rest, nullptr, &spans));
+  EXPECT_EQ(spans.size(), kMaxSpansPerFrame);
+  FrameExtension oversized;
+  oversized.type = FrameExtension::Type::kSpanReport;
+  oversized.spans = many;
+  body = ExtendedBody(codec::Encode(oversized), "p");
+  rest = body;
+  EXPECT_FALSE(ConsumeFrameExtension(&rest, nullptr, &spans));
+
+  // A server skips a span report, a client a trace context, and both an
+  // unknown type — even a malformed one.
+  obs::TraceContext ctx;
+  for (const std::string& skipped :
+       {ExtendedBody(ext, "p"), ExtendedBody(std::string("\x09junk"), "p")}) {
+    rest = skipped;
+    EXPECT_TRUE(ConsumeFrameExtension(&rest, &ctx, nullptr));
+    EXPECT_EQ(rest, "p");
+    EXPECT_FALSE(ctx.active());
+  }
+  body = ExtendedBody(EncodeTraceContextExt({7, 8}), "p");
+  rest = body;
+  spans.clear();
+  EXPECT_TRUE(ConsumeFrameExtension(&rest, nullptr, &spans));
+  EXPECT_TRUE(spans.empty());
+  EXPECT_EQ(rest, "p");
+}
+
 TEST_F(TcpTest, TornFrameExtensionIsAProtocolError) {
   // A flagged frame whose ext_len byte overruns the announced frame
   // length must be rejected like a corrupt length prefix — session freed,
@@ -767,7 +866,7 @@ TEST_F(TcpTest, TornFrameExtensionIsAProtocolError) {
 }
 
 TEST_F(TcpTest, MakeTransportBuildsTcpFromAnAddress) {
-  auto tcp = MakeTransport(TransportKind::kTcp, nullptr, nullptr,
+  auto tcp = MakeTransport(TransportKind::kTcp, nullptr,
                            tcp_server_->address());
   ASSERT_NE(tcp, nullptr);
   EXPECT_NE(dynamic_cast<TcpTransport*>(tcp.get()), nullptr);

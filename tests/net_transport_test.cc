@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "crypto/keys.h"
+#include "net/bandwidth.h"
 #include "net/tcp.h"
 
 namespace zr::net {
@@ -19,11 +20,9 @@ class TransportTest : public ::testing::Test {
       : keys_("transport-test"),
         server_(/*num_lists=*/2, zerber::Placement::kTrsSorted, 5),
         service_(&server_),
-        direct_channel_(kModem56k, kModem56k),
-        tcp_channel_(kModem56k, kModem56k),
-        direct_(&service_, &direct_channel_),
+        direct_(&service_),
         tcp_server_(StartServer(&service_)),
-        tcp_(tcp_server_->address(), &tcp_channel_) {
+        tcp_(tcp_server_->address()) {
     EXPECT_TRUE(keys_.CreateGroup(1).ok());
     // Fixture setup before any traffic: quiescent by construction.
     QuiescenceLock quiesced(server_.quiescence());
@@ -52,8 +51,6 @@ class TransportTest : public ::testing::Test {
   crypto::KeyStore keys_;
   zerber::IndexServer server_;
   IndexService service_;
-  SimChannel direct_channel_;
-  SimChannel tcp_channel_;
   DirectTransport direct_;
   std::unique_ptr<TcpServer> tcp_server_;
   TcpTransport tcp_;
@@ -202,7 +199,7 @@ TEST_F(TransportTest, ServerErrorsCrossTheTcpWireIntact) {
   EXPECT_GT(tcp_.stats().bytes_down, 0u);
 }
 
-TEST_F(TransportTest, ChannelSeesTheSameTrafficAsTheStats) {
+TEST_F(TransportTest, LinkModelPricesTheStats) {
   ASSERT_TRUE(tcp_.Insert(MakeInsert(0, 0.5)).ok());
   QueryRequest request;
   request.user = kUser;
@@ -210,16 +207,18 @@ TEST_F(TransportTest, ChannelSeesTheSameTrafficAsTheStats) {
   request.count = 10;
   ASSERT_TRUE(tcp_.Fetch(request).ok());
 
-  EXPECT_EQ(tcp_channel_.bytes_up(), tcp_.stats().bytes_up);
-  EXPECT_EQ(tcp_channel_.bytes_down(), tcp_.stats().bytes_down);
-  EXPECT_EQ(tcp_channel_.messages_up(), tcp_.stats().exchanges);
-  EXPECT_EQ(tcp_channel_.messages_down(), tcp_.stats().exchanges);
-  EXPECT_GT(tcp_channel_.TotalTransferSeconds(), 0.0);
+  const TransportStats& stats = tcp_.stats();
+  EXPECT_EQ(stats.exchanges, 2u);
+  EXPECT_GT(stats.bytes_up, 0u);
+  EXPECT_GT(stats.bytes_down, 0u);
+  // Each exchange pays the modem latency both ways, plus its bytes.
+  EXPECT_GT(TransferSeconds(stats, kModem56k, kModem56k),
+            2 * 2 * kModem56k.latency_seconds);
 }
 
 TEST_F(TransportTest, MakeTransportBuildsTheRequestedKind) {
   auto direct = MakeTransport(TransportKind::kDirect, &service_);
-  auto tcp = MakeTransport(TransportKind::kTcp, nullptr, nullptr,
+  auto tcp = MakeTransport(TransportKind::kTcp, nullptr,
                            tcp_server_->address());
   ASSERT_NE(direct, nullptr);
   ASSERT_NE(tcp, nullptr);

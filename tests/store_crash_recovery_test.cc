@@ -333,7 +333,7 @@ TEST_P(RecoverVsNeverCrashed, TopKResultsIdentical) {
   ASSERT_TRUE(server.ok()) << server.status();
   for (net::TransportKind kind :
        {net::TransportKind::kDirect, net::TransportKind::kTcp}) {
-    auto transport = net::MakeTransport(kind, recovered->get(), nullptr,
+    auto transport = net::MakeTransport(kind, recovered->get(),
                                         (*server)->address());
     core::ZerberRClient client(d.user, d.keys.get(), &d.plan,
                                transport.get(), &d.corpus.vocabulary(),

@@ -123,6 +123,35 @@ TEST_F(WalTest, EncodedInsertRecordIsByteIdentical) {
             "f84c6a63ee2e2f7e23bbcf5354d4943f");
 }
 
+// Golden bytes of the records without an element: each field takes a
+// value of a different varint length.
+TEST_F(WalTest, EncodedDeleteAndAclRecordsAreByteIdentical) {
+  WalRecord del;
+  del.type = WalRecord::Type::kDelete;
+  del.list = 300;
+  del.handle = uint64_t{1} << 35;
+  WalRecord add;
+  add.type = WalRecord::Type::kAddGroup;
+  add.group = 0xFFFFFFFFu;
+  WalRecord grant;
+  grant.type = WalRecord::Type::kGrantMembership;
+  grant.user = 11;
+  grant.group = 16384;
+  WalRecord revoke;
+  revoke.type = WalRecord::Type::kRevokeMembership;
+  revoke.user = uint32_t{1} << 21;
+  revoke.group = 5;
+  // Frame length, type, fields, then the truncated SHA-256 of the frame.
+  EXPECT_EQ(HexOf(EncodeWalRecord(del)),
+            "09" "02" "ac02" "808080808001" "f45f42947bd1a1c3");
+  EXPECT_EQ(HexOf(EncodeWalRecord(add)),
+            "06" "03" "ffffffff0f" "4160cb0cdb2379a9");
+  EXPECT_EQ(HexOf(EncodeWalRecord(grant)),
+            "05" "04" "0b" "808001" "5861fdee1f97e2cb");
+  EXPECT_EQ(HexOf(EncodeWalRecord(revoke)),
+            "06" "05" "80808001" "05" "b73e28a448b3c07b");
+}
+
 TEST_F(WalTest, ScanStopsCleanlyAtEveryTruncationPoint) {
   std::string log;
   std::vector<uint64_t> ends;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <vector>
@@ -17,11 +18,11 @@ TEST(CodingTest, Fixed32RoundTrip) {
     std::string buf;
     PutFixed32(&buf, v);
     ASSERT_EQ(buf.size(), 4u);
-    ByteReader reader(buf);
+    std::string_view in(buf);
     uint32_t out;
-    ASSERT_TRUE(reader.GetFixed32(&out).ok());
+    ASSERT_TRUE(GetFixed32Cursor(&in, &out).ok());
     EXPECT_EQ(out, v);
-    EXPECT_TRUE(reader.ExpectEof().ok());
+    EXPECT_TRUE(in.empty());
   }
 }
 
@@ -40,9 +41,9 @@ TEST(CodingTest, Fixed64RoundTrip) {
     std::string buf;
     PutFixed64(&buf, v);
     ASSERT_EQ(buf.size(), 8u);
-    ByteReader reader(buf);
+    std::string_view in(buf);
     uint64_t out;
-    ASSERT_TRUE(reader.GetFixed64(&out).ok());
+    ASSERT_TRUE(GetFixed64Cursor(&in, &out).ok());
     EXPECT_EQ(out, v);
   }
 }
@@ -52,9 +53,11 @@ TEST(CodingTest, DoubleRoundTripExactBits) {
                    std::numeric_limits<double>::infinity()}) {
     std::string buf;
     PutDouble(&buf, v);
-    ByteReader reader(buf);
+    std::string_view in(buf);
+    uint64_t bits;
+    ASSERT_TRUE(GetFixed64Cursor(&in, &bits).ok());
     double out;
-    ASSERT_TRUE(reader.GetDouble(&out).ok());
+    std::memcpy(&out, &bits, sizeof(out));
     EXPECT_EQ(out, v);
   }
 }
@@ -96,13 +99,13 @@ TEST(CodingTest, VarintRandomRoundTrip) {
     values.push_back(v);
     PutVarint64(&buf, v);
   }
-  ByteReader reader(buf);
+  std::string_view in(buf);
   for (uint64_t expected : values) {
     uint64_t out;
-    ASSERT_TRUE(reader.GetVarint64(&out).ok());
+    ASSERT_TRUE(GetVarint64Cursor(&in, &out).ok());
     EXPECT_EQ(out, expected);
   }
-  EXPECT_TRUE(reader.ExpectEof().ok());
+  EXPECT_TRUE(in.empty());
 }
 
 TEST(CodingTest, LengthPrefixedRoundTrip) {
@@ -110,29 +113,29 @@ TEST(CodingTest, LengthPrefixedRoundTrip) {
   PutLengthPrefixed(&buf, "hello");
   PutLengthPrefixed(&buf, "");
   PutLengthPrefixed(&buf, std::string(300, 'x'));
-  ByteReader reader(buf);
+  std::string_view in(buf);
   std::string_view a, b, c;
-  ASSERT_TRUE(reader.GetLengthPrefixed(&a).ok());
-  ASSERT_TRUE(reader.GetLengthPrefixed(&b).ok());
-  ASSERT_TRUE(reader.GetLengthPrefixed(&c).ok());
+  ASSERT_TRUE(GetLengthPrefixedCursor(&in, &a).ok());
+  ASSERT_TRUE(GetLengthPrefixedCursor(&in, &b).ok());
+  ASSERT_TRUE(GetLengthPrefixedCursor(&in, &c).ok());
   EXPECT_EQ(a, "hello");
   EXPECT_EQ(b, "");
   EXPECT_EQ(c, std::string(300, 'x'));
-  EXPECT_TRUE(reader.ExpectEof().ok());
+  EXPECT_TRUE(in.empty());
 }
 
 TEST(CodingTest, TruncatedFixedFails) {
   std::string buf = "abc";  // 3 bytes < 4
-  ByteReader reader(buf);
+  std::string_view in(buf);
   uint32_t v;
-  EXPECT_TRUE(reader.GetFixed32(&v).IsCorruption());
+  EXPECT_TRUE(GetFixed32Cursor(&in, &v).IsCorruption());
 }
 
 TEST(CodingTest, TruncatedVarintFails) {
   std::string buf(1, static_cast<char>(0x80));  // continuation, no end
-  ByteReader reader(buf);
+  std::string_view in(buf);
   uint64_t v;
-  EXPECT_TRUE(reader.GetVarint64(&v).IsCorruption());
+  EXPECT_TRUE(GetVarint64Cursor(&in, &v).IsCorruption());
 }
 
 TEST(CodingTest, OverlongVarintFails) {
@@ -140,48 +143,53 @@ TEST(CodingTest, OverlongVarintFails) {
   for (const std::string& buf :
        {std::string(11, static_cast<char>(0x80)),
         std::string(9, static_cast<char>(0xff)) + '\x7f'}) {
-    ByteReader reader(buf);
+    std::string_view in(buf);
     uint64_t v;
-    EXPECT_TRUE(reader.GetVarint64(&v).IsCorruption()) << buf.size();
+    EXPECT_TRUE(GetVarint64Cursor(&in, &v).IsCorruption()) << buf.size();
   }
 }
 
 TEST(CodingTest, Varint32OverflowFails) {
   std::string buf;
   PutVarint64(&buf, uint64_t{UINT32_MAX} + 1);
-  ByteReader reader(buf);
+  std::string_view in(buf);
   uint32_t v;
-  EXPECT_TRUE(reader.GetVarint32(&v).IsCorruption());
+  EXPECT_TRUE(GetVarint32Cursor(&in, &v).IsCorruption());
 }
 
 TEST(CodingTest, LengthPrefixBeyondBufferFails) {
   std::string buf;
   PutVarint64(&buf, 100);  // claims 100 bytes
   buf += "short";
-  ByteReader reader(buf);
+  std::string_view in(buf);
   std::string_view v;
-  EXPECT_TRUE(reader.GetLengthPrefixed(&v).IsCorruption());
+  EXPECT_TRUE(GetLengthPrefixedCursor(&in, &v).IsCorruption());
 }
 
-TEST(CodingTest, ExpectEofDetectsTrailingGarbage) {
+TEST(CodingTest, FailedReadsLeaveTheCursorInPlace) {
   std::string buf;
-  PutFixed32(&buf, 1);
-  buf += "junk";
-  ByteReader reader(buf);
-  uint32_t v;
-  ASSERT_TRUE(reader.GetFixed32(&v).ok());
-  EXPECT_TRUE(reader.ExpectEof().IsCorruption());
+  PutVarint64(&buf, 100);  // a length prefix claiming 100 bytes
+  buf += "short";
+  std::string_view in(buf);
+  std::string_view v;
+  uint32_t fixed;
+  ASSERT_TRUE(GetLengthPrefixedCursor(&in, &v).IsCorruption());
+  ASSERT_TRUE(GetFixed32Cursor(&in, &fixed).ok());  // still at the prefix
+  EXPECT_EQ(in, buf.substr(4));
 }
 
-TEST(CodingTest, GetRawViewsIntoBuffer) {
-  std::string buf = "abcdef";
-  ByteReader reader(buf);
+TEST(CodingTest, LengthPrefixedViewsIntoBuffer) {
+  std::string buf;
+  PutLengthPrefixed(&buf, "ab");
+  PutLengthPrefixed(&buf, "cdef");
+  std::string_view in(buf);
   std::string_view head, tail;
-  ASSERT_TRUE(reader.GetRaw(2, &head).ok());
-  ASSERT_TRUE(reader.GetRaw(4, &tail).ok());
+  ASSERT_TRUE(GetLengthPrefixedCursor(&in, &head).ok());
+  ASSERT_TRUE(GetLengthPrefixedCursor(&in, &tail).ok());
   EXPECT_EQ(head, "ab");
   EXPECT_EQ(tail, "cdef");
-  EXPECT_EQ(head.data(), buf.data());  // zero-copy
+  EXPECT_EQ(head.data(), buf.data() + 1);  // zero-copy
+  EXPECT_TRUE(in.empty());
 }
 
 }  // namespace

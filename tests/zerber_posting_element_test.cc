@@ -118,14 +118,11 @@ TEST_F(PostingElementTest, ElementWireRoundTrip) {
   auto element =
       SealPostingElement(PostingPayload{3, 4, 0.25}, 1, 0.875, &keys_);
   ASSERT_TRUE(element.ok());
-  std::string wire;
-  AppendElement(&wire, *element);
+  std::string wire = codec::Encode(*element);
   EXPECT_EQ(wire.size(), element->WireSize());
 
-  std::string_view cursor = wire;
-  auto parsed = ParseElement(&cursor);
+  auto parsed = codec::Decode<EncryptedPostingElement>(wire);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_TRUE(cursor.empty());
   EXPECT_EQ(parsed->group, element->group);
   EXPECT_DOUBLE_EQ(parsed->trs, element->trs);
   EXPECT_EQ(parsed->sealed, element->sealed);
@@ -136,27 +133,29 @@ TEST_F(PostingElementTest, ElementsConcatenateOnTheWire) {
   auto b = SealPostingElement(PostingPayload{2, 2, 0.2}, 2, 0.8, &keys_);
   ASSERT_TRUE(a.ok() && b.ok());
   std::string wire;
-  AppendElement(&wire, *a);
-  AppendElement(&wire, *b);
+  codec::PutFields(&wire, *a);
+  codec::PutFields(&wire, *b);
 
   std::string_view cursor = wire;
-  auto pa = ParseElement(&cursor);
-  auto pb = ParseElement(&cursor);
-  ASSERT_TRUE(pa.ok() && pb.ok());
+  EncryptedPostingElement pa, pb;
+  ASSERT_TRUE(codec::GetFields(&cursor, &pa).ok());
+  ASSERT_TRUE(codec::GetFields(&cursor, &pb).ok());
   EXPECT_TRUE(cursor.empty());
-  EXPECT_EQ(pa->group, 1u);
-  EXPECT_EQ(pb->group, 2u);
+  EXPECT_EQ(pa.group, 1u);
+  EXPECT_EQ(pb.group, 2u);
 }
 
-TEST_F(PostingElementTest, ParseElementRejectsTruncation) {
+TEST_F(PostingElementTest, DecodeElementRejectsTruncation) {
   auto element =
       SealPostingElement(PostingPayload{3, 4, 0.25}, 1, 0.875, &keys_);
   ASSERT_TRUE(element.ok());
-  std::string wire;
-  AppendElement(&wire, *element);
-  std::string truncated = wire.substr(0, wire.size() / 2);
-  std::string_view cursor = truncated;
-  EXPECT_TRUE(ParseElement(&cursor).status().IsCorruption());
+  std::string wire = codec::Encode(*element);
+  for (size_t n = 0; n < wire.size(); ++n) {
+    EXPECT_TRUE(codec::Decode<EncryptedPostingElement>(wire.substr(0, n))
+                    .status()
+                    .IsCorruption())
+        << n;
+  }
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 
 The paper's server is untrusted: everything it stores or receives beyond
 ACL metadata must be ciphertext (zerber::SealedBytes, produced by
-crypto::Seal). This lint audits the boundary translation units — the frame
-encoders in src/net/messages.* and the WAL writer in src/store/wal.* plus
+crypto::Seal). This lint audits the boundary translation units — the
+generic field-list encoders in src/util/codec.h, the frame encoders in
+src/net/messages.* and the WAL writer in src/store/wal.* plus
 tools/shard_server.cc — and fails when plaintext-typed values flow into
 them.
 
@@ -56,6 +57,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence
 # for the obs/ TUs and the scrape CLI, is observable telemetry the sealed
 # model says may carry numeric ids only, never terms or plaintext.
 BOUNDARY_FILES = (
+    "src/util/codec.h",
     "src/net/messages.h",
     "src/net/messages.cc",
     "src/store/wal.h",

@@ -263,13 +263,26 @@ int main(int argc, char** argv) {
   if (!selftest && addrs_flag.empty()) return Usage(argv[0]);
 
   // --selftest: a throwaway 4-shard cluster, pinged once per shard so the
-  // TCP counters have moved before the scrape.
+  // TCP counters have moved before the scrape. Its data directory goes on
+  // every exit path, after the shards (declared later, destroyed first)
+  // have stopped.
+  namespace fs = std::filesystem;
+  struct RemovedOnExit {
+    RemovedOnExit() = default;
+    RemovedOnExit(const RemovedOnExit&) = delete;
+    RemovedOnExit& operator=(const RemovedOnExit&) = delete;
+    ~RemovedOnExit() {
+      std::error_code ec;
+      if (!dir.empty()) fs::remove_all(dir, ec);
+    }
+    fs::path dir;
+  } selftest_dir;
   std::vector<std::unique_ptr<cluster::ShardProcess>> processes;
   std::vector<std::string> addrs;
   if (selftest) {
-    namespace fs = std::filesystem;
-    fs::path base = fs::temp_directory_path() /
-                    ("zerber_stats_selftest." + std::to_string(::getpid()));
+    selftest_dir.dir = fs::temp_directory_path() /
+                       ("zerber_stats_selftest." + std::to_string(::getpid()));
+    const fs::path& base = selftest_dir.dir;
     const size_t kShards = 4;
     for (size_t s = 0; s < kShards; ++s) {
       fs::path dir = base / ("shard-" + std::to_string(s));
