@@ -761,8 +761,9 @@ bool RunChurnConfig(const Flags& flags, size_t preload,
   spec.groups_per_user = 1;
   spec.warmup_inserts = 16;
 
-  // Preload the list to `preload` elements via snapshot-restore (O(1)
-  // appends), seeding the delete pools with every preloaded handle.
+  // Preload the list to `preload` elements via snapshot-restore (each an
+  // O(log n) search and an append), seeding the delete pools with every
+  // preloaded handle.
   text::TermId term = p->corpus.vocabulary().Lookup("churnterm");
   auto term_string = p->corpus.vocabulary().TermOf(term);
   zerber::MergedListId list =
@@ -771,10 +772,9 @@ bool RunChurnConfig(const Flags& flags, size_t preload,
   std::vector<zerber::EncryptedPostingElement> elements;
   elements.reserve(preload);
   for (size_t i = 0; i < preload; ++i) {
-    // Preloaded TRS values sit in [0, 1e-6): restore appends after the
-    // corpus-built elements (whose trained-RSTF TRS is far larger), so the
-    // whole list keeps the descending-TRS invariant the O(log n) handle
-    // lookups rely on.
+    // Preloaded TRS values sit in [0, 1e-6), below the corpus-built
+    // elements (whose trained-RSTF TRS is far larger), so restore inserts
+    // each one at the tail instead of moving the list.
     auto element = zerber::SealPostingElement(
         zerber::PostingPayload{term, static_cast<text::DocId>(1000 + i),
                                rng.NextDouble()},
@@ -787,7 +787,7 @@ bool RunChurnConfig(const Flags& flags, size_t preload,
     element->handle = 1000000 + i;
     elements.push_back(std::move(element).value());
   }
-  // Restored order must honor the kTrsSorted discipline.
+  // In descending TRS order, each restored element lands at the tail.
   std::sort(elements.begin(), elements.end(),
             [](const zerber::EncryptedPostingElement& a,
                const zerber::EncryptedPostingElement& b) {

@@ -1,4 +1,5 @@
-// Microbenchmarks: RSTF training/evaluation and merged-list operations.
+// Microbenchmarks: RSTF training/evaluation, merged-list inserts and index
+// server range fetches.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "util/random.h"
 #include "zerber/merged_list.h"
 #include "zerber/posting_element.h"
+#include "zerber/zerber_index.h"
 
 namespace {
 
@@ -68,38 +70,49 @@ void BM_MergedListSortedInsert(benchmark::State& state) {
   auto element = zr::zerber::SealPostingElement(
       zr::zerber::PostingPayload{1, 2, 0.5}, 1, 0.5, &keys);
   zr::Rng rng(9);
-  zr::zerber::MergedList list(zr::zerber::Placement::kTrsSorted);
+  zr::zerber::MergedList list;
   for (auto _ : state) {
     zr::zerber::EncryptedPostingElement e = *element;
     e.trs = rng.NextDouble();
-    list.Insert(std::move(e), nullptr);
+    list.Insert(std::move(e));
     if (list.size() > 10000) {
       state.PauseTiming();
-      list = zr::zerber::MergedList(zr::zerber::Placement::kTrsSorted);
+      list = zr::zerber::MergedList();
       state.ResumeTiming();
     }
   }
 }
 BENCHMARK(BM_MergedListSortedInsert);
 
-void BM_MergedListRangeFetch(benchmark::State& state) {
+// A 30-element window of a 5,000-element list, fetched the way a query is
+// served: through IndexServer::Fetch (ACL filter, exhaustion answer,
+// element copies, stats).
+void BM_IndexServerRangeFetch(benchmark::State& state) {
+  constexpr zr::zerber::UserId kUser = 1;
   zr::crypto::KeyStore keys("bench");
   (void)keys.CreateGroup(1);
   auto element = zr::zerber::SealPostingElement(
       zr::zerber::PostingPayload{1, 2, 0.5}, 1, 0.5, &keys);
   zr::Rng rng(11);
-  zr::zerber::MergedList list(zr::zerber::Placement::kTrsSorted);
+  zr::zerber::IndexServer server(1, zr::zerber::Placement::kTrsSorted);
+  {
+    // Provisioning before any fetch: quiescent.
+    zr::QuiescenceLock quiesced(server.quiescence());
+    (void)server.acl().AddGroup(1);
+    (void)server.acl().GrantMembership(kUser, 1);
+  }
   for (int i = 0; i < 5000; ++i) {
     zr::zerber::EncryptedPostingElement e = *element;
     e.trs = rng.NextDouble();
-    list.Insert(std::move(e), nullptr);
+    (void)server.Insert(kUser, 0, std::move(e));
   }
   for (auto _ : state) {
-    auto range = list.Range(static_cast<size_t>(rng.Uniform(4000)), 30);
+    auto range =
+        server.Fetch(kUser, 0, static_cast<size_t>(rng.Uniform(4000)), 30);
     benchmark::DoNotOptimize(range);
   }
 }
-BENCHMARK(BM_MergedListRangeFetch);
+BENCHMARK(BM_IndexServerRangeFetch);
 
 }  // namespace
 

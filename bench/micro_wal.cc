@@ -4,11 +4,11 @@
 // Two questions the store subsystem's design hinges on:
 //
 //  1. Append throughput by sync mode — how expensive is an acked-durable
-//     append (kEveryRecord: one fsync per record) versus batched group
-//     commit (kGroupCommit: concurrent writers share one fsync) versus no
-//     sync at all (kNone: page-cache upper bound)? Group commit is run at
-//     1/2/4/8 writer threads; its advantage grows with concurrency since
-//     the fsync amortizes across the batch.
+//     append (kGroupCommit: a lone writer pays one fsync per record,
+//     concurrent writers share one) versus no sync at all (kNone:
+//     page-cache upper bound)? Group commit is run at 1/2/4/8 writer
+//     threads; its advantage grows with concurrency since the fsync
+//     amortizes across the batch.
 //
 //  2. Recovery time vs log length — ReadWal + replay into an IndexServer
 //     for logs of 1k/4k/16k/64k records, i.e. the restart cost a given
@@ -86,10 +86,9 @@ void BM_AppendSyncMode(benchmark::State& state) {
     fs::remove(BenchPath("zr_micro_wal_append.log"));
   }
 }
-// Single-writer baselines for all three modes...
+// Single-writer baselines for both modes...
 BENCHMARK(BM_AppendSyncMode)
     ->Arg(static_cast<int>(store::WalSyncMode::kNone))
-    ->Arg(static_cast<int>(store::WalSyncMode::kEveryRecord))
     ->Arg(static_cast<int>(store::WalSyncMode::kGroupCommit))
     ->UseRealTime();
 // ...and group commit under write concurrency (the fsync amortizes).

@@ -18,7 +18,7 @@
 // util/codec.h encodes its type — plus, defined here:
 //   nested message       varint length, then the message with its tag
 //   VersionedTail        nothing while empty, else a version byte and the
-//                        length-prefixed text (last field only)
+//                        length-prefixed, non-empty text (last field only)
 // Posting elements are records with their own field lists
 // (zerber/posting_element.h).
 //
@@ -413,7 +413,10 @@ struct Field<net::VersionedTail<Text>> {
     if (version != x->version) {
       return Status::Corruption("unknown message version");
     }
-    return Field<std::string>::Get(in, &x->text);
+    ZR_RETURN_IF_ERROR(Field<std::string>::Get(in, &x->text));
+    // An empty text is encoded by its absence, so a present one is not.
+    if (x->text.empty()) return Status::Corruption("empty versioned tail");
+    return Status::OK();
   }
   static size_t MinBytes() { return 0; }
 };

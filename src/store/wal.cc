@@ -37,7 +37,6 @@ bool ChecksumMatches(std::string_view frame, std::string_view checksum) {
 const char* WalSyncModeName(WalSyncMode mode) {
   switch (mode) {
     case WalSyncMode::kNone: return "none";
-    case WalSyncMode::kEveryRecord: return "every-record";
     case WalSyncMode::kGroupCommit: return "group-commit";
   }
   return "unknown";
@@ -135,9 +134,9 @@ WalWriter::WalWriter(std::string path, WalSyncMode mode, int fd, uint64_t size)
 
 WalWriter::~WalWriter() { (void)Close(); }
 
-Status WalWriter::WriteAndMaybeSync(std::string_view data, bool sync) {
+Status WalWriter::WriteAndSync(std::string_view data) {
   ZR_RETURN_IF_ERROR(WriteFully(fd_, data, path_));
-  if (sync && ::fsync(fd_) != 0) return Errno("fsync " + path_);
+  if (::fsync(fd_) != 0) return Errno("fsync " + path_);
   return Status::OK();
 }
 
@@ -148,9 +147,9 @@ Status WalWriter::Append(const WalRecord& record) {
   if (!io_error_.ok()) return io_error_;
   if (closed_) return Status::FailedPrecondition("WAL " + path_ + " closed");
 
-  if (mode_ != WalSyncMode::kGroupCommit) {
-    // Unbatched: write (and for kEveryRecord fsync) under the lock.
-    Status s = WriteAndMaybeSync(encoded, mode_ == WalSyncMode::kEveryRecord);
+  if (mode_ == WalSyncMode::kNone) {
+    // Unsynced: write to the page cache under the lock.
+    Status s = WriteFully(fd_, encoded, path_);
     if (!s.ok()) {
       io_error_ = s;
       return s;
@@ -172,7 +171,7 @@ Status WalWriter::Append(const WalRecord& record) {
       batch.swap(pending_);
       uint64_t batch_end = enqueued_seq_;
       lock.Unlock();
-      Status s = WriteAndMaybeSync(batch, /*sync=*/true);
+      Status s = WriteAndSync(batch);
       lock.Relock();
       commit_in_flight_ = false;
       if (!s.ok()) {
@@ -205,7 +204,7 @@ Status WalWriter::Sync() {
   std::string batch;
   batch.swap(pending_);
   uint64_t batch_end = enqueued_seq_;
-  Status s = WriteAndMaybeSync(batch, /*sync=*/true);
+  Status s = WriteAndSync(batch);
   if (!s.ok()) {
     io_error_ = s;
     cv_.NotifyAll();
@@ -231,7 +230,7 @@ Status WalWriter::Close() {
     std::string batch;
     batch.swap(pending_);
     uint64_t batch_end = enqueued_seq_;
-    s = WriteAndMaybeSync(batch, /*sync=*/true);
+    s = WriteAndSync(batch);
     if (s.ok()) {
       durable_seq_ = batch_end;
     } else {

@@ -24,12 +24,11 @@
 // Sync modes (paper-system tradeoff, see README "Durability"):
 //   kNone        — append to the OS page cache only; a process crash loses
 //                  nothing, a power cut may lose the unsynced suffix.
-//   kEveryRecord — write + fsync per record under the writer lock; maximal
-//                  durability, minimal throughput (the bench baseline).
 //   kGroupCommit — concurrent writers enqueue records and one leader
-//                  writes + fsyncs the whole batch, so N threads amortize
-//                  one fsync (LevelDB-style group commit). Same durability
-//                  as kEveryRecord at a fraction of the cost.
+//                  writes + fsyncs the whole batch, so an append returns
+//                  once it is durable and N threads amortize one fsync
+//                  (LevelDB-style group commit). A lone writer is its own
+//                  leader: one write and one fsync per record.
 
 #ifndef ZERBERR_STORE_WAL_H_
 #define ZERBERR_STORE_WAL_H_
@@ -52,11 +51,10 @@ namespace zr::store {
 /// When an append becomes durable relative to its ack.
 enum class WalSyncMode {
   kNone,         ///< no fsync on append (page cache only)
-  kEveryRecord,  ///< one fsync per record, unbatched
   kGroupCommit,  ///< batched: one fsync per leader-committed group
 };
 
-/// "none" / "every-record" / "group-commit" (banners, benches).
+/// "none" / "group-commit" (banners, benches).
 const char* WalSyncModeName(WalSyncMode mode);
 
 /// One logged mutation. `list` is partition-local (each shard owns a WAL
@@ -190,9 +188,9 @@ class WalWriter {
  private:
   WalWriter(std::string path, WalSyncMode mode, int fd, uint64_t size);
 
-  /// Writes `data` fully to fd_ and fsyncs if `sync`. Caller context per
-  /// mode (locked for kEveryRecord, unlocked leader for kGroupCommit).
-  Status WriteAndMaybeSync(std::string_view data, bool sync);
+  /// Writes `data` fully to fd_ and fsyncs it (the group-commit leader,
+  /// unlocked, or Sync/Close under the lock).
+  Status WriteAndSync(std::string_view data);
 
   const std::string path_;
   const WalSyncMode mode_;

@@ -16,7 +16,7 @@
 //
 // Encoding of each field type:
 //   uint8_t              one raw byte
-//   bool                 one byte, 0 or 1 (any nonzero byte parses as true)
+//   bool                 one byte, 0 or 1
 //   uint32_t, uint64_t   LEB128 varint
 //   double               its IEEE-754 bits as fixed64
 //   Fixed64{x}           the uint64_t x as 8 little-endian bytes
@@ -32,8 +32,11 @@
 // status, never UB, and every repeated field obeys one count rule — a count
 // above the remaining bytes divided by the fewest bytes one element takes
 // is Corruption before anything is reserved, so allocation stays bounded
-// by the input (tests/net_messages_test.cc mutates a golden of every
-// record type of every format).
+// by the input. Every record has one encoding: a parser accepts only the
+// bytes the encoder would write for what it parsed (no padded varint, no
+// bool but 0 or 1), so re-encoding an accepted input gives the input back
+// (tests/net_messages_test.cc mutates a golden of every record type of
+// every format).
 
 #ifndef ZERBERR_UTIL_CODEC_H_
 #define ZERBERR_UTIL_CODEC_H_
@@ -151,7 +154,8 @@ struct Field<bool> {
   static Status Get(std::string_view* in, bool* x) {
     uint8_t byte;
     ZR_RETURN_IF_ERROR(GetByte(in, &byte));
-    *x = byte != 0;
+    if (byte > 1) return Status::Corruption("bad bool");
+    *x = byte == 1;
     return Status::OK();
   }
   static size_t MinBytes() { return 1; }

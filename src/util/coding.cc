@@ -79,8 +79,9 @@ bool GetLittleEndian(std::string_view* data, size_t n, uint64_t* value) {
 }
 
 /// Decodes the varint64 at the front of `in` into *value and returns its
-/// length; 0 (value untouched) when `in` ends inside it or it is longer
-/// than ten bytes, the tenth holding bit 63 alone.
+/// length; 0 (value untouched) when `in` ends inside it, it is longer than
+/// ten bytes (the tenth holding bit 63 alone), or it is padded (a last byte
+/// of 0 after others), so each value has exactly one encoding.
 size_t DecodeVarint64(std::string_view in, uint64_t* value) {
   uint64_t result = 0;
   for (size_t i = 0, shift = 0; i < in.size(); ++i, shift += 7) {
@@ -88,6 +89,7 @@ size_t DecodeVarint64(std::string_view in, uint64_t* value) {
     if (shift == 63 && byte > 1) return 0;
     result |= (byte & 0x7f) << shift;
     if (byte < 0x80) {
+      if (byte == 0 && i > 0) return 0;
       *value = result;
       return i + 1;
     }

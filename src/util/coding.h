@@ -57,7 +57,8 @@ Status GetFixed32Cursor(std::string_view* data, uint32_t* value);
 /// Reads a 64-bit little-endian integer.
 Status GetFixed64Cursor(std::string_view* data, uint64_t* value);
 
-/// Reads a varint64 (at most ten bytes, the tenth holding bit 63 alone).
+/// Reads a varint64 (at most ten bytes, the tenth holding bit 63 alone, and
+/// no padding: a last byte of 0 must be the only byte).
 Status GetVarint64Cursor(std::string_view* data, uint64_t* value);
 
 /// Reads a varint32 (a varint64 that must fit in 32 bits).

@@ -24,95 +24,24 @@ std::pair<size_t, size_t> TrsTieRun(
 
 }  // namespace
 
-void MergedList::IndexNewElement(const EncryptedPostingElement& element,
-                                 size_t pos) {
-  switch (placement_) {
-    case Placement::kRandomPlacement:
-      handle_pos_[element.handle] = pos;
-      break;
-    case Placement::kTrsSorted:
-      handle_trs_[element.handle] = element.trs;
-      break;
-  }
-}
-
-void MergedList::Insert(EncryptedPostingElement element, Rng* rng) {
+void MergedList::Insert(EncryptedPostingElement element) {
   ++group_counts_[element.group];
-  switch (placement_) {
-    case Placement::kRandomPlacement: {
-      assert(rng != nullptr && "random placement requires an Rng");
-      // Append, then swap into a uniformly drawn slot (one Fisher-Yates
-      // step): the newcomer lands at a uniform position at O(1) cost, and
-      // only the one displaced element's position entry needs updating.
-      size_t pos = elements_.empty()
-                       ? 0
-                       : static_cast<size_t>(rng->Uniform(elements_.size() + 1));
-      handle_pos_[element.handle] = pos;
-      elements_.push_back(std::move(element));
-      size_t tail = elements_.size() - 1;
-      if (pos != tail) {
-        using std::swap;
-        swap(elements_[pos], elements_[tail]);
-        handle_pos_[elements_[tail].handle] = tail;
-      }
-      break;
-    }
-    case Placement::kTrsSorted: {
-      // Descending TRS; ties keep insertion order (stable upper_bound).
-      handle_trs_[element.handle] = element.trs;
-      auto it = std::upper_bound(
-          elements_.begin(), elements_.end(), element,
-          [](const EncryptedPostingElement& a,
-             const EncryptedPostingElement& b) { return a.trs > b.trs; });
-      elements_.insert(it, std::move(element));
-      break;
-    }
-  }
-}
-
-void MergedList::AppendRestored(EncryptedPostingElement element) {
-  ++group_counts_[element.group];
-  IndexNewElement(element, elements_.size());
-  elements_.push_back(std::move(element));
-}
-
-std::vector<EncryptedPostingElement> MergedList::Range(size_t offset,
-                                                       size_t count) const {
-  std::vector<EncryptedPostingElement> out;
-  if (offset >= elements_.size()) return out;
-  size_t end = std::min(elements_.size(), offset + count);
-  out.assign(elements_.begin() + static_cast<long>(offset),
-             elements_.begin() + static_cast<long>(end));
-  return out;
-}
-
-const EncryptedPostingElement* MergedList::FindByHandle(uint64_t handle) const {
-  size_t index = IndexOfHandle(handle);
-  return index == kNpos ? nullptr : &elements_[index];
+  handle_trs_[element.handle] = element.trs;
+  // Descending TRS; ties keep insertion order (stable upper_bound).
+  auto it = std::upper_bound(
+      elements_.begin(), elements_.end(), element,
+      [](const EncryptedPostingElement& a, const EncryptedPostingElement& b) {
+        return a.trs > b.trs;
+      });
+  elements_.insert(it, std::move(element));
 }
 
 size_t MergedList::IndexOfHandle(uint64_t handle) const {
-  switch (placement_) {
-    case Placement::kRandomPlacement: {
-      auto it = handle_pos_.find(handle);
-      return it == handle_pos_.end() ? kNpos : it->second;
-    }
-    case Placement::kTrsSorted: {
-      auto it = handle_trs_.find(handle);
-      if (it == handle_trs_.end()) return kNpos;
-      auto [first, last] = TrsTieRun(elements_, it->second);
-      for (size_t i = first; i < last; ++i) {
-        if (elements_[i].handle == handle) return i;
-      }
-      // The element exists but is not where the sorted order says it
-      // should be — the descending-TRS invariant must have been broken
-      // (an unsorted restore). Degrade to the pre-index full scan rather
-      // than miss a live element.
-      for (size_t i = 0; i < elements_.size(); ++i) {
-        if (elements_[i].handle == handle) return i;
-      }
-      return kNpos;
-    }
+  auto it = handle_trs_.find(handle);
+  if (it == handle_trs_.end()) return kNpos;
+  auto [first, last] = TrsTieRun(elements_, it->second);
+  for (size_t i = first; i < last; ++i) {
+    if (elements_[i].handle == handle) return i;
   }
   return kNpos;
 }
@@ -123,24 +52,8 @@ void MergedList::EraseAt(size_t index) {
   if (count != group_counts_.end() && --count->second == 0) {
     group_counts_.erase(count);
   }
-  switch (placement_) {
-    case Placement::kRandomPlacement: {
-      // Move the tail element into the hole: O(1), and only that one
-      // element's position entry changes.
-      handle_pos_.erase(elements_[index].handle);
-      size_t tail = elements_.size() - 1;
-      if (index != tail) {
-        elements_[index] = std::move(elements_[tail]);
-        handle_pos_[elements_[index].handle] = index;
-      }
-      elements_.pop_back();
-      break;
-    }
-    case Placement::kTrsSorted:
-      handle_trs_.erase(elements_[index].handle);
-      elements_.erase(elements_.begin() + static_cast<long>(index));
-      break;
-  }
+  handle_trs_.erase(elements_[index].handle);
+  elements_.erase(elements_.begin() + static_cast<long>(index));
 }
 
 bool MergedList::EraseByHandle(uint64_t handle) {
@@ -150,11 +63,6 @@ bool MergedList::EraseByHandle(uint64_t handle) {
   return true;
 }
 
-size_t MergedList::CountForGroup(crypto::GroupId group) const {
-  auto it = group_counts_.find(group);
-  return it == group_counts_.end() ? 0 : it->second;
-}
-
 size_t MergedList::TotalWireSize() const {
   size_t total = 0;
   for (const auto& e : elements_) total += e.WireSize();
@@ -162,11 +70,9 @@ size_t MergedList::TotalWireSize() const {
 }
 
 bool MergedList::CheckHandleIndex() const {
-  const size_t indexed = placement_ == Placement::kRandomPlacement
-                             ? handle_pos_.size()
-                             : handle_trs_.size();
-  if (indexed != elements_.size()) return false;
+  if (handle_trs_.size() != elements_.size()) return false;
   for (size_t i = 0; i < elements_.size(); ++i) {
+    if (i > 0 && !(elements_[i - 1].trs >= elements_[i].trs)) return false;
     if (IndexOfHandle(elements_[i].handle) != i) return false;
   }
   return true;

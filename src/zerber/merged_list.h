@@ -1,10 +1,11 @@
-// Server-side merged posting list.
+// Server-side merged posting list (paper Sections 3.1 and 5).
 //
-// Two placement disciplines (paper Sections 3.1 and 5):
-//  * kRandomPlacement — plain Zerber: elements sit at random positions so
-//    their order reveals nothing; clients must download whole lists.
-//  * kTrsSorted — Zerber+R: elements are kept sorted by descending TRS,
-//    enabling server-side top-k without term-specific leakage.
+// One container with one order: elements in descending `trs`, equal keys in
+// insertion order. Under Zerber+R the key is the element's transformed
+// relevance score, so the server answers top-k with a prefix of the list.
+// Under the plain Zerber baseline the index server (zerber_index.h) first
+// replaces the key with a uniform draw, so positions reveal nothing. The
+// list never knows which of the two it holds.
 
 #ifndef ZERBERR_ZERBER_MERGED_LIST_H_
 #define ZERBERR_ZERBER_MERGED_LIST_H_
@@ -14,77 +15,45 @@
 #include <unordered_map>
 #include <vector>
 
-#include "util/random.h"
 #include "zerber/posting_element.h"
 
 namespace zr::zerber {
 
-/// Element placement discipline of a merged list.
-enum class Placement {
-  kRandomPlacement,  ///< plain Zerber ([22])
-  kTrsSorted,        ///< Zerber+R
-};
-
-/// A merged posting list holding sealed elements of several terms.
+/// A merged posting list holding sealed elements of several terms, kept in
+/// descending `trs` order with ties in insertion order. Insert is the only
+/// way in, and a NaN key would break the order every lookup trusts, so the
+/// callers reject one first (IndexServer does at each of its ways in).
 ///
-/// Handle lookups no longer scan the list (the scan made sustained
-/// insert/delete churn quadratic); a per-handle index is maintained with
-/// O(1) cost per mutation, with a placement-specific locator:
-///
-///  * kRandomPlacement — handle -> exact position. Kept exact in O(1)
-///    because this discipline's mutations never shift positions: Insert
-///    appends and swaps the newcomer to a uniformly drawn position (one
-///    Fisher-Yates step — positions stay uniformly random), and erase
-///    moves the tail element into the hole. Relative order is not part of
-///    the random-placement contract (see IndexServer::ReplayInsert: the
-///    privacy shuffle is explicitly not replay-stable), only "positions
-///    reveal nothing" is — which swapping preserves. Lookup: O(1).
-///
-///  * kTrsSorted — handle -> TRS sort key. Mid-list insert/erase shifts the
-///    suffix, so exact positions would cost O(suffix) hash rewrites per
-///    mutation (measurably worse than the scan they replace); the sort key
-///    never moves, and lookup binary-searches the TRS-ordered vector to the
-///    tie run and scans it for the handle: O(log n + ties), falling back to
-///    a full scan only if the sorted invariant was broken by an unsorted
-///    restore.
+/// Handle lookups keep a handle -> key map. Mid-list inserts and erases
+/// shift the suffix, so exact positions would cost O(suffix) hash rewrites
+/// per mutation, while an element's key never moves: a lookup
+/// binary-searches the key's tie run and scans it for the handle,
+/// O(log n + ties).
 ///
 /// Handles are unique within a list by the server's assignment contract;
 /// lookups for a duplicated handle are unspecified (last write wins)
 /// though element storage itself stays consistent.
 class MergedList {
  public:
-  explicit MergedList(Placement placement) : placement_(placement) {}
-
-  /// Inserts an element according to the placement discipline. For random
-  /// placement `rng` supplies the position; it may be null for kTrsSorted.
-  void Insert(EncryptedPostingElement element, Rng* rng);
-
-  /// Appends an element at the tail, preserving a previously persisted
-  /// order. Only for snapshot restore (zerber/persistence.h).
-  void AppendRestored(EncryptedPostingElement element);
+  /// Inserts `element` after every element whose key is at least its own:
+  /// O(log n) to find the slot, O(suffix) to move the tail. Inserting a
+  /// sorted list in its own order appends each element, so a snapshot
+  /// restores to exactly its stored order. The key must not be NaN.
+  void Insert(EncryptedPostingElement element);
 
   /// "Not found" position of IndexOfHandle.
   static constexpr size_t kNpos = static_cast<size_t>(-1);
 
-  /// Finds an element by server handle; nullptr if absent. O(1) for random
-  /// placement, O(log n + TRS ties) for sorted lists.
-  const EncryptedPostingElement* FindByHandle(uint64_t handle) const;
-
-  /// Position of the element with the given handle; kNpos if absent. Same
-  /// complexity as FindByHandle; lets callers inspect-then-erase without a
-  /// scan.
+  /// Position of the element with the given handle; kNpos if absent.
+  /// O(log n + ties); lets callers inspect-then-erase without a scan.
   size_t IndexOfHandle(uint64_t handle) const;
 
-  /// Removes the element at `index` (must be < size()). Sorted lists shift
-  /// the suffix down; random-placement lists move the tail element into the
-  /// hole (order is not part of that discipline's contract).
+  /// Removes the element at `index` (must be < size()); the suffix shifts
+  /// down.
   void EraseAt(size_t index);
 
   /// Removes the element with the given handle. False if absent.
   bool EraseByHandle(uint64_t handle);
-
-  /// Elements [offset, offset+count) in list order. Clamps to the list end.
-  std::vector<EncryptedPostingElement> Range(size_t offset, size_t count) const;
 
   /// All elements in list order.
   const std::vector<EncryptedPostingElement>& elements() const {
@@ -99,34 +68,20 @@ class MergedList {
     return group_counts_;
   }
 
-  /// Elements carrying `group`'s tag (0 when the group never appears).
-  size_t CountForGroup(crypto::GroupId group) const;
-
   size_t size() const { return elements_.size(); }
-  Placement placement() const { return placement_; }
 
   /// Sum of wire sizes of all elements (storage accounting, Section 6.3).
   size_t TotalWireSize() const;
 
-  /// Verifies the handle index invariant: one locator per element, and
-  /// IndexOfHandle resolving every element's handle to its linear-scan
+  /// Verifies the list invariants: keys descend, there is one map entry
+  /// per element, and IndexOfHandle resolves every element's handle to its
   /// position. O(list log list); tests only.
   bool CheckHandleIndex() const;
 
  private:
-  /// Records a new element's locator (position or TRS, by placement).
-  void IndexNewElement(const EncryptedPostingElement& element, size_t pos);
-
-  Placement placement_;
   std::vector<EncryptedPostingElement> elements_;
   std::map<crypto::GroupId, size_t> group_counts_;
-
-  /// kRandomPlacement: handle -> exact position (maintained in O(1) by the
-  /// swap-based mutations). Empty for sorted lists.
-  std::unordered_map<uint64_t, size_t> handle_pos_;
-
-  /// kTrsSorted: handle -> TRS sort key (never needs maintenance on
-  /// shifts). Empty for random-placement lists.
+  /// handle -> sort key (never needs maintenance on shifts).
   std::unordered_map<uint64_t, double> handle_trs_;
 };
 

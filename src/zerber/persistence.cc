@@ -1,5 +1,6 @@
 #include "zerber/persistence.h"
 
+#include <cmath>
 #include <span>
 #include <utility>
 #include <vector>
@@ -38,7 +39,19 @@ StatusOr<SnapshotBody> ParseSnapshotBody(std::string_view snapshot) {
                        kChecksumSize) != checksum) {
     return Status::Corruption("snapshot checksum mismatch");
   }
-  return codec::Decode<SnapshotBody>(body.substr(kMagicSize));
+  ZR_ASSIGN_OR_RETURN(SnapshotBody parsed,
+                      codec::Decode<SnapshotBody>(body.substr(kMagicSize)));
+  // Every list is kept in key order, which a NaN key has no place in;
+  // refuse it here, before ApplySnapshot touches any list.
+  for (size_t l = 0; l < parsed.lists.size(); ++l) {
+    for (const auto& element : parsed.lists[l]) {
+      if (std::isnan(element.trs)) {
+        return Status::Corruption("NaN TRS in snapshot list " +
+                                  std::to_string(l));
+      }
+    }
+  }
+  return parsed;
 }
 
 Status ApplySnapshot(IndexServer* server, SnapshotBody parsed) {

@@ -64,19 +64,20 @@ struct SnapshotBody {
 std::string SerializeIndexSnapshot(const IndexServer& server);
 
 /// Reconstructs a server from a snapshot byte string. Corruption if the
-/// checksum or structure is invalid. `handles` seeds the restored server's
-/// handle residue class (sharded deployments restore shard s of N with
-/// {N, s} so post-restore inserts stay globally unique).
+/// checksum or structure is invalid or a list holds a NaN key. `handles`
+/// seeds the restored server's handle residue class (sharded deployments
+/// restore shard s of N with {N, s} so post-restore inserts stay globally
+/// unique).
 StatusOr<std::unique_ptr<IndexServer>> ParseIndexSnapshot(
     std::string_view snapshot, uint64_t rng_seed = 1,
     HandleSpace handles = {});
 
 /// Restores a snapshot into an existing *empty* server (the durable engine
 /// recovers into shards owned by a ShardedIndexService this way). The
-/// snapshot is fully validated — checksum, structure, matching placement
-/// and list count — before the server is touched, so a Corruption return
-/// leaves `server` unmodified. FailedPrecondition if the server already
-/// holds elements or groups. Requires quiescence.
+/// snapshot is fully validated — checksum, structure, no NaN key, matching
+/// placement and list count — before the server is touched, so a
+/// Corruption return leaves `server` unmodified. FailedPrecondition if the
+/// server already holds elements or groups. Requires quiescence.
 Status RestoreSnapshotInto(IndexServer* server, std::string_view snapshot);
 
 /// Writes the snapshot atomically and durably: tmp file + fsync + rename +

@@ -36,7 +36,7 @@ class ShardedIndexService : public net::ShardRouter {
     /// net::ShardRouter; kAutoWorkers sizes the pool).
     size_t num_workers = kAutoWorkers;
 
-    /// Element placement discipline of every shard's lists.
+    /// Where every shard's sort keys come from.
     Placement placement = Placement::kTrsSorted;
 
     /// Seed for random placement (each shard derives its own stream).

@@ -1,6 +1,7 @@
 #include "zerber/zerber_index.h"
 
 #include <chrono>
+#include <cmath>
 
 #include "obs/slow_op_log.h"
 
@@ -41,16 +42,20 @@ class OpTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
+/// The error a NaN sort key earns at a way into a list.
+Status NanKey(StatusCode code, MergedListId list) {
+  return Status(code, "NaN TRS for merged list " + std::to_string(list));
+}
+
 }  // namespace
 
 IndexServer::IndexServer(size_t num_lists, Placement placement, uint64_t seed,
                          HandleSpace handles)
-    : placement_(placement),
+    : lists_(num_lists),
+      placement_(placement),
       handles_(handles),
       metric_labels_(obs::NewInstanceLabel() + ",shard=\"" +
                      std::to_string(handles.offset) + "\"") {
-  lists_.reserve(num_lists);
-  for (size_t i = 0; i < num_lists; ++i) lists_.emplace_back(placement);
   stripe_rngs_.reserve(kLockStripes);
   for (size_t i = 0; i < kLockStripes; ++i) {
     stripe_rngs_.emplace_back(seed + 0x9E3779B97F4A7C15ull * i);
@@ -86,16 +91,30 @@ void IndexServer::NoteRestoredHandle(uint64_t handle) {
   }
 }
 
+void IndexServer::Place(MergedListId list, EncryptedPostingElement element) {
+  size_t stripe = StripeOf(list);
+  WriterMutexLock lock(stripe_locks_[stripe]);
+  if (placement_ == Placement::kRandomPlacement) {
+    element.trs = stripe_rngs_[stripe].NextDouble();
+  }
+  lists_[list].Insert(std::move(element));
+}
+
 Status IndexServer::RestoreElements(
     MergedListId list, std::vector<EncryptedPostingElement> elements) {
   if (list >= lists_.size()) {
     return Status::OutOfRange("merged list " + std::to_string(list) +
                               " does not exist");
   }
+  for (const auto& element : elements) {
+    if (std::isnan(element.trs)) {
+      return NanKey(StatusCode::kCorruption, list);
+    }
+  }
   WriterMutexLock lock(stripe_locks_[StripeOf(list)]);
   for (auto& element : elements) {
     NoteRestoredHandle(element.handle);
-    lists_[list].AppendRestored(std::move(element));
+    lists_[list].Insert(std::move(element));
   }
   return Status::OK();
 }
@@ -106,10 +125,9 @@ Status IndexServer::ReplayInsert(MergedListId list,
     return Status::OutOfRange("merged list " + std::to_string(list) +
                               " does not exist");
   }
+  if (std::isnan(element.trs)) return NanKey(StatusCode::kCorruption, list);
   NoteRestoredHandle(element.handle);
-  size_t stripe = StripeOf(list);
-  WriterMutexLock lock(stripe_locks_[stripe]);
-  lists_[list].Insert(std::move(element), &stripe_rngs_[stripe]);
+  Place(list, std::move(element));
   return Status::OK();
 }
 
@@ -134,6 +152,9 @@ StatusOr<uint64_t> IndexServer::Insert(UserId user, MergedListId list,
     return Status::OutOfRange("merged list " + std::to_string(list) +
                               " does not exist");
   }
+  if (std::isnan(element.trs)) {
+    return NanKey(StatusCode::kInvalidArgument, list);
+  }
   Status access = acl_.CheckAccess(user, element.group);
   if (!access.ok()) {
     // Any CheckAccess failure is an ACL rejection (PermissionDenied for
@@ -144,9 +165,7 @@ StatusOr<uint64_t> IndexServer::Insert(UserId user, MergedListId list,
   element.handle = AssignHandle();
   uint64_t handle = element.handle;
   timer.set_handle(handle);
-  size_t stripe = StripeOf(list);
-  WriterMutexLock lock(stripe_locks_[stripe]);
-  lists_[list].Insert(std::move(element), &stripe_rngs_[stripe]);
+  Place(list, std::move(element));
   return handle;
 }
 

@@ -6,6 +6,13 @@
 // the querying user may read. It never sees terms, documents, or raw scores
 // — only group tags, TRS values and ciphertext.
 //
+// Placement: every list keeps its elements in descending sort-key order
+// (zerber/merged_list.h). The server's Placement says where that key comes
+// from: the element's TRS (Zerber+R, so top-k is a prefix of the list), or
+// a uniform draw the server makes per element (plain Zerber, so positions
+// are uniformly random and reveal nothing). A NaN key is rejected at every
+// way into a list, since every lookup trusts the order.
+//
 // Thread-safety contract (changed when sharded serving landed): the request
 // path — Insert, Delete, Fetch — and the aggregate accessors TotalElements /
 // TotalWireSize / stats are safe to call from any number of threads
@@ -24,7 +31,8 @@
 // offered load, not goodput. The *_denied counters additionally count the
 // subset the ACL rejected (non-member of a known group, or a group that was
 // never registered), so accepted = requests - denied - non-ACL failures
-// (malformed list ids, and for Delete an unknown handle).
+// (malformed list ids, for Insert a NaN TRS, and for Delete an unknown
+// handle).
 
 #ifndef ZERBERR_ZERBER_ZERBER_INDEX_H_
 #define ZERBERR_ZERBER_ZERBER_INDEX_H_
@@ -50,6 +58,12 @@
 #include "zerber/server_stats.h"
 
 namespace zr::zerber {
+
+/// Where an index server's sort keys come from (paper Sections 3.1 and 5).
+enum class Placement {
+  kRandomPlacement,  ///< plain Zerber ([22]): a uniform draw per element
+  kTrsSorted,        ///< Zerber+R: the element's TRS
+};
 
 /// Response of a range fetch.
 struct FetchResult {
@@ -88,8 +102,8 @@ struct HandleSpace {
 /// see the contract at the top of this header.
 class IndexServer {
  public:
-  /// Creates a server with `num_lists` empty merged lists using the given
-  /// placement discipline. `seed` drives random placement; `handles`
+  /// Creates a server with `num_lists` empty merged lists whose keys come
+  /// from `placement`. `seed` drives random placement's draws; `handles`
   /// selects the handle residue class (sharding).
   IndexServer(size_t num_lists, Placement placement, uint64_t seed = 1,
               HandleSpace handles = {});
@@ -113,8 +127,9 @@ class IndexServer {
 
   /// Inserts a sealed element into a merged list on behalf of `user`.
   /// PermissionDenied unless the user is a member of the element's group;
-  /// OutOfRange for an invalid list id. Assigns the element a fresh server
-  /// handle (returned for later deletion).
+  /// OutOfRange for an invalid list id; InvalidArgument for a NaN TRS.
+  /// Assigns the element a fresh server handle (returned for later
+  /// deletion); under random placement the stored key is a fresh draw.
   StatusOr<uint64_t> Insert(UserId user, MergedListId list,
                             EncryptedPostingElement element);
 
@@ -149,26 +164,29 @@ class IndexServer {
   StatusOr<const MergedList*> GetList(MergedListId list) const
       ZR_REQUIRES(quiescence_);
 
-  /// Element placement discipline of this server's lists.
+  /// Where this server's sort keys come from.
   Placement placement() const { return placement_; }
 
   /// The handle residue class this server assigns from.
   const HandleSpace& handle_space() const { return handles_; }
 
-  /// Appends pre-ordered elements to a list, bypassing ACL checks. Only for
-  /// snapshot restore (zerber/persistence.h); OutOfRange on a bad list id.
-  /// Requires quiescence.
+  /// Inserts stored elements into a list with their stored keys, bypassing
+  /// ACL checks and stats. Only for snapshot restore (zerber/persistence.h):
+  /// a list inserted in its stored order keeps that order. OutOfRange on a
+  /// bad list id; Corruption, before any element is inserted, if one holds
+  /// a NaN key. Requires quiescence.
   Status RestoreElements(MergedListId list,
                          std::vector<EncryptedPostingElement> elements)
       ZR_REQUIRES(quiescence_);
 
-  /// Re-applies a logged insert during WAL replay (store/wal.h): places the
-  /// element per the placement discipline but keeps its logged handle and
-  /// skips ACL checks and stats (the original insert already passed both).
-  /// For kTrsSorted the replayed position is exactly the original one; for
-  /// kRandomPlacement a fresh position is drawn — contents and handles are
+  /// Re-applies a logged insert during WAL replay (store/wal.h): inserts
+  /// the element as Insert does but keeps its logged handle and skips ACL
+  /// checks and stats (the original insert already passed both). For
+  /// kTrsSorted the replayed position is exactly the original one; for
+  /// kRandomPlacement a fresh key is drawn — contents and handles are
   /// replay-stable, the privacy shuffle is not (and need not be).
-  /// OutOfRange on a bad list id. Requires quiescence.
+  /// OutOfRange on a bad list id; Corruption for a NaN TRS (Insert never
+  /// accepts one). Requires quiescence.
   Status ReplayInsert(MergedListId list, EncryptedPostingElement element)
       ZR_REQUIRES(quiescence_);
 
@@ -206,6 +224,11 @@ class IndexServer {
   /// inserts never collide with it.
   void NoteRestoredHandle(uint64_t handle);
 
+  /// Inserts `element` into `list` (a valid id) under its stripe's writer
+  /// lock, first replacing its key with a draw from the stripe's Rng under
+  /// random placement.
+  void Place(MergedListId list, EncryptedPostingElement element);
+
   /// lists_[i] and stripe_rngs_[StripeOf(i)] are guarded by
   /// stripe_locks_[StripeOf(i)] — an indexed relation ZR_GUARDED_BY cannot
   /// express (it names one capability, not a family), so the discipline is
@@ -216,8 +239,8 @@ class IndexServer {
   AccessControl acl_;
   Placement placement_;
   HandleSpace handles_;
-  /// One Rng per stripe (random placement draws positions while holding
-  /// that stripe's writer lock).
+  /// One Rng per stripe (random placement draws keys while holding that
+  /// stripe's writer lock).
   std::vector<Rng> stripe_rngs_;
   mutable std::array<SharedMutex, kLockStripes> stripe_locks_;
   /// The request counters. Its three *_latency_ns cells stay zero: those

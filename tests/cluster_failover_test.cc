@@ -64,15 +64,16 @@ class ClusterFailoverTest : public ::testing::Test {
 
     std::vector<std::string> addrs;
     for (size_t s = 0; s < kShards; ++s) {
-      // sync=every-record: every acked mutation must survive a SIGKILL —
-      // that durability is exactly what the rejoin test asserts.
+      // sync=group-commit: an insert is acked once its record is fsynced,
+      // so every acked mutation must survive a SIGKILL — that durability
+      // is exactly what the rejoin test asserts.
       shard_args_.push_back({
           "--shard=" + std::to_string(s),
           "--shards=" + std::to_string(kShards),
           "--lists=" + std::to_string(kLists),
           "--seed=99",
           "--data-dir=" + (root_ / ("s" + std::to_string(s))).string(),
-          "--sync=every-record",
+          "--sync=group-commit",
           "--listen=127.0.0.1:0",
       });
       auto proc = ShardProcess::Start(binary_, shard_args_[s]);

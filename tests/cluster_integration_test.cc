@@ -1,6 +1,6 @@
 // Kill-a-shard-mid-workload integration test — the cluster subsystem's
 // acceptance bar. A 4-shard cluster of real shard-server processes
-// (sync=every-record: acked means durable) serves the same logical index
+// (sync=group-commit: acked means durable) serves the same logical index
 // as an in-process ShardedIndexService reference. One shard is
 // SIGKILLed, query traffic continues through the outage, the shard is
 // restarted on its pinned address and rejoins — and afterwards every
@@ -88,7 +88,7 @@ class ClusterIntegrationTest : public ::testing::Test {
             "--lists=" + std::to_string(num_lists),
             "--seed=" + std::to_string(backend_seed),
             "--data-dir=" + (root_ / ("s" + std::to_string(s))).string(),
-            "--sync=every-record",
+            "--sync=group-commit",
             "--listen=127.0.0.1:0",
         };
         ZR_ASSIGN_OR_RETURN(procs_[s], ShardProcess::Start(binary_,

@@ -199,8 +199,7 @@ TEST_F(WalTest, ScanRejectsUnknownRecordType) {
 }
 
 TEST_F(WalTest, WriterRoundTripsThroughFileInEverySyncMode) {
-  for (WalSyncMode mode : {WalSyncMode::kNone, WalSyncMode::kEveryRecord,
-                           WalSyncMode::kGroupCommit}) {
+  for (WalSyncMode mode : {WalSyncMode::kNone, WalSyncMode::kGroupCommit}) {
     std::string path = Path(WalSyncModeName(mode));
     auto writer = WalWriter::Open(path, mode);
     ASSERT_TRUE(writer.ok()) << writer.status();

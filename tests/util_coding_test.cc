@@ -139,14 +139,22 @@ TEST(CodingTest, TruncatedVarintFails) {
 }
 
 TEST(CodingTest, OverlongVarintFails) {
-  // More than ten bytes, and ten bytes whose last carries bits beyond 64.
+  // More than ten bytes, ten bytes whose last carries bits beyond 64, and
+  // a padded encoding of 1 (each value has one encoding: 01).
   for (const std::string& buf :
        {std::string(11, static_cast<char>(0x80)),
-        std::string(9, static_cast<char>(0xff)) + '\x7f'}) {
+        std::string(9, static_cast<char>(0xff)) + '\x7f',
+        std::string("\x81\x00", 2)}) {
     std::string_view in(buf);
     uint64_t v;
     EXPECT_TRUE(GetVarint64Cursor(&in, &v).IsCorruption()) << buf.size();
   }
+  // A lone zero byte is zero's one encoding.
+  std::string zero(1, '\0');
+  std::string_view in(zero);
+  uint64_t v = 1;
+  ASSERT_TRUE(GetVarint64Cursor(&in, &v).ok());
+  EXPECT_EQ(v, 0u);
 }
 
 TEST(CodingTest, Varint32OverflowFails) {

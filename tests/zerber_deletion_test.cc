@@ -51,9 +51,9 @@ TEST_F(DeletionTest, DeleteRemovesExactlyTheElement) {
   EXPECT_EQ(server.TotalElements(), 2u);
   auto list = server.GetList(0);
   ASSERT_TRUE(list.ok());
-  EXPECT_EQ((*list)->FindByHandle(*h2), nullptr);
-  EXPECT_NE((*list)->FindByHandle(*h1), nullptr);
-  EXPECT_NE((*list)->FindByHandle(*h3), nullptr);
+  EXPECT_EQ((*list)->IndexOfHandle(*h2), MergedList::kNpos);
+  EXPECT_EQ((*list)->IndexOfHandle(*h1), 0u);
+  EXPECT_EQ((*list)->IndexOfHandle(*h3), 1u);
 }
 
 TEST_F(DeletionTest, DeleteChecksGroupMembership) {

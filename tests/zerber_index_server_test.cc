@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <map>
 
 namespace zr::zerber {
 namespace {
@@ -157,8 +159,10 @@ TEST_F(IndexServerTest, FetchRejectsInvalidList) {
 TEST_F(IndexServerTest, RandomPlacementScattersElements) {
   auto server_holder = MakeServer(Placement::kRandomPlacement);
   IndexServer& server = *server_holder;
-  // Insert with strictly increasing TRS; random placement must not keep
-  // them sorted (probability of staying sorted is ~1/20!).
+  // Insert with strictly increasing TRS. Random placement stores each
+  // element under a key it draws, so the list is in key order by
+  // construction, but the insertion order (handles ascend with it) must
+  // be scattered: it stays sorted either way with probability ~2/20!.
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(server.Insert(kAlice, 0, MakeElement(1, 0.05 * i)).ok());
   }
@@ -166,14 +170,46 @@ TEST_F(IndexServerTest, RandomPlacementScattersElements) {
   QuiescenceLock quiesced(server.quiescence());
   auto list = server.GetList(0);
   ASSERT_TRUE(list.ok());
+  EXPECT_TRUE((*list)->CheckHandleIndex());
   const auto& elements = (*list)->elements();
-  bool sorted_asc = std::is_sorted(
-      elements.begin(), elements.end(),
-      [](const auto& a, const auto& b) { return a.trs < b.trs; });
-  bool sorted_desc = std::is_sorted(
-      elements.begin(), elements.end(),
-      [](const auto& a, const auto& b) { return a.trs > b.trs; });
-  EXPECT_FALSE(sorted_asc || sorted_desc);
+  auto by_handle = [](const auto& a, const auto& b) {
+    return a.handle < b.handle;
+  };
+  bool ascending = std::is_sorted(elements.begin(), elements.end(), by_handle);
+  bool descending =
+      std::is_sorted(elements.rbegin(), elements.rend(), by_handle);
+  EXPECT_FALSE(ascending || descending);
+}
+
+// A NaN TRS has no place in a list's order: Insert refuses it as a bad
+// argument, which counts as a request but not as an ACL denial.
+TEST_F(IndexServerTest, InsertRejectsNanTrs) {
+  auto server_holder = MakeServer();
+  IndexServer& server = *server_holder;
+  ASSERT_TRUE(server.Insert(kAlice, 0, MakeElement(1, 0.5)).ok());
+  ServerStats before = server.stats();
+  auto nan = server.Insert(kAlice, 0, MakeElement(1, std::nan("")));
+  EXPECT_TRUE(nan.status().IsInvalidArgument()) << nan.status();
+  ServerStats window = server.stats() - before;
+  EXPECT_EQ(window.insert_requests, 1u);
+  EXPECT_EQ(window.insert_denied, 0u);
+  EXPECT_EQ(server.TotalElements(), 1u);
+}
+
+// Replay and restore only see what Insert accepted, so a NaN key there is
+// corruption, refused before the list changes.
+TEST_F(IndexServerTest, ReplayAndRestoreRefuseNanTrsAsCorruption) {
+  auto server_holder = MakeServer();
+  IndexServer& server = *server_holder;
+  // Single-threaded test: quiescent throughout.
+  QuiescenceLock quiesced(server.quiescence());
+  EncryptedPostingElement good = MakeElement(1, 0.5);
+  good.handle = 100;
+  EncryptedPostingElement bad = MakeElement(1, std::nan(""));
+  bad.handle = 101;
+  EXPECT_TRUE(server.ReplayInsert(0, bad).IsCorruption());
+  EXPECT_TRUE(server.RestoreElements(0, {good, bad}).IsCorruption());
+  EXPECT_EQ(server.TotalElements(), 0u);
 }
 
 TEST_F(IndexServerTest, FetchCountZeroIsWellDefined) {
@@ -291,13 +327,12 @@ TEST_F(IndexServerTest, GroupCountsTrackInsertAndDelete) {
   QuiescenceLock quiesced(server.quiescence());
   auto list = server.GetList(0);
   ASSERT_TRUE(list.ok());
-  EXPECT_EQ((*list)->CountForGroup(1), 2u);
-  EXPECT_EQ((*list)->CountForGroup(2), 1u);
-  EXPECT_EQ((*list)->CountForGroup(99), 0u);
+  using Counts = std::map<crypto::GroupId, size_t>;
+  EXPECT_EQ((*list)->group_counts(), (Counts{{1, 2}, {2, 1}}));
 
   ASSERT_TRUE(server.Delete(kAlice, 0, *h2).ok());
-  EXPECT_EQ((*list)->CountForGroup(2), 0u);
-  EXPECT_EQ((*list)->group_counts().size(), 1u);  // emptied groups drop out
+  // Emptied groups drop out.
+  EXPECT_EQ((*list)->group_counts(), (Counts{{1, 2}}));
   ASSERT_TRUE(server.Delete(kAlice, 0, *h1).ok());
   ASSERT_TRUE(server.Delete(kAlice, 0, *h3).ok());
   EXPECT_TRUE((*list)->group_counts().empty());

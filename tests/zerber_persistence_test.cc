@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <map>
@@ -262,17 +263,24 @@ TEST_F(PersistenceTest, TwoElementSnapshotIsByteIdentical) {
             "29c2a2fedffdb5f062e866959af5fe73cdd990e277b3b862e62f97e03e");
 }
 
-// A snapshot with no lists and the given ACL section, under a valid
-// checksum: the checksum has no key, so a hostile disk can recompute it,
-// and the parser must bound every count by the bytes left.
-std::string ChecksummedSnapshot(std::string_view acl_section) {
+// The magic and `fields` under a valid checksum: the checksum has no key,
+// so a hostile disk can recompute it.
+std::string Checksummed(std::string_view fields) {
   std::string body = "ZBRIDX01";
-  body.push_back(0);  // placement
-  body.push_back(0);  // no lists
-  body.append(acl_section);
+  body.append(fields);
   crypto::Sha256Digest checksum = crypto::Sha256::Hash(body);
   body.append(reinterpret_cast<const char*>(checksum.data()), checksum.size());
   return body;
+}
+
+// A snapshot with no lists and the given ACL section: the parser must bound
+// every count by the bytes left.
+std::string ChecksummedSnapshot(std::string_view acl_section) {
+  std::string fields;
+  fields.push_back(0);  // placement
+  fields.push_back(0);  // no lists
+  fields.append(acl_section);
+  return Checksummed(fields);
 }
 
 // varint64 2^40.
@@ -302,6 +310,39 @@ TEST_F(PersistenceTest, RejectsUserCountBeyondSnapshotSize) {
   ASSERT_TRUE(restored.ok()) << restored.status();
   QuiescenceLock restored_quiesced((*restored)->quiescence());
   EXPECT_TRUE((*restored)->acl().IsMember(7, 1));
+}
+
+// A NaN key has no place in a list's order. A snapshot whose second list
+// holds one is Corruption, found before any list is restored, so the target
+// stays empty (recovery falls back to an older snapshot on Corruption).
+TEST_F(PersistenceTest, NanKeyIsCorruptionBeforeAnyListIsRestored) {
+  auto server = MakeServer();
+  SnapshotBody body;
+  {
+    // The source sits idle in a single-threaded test: quiescent.
+    QuiescenceLock quiesced(server->quiescence());
+    for (size_t l = 0; l < server->NumLists(); ++l) {
+      body.lists.push_back(
+          server->GetList(static_cast<MergedListId>(l)).value()->elements());
+    }
+  }
+  body.groups.push_back({1, {7}});
+  const std::string honest = Checksummed(codec::Encode(body));
+  ASSERT_FALSE(body.lists[1].empty());
+  body.lists[1].back().trs = std::nan("");
+  const std::string poisoned = Checksummed(codec::Encode(body));
+
+  EXPECT_TRUE(ParseIndexSnapshot(poisoned).status().IsCorruption());
+  IndexServer target(3, Placement::kTrsSorted, 11);
+  EXPECT_TRUE(RestoreSnapshotInto(&target, poisoned).IsCorruption());
+  EXPECT_EQ(target.TotalElements(), 0u);
+  {
+    QuiescenceLock quiesced(target.quiescence());
+    EXPECT_EQ(target.acl().NumGroups(), 0u);
+  }
+  // The same snapshot with the key intact restores into the same server.
+  ASSERT_TRUE(RestoreSnapshotInto(&target, honest).ok());
+  EXPECT_EQ(target.TotalElements(), server->TotalElements());
 }
 
 TEST_F(PersistenceTest, SealedElementsStillOpenAfterRestore) {

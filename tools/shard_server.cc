@@ -68,7 +68,7 @@ int Usage(const char* argv0) {
       "usage: %s --shard=S --shards=N --lists=L --data-dir=DIR\n"
       "          [--listen=HOST:PORT] [--seed=U64] "
       "[--placement=trs-sorted|random]\n"
-      "          [--sync=none|every-record|group-commit] "
+      "          [--sync=none|group-commit] "
       "[--snapshot-threshold=BYTES]\n"
       "          [--slow-op-ns=NANOS] [--loops=N]\n",
       argv0);
@@ -139,8 +139,6 @@ int main(int argc, char** argv) {
 
   if (sync == "none") {
     options.sync_mode = store::WalSyncMode::kNone;
-  } else if (sync == "every-record") {
-    options.sync_mode = store::WalSyncMode::kEveryRecord;
   } else if (sync == "group-commit") {
     options.sync_mode = store::WalSyncMode::kGroupCommit;
   } else {

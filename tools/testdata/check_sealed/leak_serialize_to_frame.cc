@@ -2,7 +2,7 @@
 // stored in a local and later length-prefixed into a fetch response — the
 // taint survives the intervening clean statement. Second, raw bytes are
 // laundered into a sealed slot via SealedBytes::Adopt outside the audited
-// allowlist (src/zerber/posting_element.cc, src/zerber/document_store.cc).
+// allowlist (src/zerber/posting_element.cc).
 
 #include <string>
 #include <utility>
