@@ -54,9 +54,8 @@ Row Measure(const zr::synth::DatasetPreset& base, double fraction) {
   // Global TRS uniformity. Offline inspection of a single-threaded bench
   // pipeline: quiescent by construction.
   std::vector<double> all_trs;
-  zr::QuiescenceLock quiesced(p->server->quiescence());
-  for (size_t l = 0; l < p->server->NumLists(); ++l) {
-    auto list = p->server->GetList(static_cast<uint32_t>(l));
+  for (size_t l = 0; l < p->sharded->NumLists(); ++l) {
+    auto list = p->sharded->GetList(static_cast<uint32_t>(l));
     for (const auto& e : (*list)->elements()) all_trs.push_back(e.trs);
   }
   row.ks = KolmogorovSmirnovUniform(all_trs);

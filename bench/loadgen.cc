@@ -4,8 +4,8 @@
 // The paper evaluates Zerber+R by response size and round trips under a
 // Zipf query workload (Sections 6.5-6.6); this harness extends that to the
 // full serving stack — Zipf top-k queries through both client flows,
-// insert/delete churn, multi-group users — against the single-server and
-// sharded backends, and records per-op-class latency percentiles and
+// insert/delete churn, multi-group users — against one-shard and
+// four-shard backends, and records per-op-class latency percentiles and
 // throughput into BENCH_loadtest.json. CI's perf-smoke job replays the
 // pinned `ci` spec and fails the build when the numbers regress against
 // the committed baseline (tools/check_perf.py).
@@ -17,7 +17,7 @@
 //                                           # sharded+durable served over TCP
 //
 // Specs:
-//   ci      single-server + 4-shard + 4-process-cluster configs on the tiny
+//   ci      one-shard + 4-shard + 4-process-cluster configs on the tiny
 //           synthetic dataset, plus the churn and hiconn configs below
 //           (BENCH_loadtest.json, 6 configs).
 //   churn   insert/delete churn against one 100k-element TRS-sorted merged
@@ -35,7 +35,7 @@
 //           multi-loop server beating the single-loop one (strictly, on
 //           multi-core hardware) and on the framing identity. Also part
 //           of the ci spec.
-//   default one single-server config, flag-tunable.
+//   default a one-shard config, flag-tunable.
 //
 // --transport=direct|tcp selects how workers reach the backend; tcp
 // starts a real net::TcpServer in-process, gives every worker its own
@@ -43,7 +43,7 @@
 // framing identity against the payload (direct-equivalent) accounting.
 // --data-dir=DIR wraps the mixed-spec backends in the durable storage
 // engine (fresh per-config subdirectories; the churn config stays
-// in-memory — its preload path restores into the single server directly).
+// in-memory — its preload path restores into its one shard directly).
 
 #include <sys/resource.h>
 
@@ -349,7 +349,7 @@ bool RunClusterConfig(const Flags& flags, bool kill_one_shard,
           "--shards=" + std::to_string(kShards),
           "--lists=" + std::to_string(num_lists),
           "--seed=" + std::to_string(backend_seed),
-          "--data-dir=" + (root / ("s" + std::to_string(s))).string(),
+          "--data-dir=" + (root / "s").string() + std::to_string(s),
           "--sync=group-commit",
           "--listen=127.0.0.1:0",
       };
@@ -515,7 +515,7 @@ void EnsureFdBudget(size_t needed) {
 
 /// One hiconn measurement: `num_sessions` concurrent TcpSessions spread
 /// over `threads` client threads, all pipelining plain fetch frames
-/// against one tcp-served single-server backend running `num_loops` event
+/// against one tcp-served one-shard backend running `num_loops` event
 /// loops. Connections are established and warmed before the clock starts,
 /// so the measured window is steady-state serving. The report records the
 /// traffic under the plain-Zerber query class (one whole-list fetch
@@ -699,7 +699,7 @@ bool RunHiconnConfig(const Flags& flags, std::vector<load::LoadReport>* out) {
   return scaling_ok && ok;
 }
 
-/// Mixed workload against the single-server backend and a 4-shard backend.
+/// Mixed workload against a one-shard backend and a 4-shard backend.
 /// Returns false when a tcp run violates the framing accounting identity.
 bool RunMixedConfigs(const Flags& flags, std::vector<load::LoadReport>* out) {
   load::LoadSpec spec = MixedSpec(flags);
@@ -799,9 +799,11 @@ bool RunChurnConfig(const Flags& flags, size_t preload,
         load::LoadDriver::LoadUserId(e.handle % spec.num_users), list,
         e.handle});
   }
-  // Preload happens before the load phase starts any worker thread.
-  zr::QuiescenceLock quiesced(p->server->quiescence());
-  Status restored = p->server->RestoreElements(list, std::move(elements));
+  // Preload happens before the load phase starts any worker thread. The
+  // pipeline is one shard, so the global list is its shard's list too.
+  zerber::IndexServer& shard = p->sharded->shard(0);
+  zr::QuiescenceLock quiesced(shard.quiescence());
+  Status restored = shard.RestoreElements(list, std::move(elements));
   if (!restored.ok()) {
     std::fprintf(stderr, "preload failed: %s\n", restored.ToString().c_str());
     std::exit(1);

@@ -3,8 +3,8 @@
 // Measures multi-threaded query throughput against the sharded backend:
 // QueryTopKMulti (top-10, b = 10, one MultiFetch per round) on the query
 // workload, for 1/2/4/8 concurrent client threads x 1/4/16 index shards.
-// The 1-shard rows are the single-server baseline (IndexServer behind an
-// IndexService); the acceptance target for the sharded serving layer is
+// The 1-shard rows are the one-shard baseline (the in-memory default);
+// the acceptance target for the sharded serving layer is
 // >= 2x items/s at shards:4/threads:4 over shards:1/threads:4 on hardware
 // with >= 4 cores. Each client thread owns its transport + client (the
 // paper's concurrent-users model); the backend is shared.
@@ -32,7 +32,6 @@ using namespace zr;
 struct Harness {
   std::unique_ptr<core::Pipeline> pipeline;
   std::vector<std::vector<text::TermId>> queries;
-  net::ZerberService* backend = nullptr;
 };
 
 /// Multi-term queries of the synthetic log with all dead terms dropped.
@@ -64,11 +63,6 @@ Harness& GetHarness(size_t num_shards) {
     options.num_shards = num_shards;
     slot->pipeline = bench::MustBuildPipeline(options);
     slot->queries = SampleMultiTermQueries(*slot->pipeline, 400);
-    slot->backend = num_shards > 1
-                        ? static_cast<net::ZerberService*>(
-                              slot->pipeline->sharded.get())
-                        : static_cast<net::ZerberService*>(
-                              slot->pipeline->service.get());
   }
   return *slot;
 }
@@ -81,7 +75,7 @@ void BM_MultiQuery(benchmark::State& state) {
   // contract, the backend behind them is what scales.
   core::ProtocolOptions protocol;
   protocol.initial_response_size = 10;  // the paper's b = 10
-  net::DirectTransport transport(h.backend);
+  net::DirectTransport transport(h.pipeline->sharded.get());
   core::ZerberRClient client(
       h.pipeline->user, h.pipeline->keys.get(), &h.pipeline->plan, &transport,
       &h.pipeline->corpus.vocabulary(), h.pipeline->assigner.get(), protocol);
@@ -113,7 +107,7 @@ BENCHMARK(BM_MultiQuery)
 /// serving path the sharding parallelizes.
 void BM_MultiFetch(benchmark::State& state) {
   Harness& h = GetHarness(static_cast<size_t>(state.range(0)));
-  net::DirectTransport transport(h.backend);
+  net::DirectTransport transport(h.pipeline->sharded.get());
 
   net::MultiFetchRequest request;
   request.user = h.pipeline->user;

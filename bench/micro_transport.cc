@@ -42,8 +42,8 @@ Harness& GetHarness() {
     core::ProtocolOptions protocol;
     protocol.initial_response_size = 10;  // the paper's b = 10
     h->direct = net::MakeTransport(net::TransportKind::kDirect,
-                                   h->pipeline->service.get());
-    auto server = net::TcpServer::Start(h->pipeline->service.get());
+                                   h->pipeline->sharded.get());
+    auto server = net::TcpServer::Start(h->pipeline->sharded.get());
     if (!server.ok()) {
       std::fprintf(stderr, "tcp server: %s\n",
                    server.status().ToString().c_str());

@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
   for (const auto& preset :
        {synth::StudIpPreset(scale), synth::OdpWebPreset(scale)}) {
     auto pipeline = bench::MustBuildPipeline(bench::StandardOptions(preset));
-    core::StorageReport report = core::ComputeStorageReport(*pipeline->server);
+    core::StorageReport report = core::ComputeStorageReport(*pipeline->sharded);
 
     uint64_t ordinary_index_bytes =
         report.elements * (4 /*doc id*/ + 8 /*score*/);

@@ -42,7 +42,7 @@ int main() {
 
   std::printf("deployment: %zu merged lists over %llu posting elements\n\n",
               p.plan.NumLists(),
-              static_cast<unsigned long long>(p.server->TotalElements()));
+              static_cast<unsigned long long>(p.sharded->TotalElements()));
 
   // ------------------------------------------------------------------
   // Attack 1 on a constructed two-term list (the paper's Figure 3 pair):

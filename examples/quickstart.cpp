@@ -62,8 +62,8 @@ int main() {
 
   std::printf("indexed %llu posting elements into %zu merged lists "
               "(r = %.0f)\n\n",
-              static_cast<unsigned long long>(p.server->TotalElements()),
-              p.server->NumLists(), options.preset.r);
+              static_cast<unsigned long long>(p.sharded->TotalElements()),
+              p.sharded->NumLists(), options.preset.r);
 
   // 5. Query: top-2 documents for "controller".
   text::TermId term = p.corpus.vocabulary().Lookup("controller");

@@ -95,8 +95,8 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
         zerber::PlanRandomMerge(p->corpus, options.preset.r, options.seed));
   }
 
-  // 6. Server with ACLs; the experiment user may read every group. One
-  // IndexServer when unsharded, a ShardedIndexService otherwise; with
+  // 6. Server with ACLs; the experiment user may read every group. In
+  // memory, a ShardedIndexService over num_shards IndexServers; with
   // data_dir set, a DurableIndexService over num_shards durable shards (ACL
   // provisioning goes through it so the grants are WAL-logged too).
   net::ZerberService* backend = nullptr;
@@ -144,7 +144,7 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
       ZR_RETURN_IF_ERROR(p->durable->GrantMembership(p->user, g));
     }
     backend = p->durable.get();
-  } else if (options.num_shards > 1) {
+  } else {
     zerber::ShardedIndexService::Options sharding;
     sharding.num_shards = options.num_shards;
     sharding.num_workers = options.num_shard_workers;
@@ -157,25 +157,9 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
       ZR_RETURN_IF_ERROR(p->sharded->GrantMembership(p->user, g));
     }
     backend = p->sharded.get();
-  } else {
-    p->server = std::make_unique<zerber::IndexServer>(
-        p->plan.NumLists(), options.placement, options.seed ^ 0x0F0F);
-    {
-      // Provisioning before the pipeline serves anything: quiescent by
-      // construction.
-      QuiescenceLock quiesced(p->server->quiescence());
-      for (crypto::GroupId g : groups) {
-        ZR_RETURN_IF_ERROR(p->server->acl().AddGroup(g));
-        ZR_RETURN_IF_ERROR(p->server->acl().GrantMembership(p->user, g));
-      }
-    }
-    // 7. Service boundary: typed API over the server (the sharded backend
-    // implements ZerberService directly).
-    p->service = std::make_unique<net::IndexService>(p->server.get());
-    backend = p->service.get();
   }
 
-  // 8. Client traffic routed through the configured transport (byte counts
+  // 7. Client traffic routed through the configured transport (byte counts
   // land in its stats). kTcp serves the backend just built over a real
   // socket and connects the client transport to it.
   if (options.transport == net::TransportKind::kTcp) {
@@ -192,7 +176,7 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
     p->transport = net::MakeTransport(options.transport, backend);
   }
 
-  // 9. Client + encrypted index build (a client-only pipeline queries the
+  // 8. Client + encrypted index build (a client-only pipeline queries the
   // remote server's existing index instead of building one).
   p->client = std::make_unique<ZerberRClient>(
       p->user, p->keys.get(), &p->plan, p->transport.get(),
@@ -201,7 +185,7 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
     ZR_RETURN_IF_ERROR(BuildEncryptedIndex(p->corpus, p->client.get()));
   }
 
-  // 10. Plaintext comparator.
+  // 9. Plaintext comparator.
   if (options.build_baseline_index) {
     p->baseline = index::InvertedIndex::Build(
         p->corpus, index::ScoringModel::kNormalizedTf);

@@ -88,17 +88,17 @@ struct PipelineOptions {
   /// options (see examples/tcp_server.cpp + examples/tcp_client.cpp).
   std::string connect_addr;
 
-  /// Index shards serving the merged lists. 1 (the default) deploys the
-  /// single IndexServer backend (Pipeline::server + Pipeline::service);
-  /// >1 deploys a ShardedIndexService (Pipeline::sharded) — merged lists
-  /// are partitioned round-robin and MultiFetch fans out across shards.
-  /// Both transports, clients and results are identical either way.
+  /// Index shards serving the merged lists. In memory, the pipeline
+  /// deploys a ShardedIndexService (Pipeline::sharded) of this many
+  /// IndexServer shards — merged lists are partitioned round-robin and
+  /// MultiFetch fans out across shards. 1 (the default) is one shard that
+  /// draws and numbers handles exactly like an unsharded IndexServer
+  /// (zerber::ShardSeed). Clients and results are identical for any count.
   size_t num_shards = 1;
 
   /// MultiFetch worker threads of the fan-out backend (net::ShardRouter):
-  /// the sharded one when num_shards > 1, the durable one, or the cluster
-  /// router.
-  /// kAutoWorkers sizes the pool from the hardware.
+  /// the in-memory, durable or cluster one. kAutoWorkers sizes the pool
+  /// from the hardware (no threads for one shard).
   size_t num_shard_workers = zerber::ShardedIndexService::kAutoWorkers;
 
   /// Cluster deployment: non-empty serves the index over already-running
@@ -167,12 +167,12 @@ struct Pipeline {
   std::unique_ptr<crypto::KeyStore> keys;
   std::unique_ptr<TrsAssigner> assigner;
 
-  /// Backend (exactly one is set). In-memory deployments set `server`
-  /// (single, behind an IndexService adapter) or `sharded` by
-  /// options.num_shards; durable deployments (options.data_dir non-empty)
-  /// set `durable` instead, a router over options.num_shards (>= 1)
-  /// durable shards that own their IndexServers.
-  std::unique_ptr<zerber::IndexServer> server;
+  /// Backend: exactly one is set, except in a client-only pipeline, and
+  /// each is a net::ShardRouter serving the typed ZerberService API.
+  /// In-memory deployments set `sharded`, over options.num_shards (>= 1)
+  /// IndexServer shards; durable deployments (options.data_dir non-empty)
+  /// set `durable`, over options.num_shards (>= 1) durable shards that
+  /// own their IndexServers.
   std::unique_ptr<zerber::ShardedIndexService> sharded;
   std::unique_ptr<store::DurableIndexService> durable;
 
@@ -180,16 +180,12 @@ struct Pipeline {
   /// instead: the shard-router backend over the remote shard servers.
   std::unique_ptr<cluster::RouterService> router;
 
-  /// Service boundary: the server behind the typed ZerberService API, and
-  /// the transport the client's traffic is routed through (its stats price
-  /// under the paper's user link model with net::TransferSeconds).
-  /// `service` is null in sharded, durable and cluster deployments (their
-  /// net::ShardRouter is itself the ZerberService backend). `tcp_server`
-  /// is set only when options.transport == kTcp with no connect_addr: the
-  /// deployment's backend served over a real socket (declared before
-  /// transport so the client side tears down first, then the server, then
-  /// the backend it dispatches into).
-  std::unique_ptr<net::IndexService> service;
+  /// The transport the client's traffic is routed through (its stats
+  /// price under the paper's user link model with net::TransferSeconds).
+  /// `tcp_server` is set only when options.transport == kTcp with no
+  /// connect_addr: the deployment's backend served over a real socket
+  /// (declared before transport so the client side tears down first, then
+  /// the server, then the backend it dispatches into).
   std::unique_ptr<net::TcpServer> tcp_server;
   std::unique_ptr<net::Transport> transport;
 

@@ -19,22 +19,17 @@ namespace zr::core {
 /// Client-side protocol tunables.
 struct ProtocolOptions {
   /// Initial response size b (paper Section 6.4: b = k minimizes bandwidth
-  /// overhead; b = 10 for the flagship top-10 experiments).
+  /// overhead; b = 10 for the flagship top-10 experiments). Every list
+  /// starts at b: sizing the first request by the list's term count (the
+  /// paper's footnote 1) was measured to let a term's fetch shape reveal
+  /// more about which term of its list was queried (ROADMAP.md).
   size_t initial_response_size = 10;
-
-  /// Safety cap on round trips (the schedule is geometric, so 64 requests
-  /// would cover any list; this guards protocol bugs, not workloads).
-  size_t max_requests = 64;
-
-  /// Extension of the paper's footnote 1 ("optimizations where this size
-  /// could vary depending on the frequency of the terms of each merged
-  /// posting list"): scale the initial request by the number of terms
-  /// merged into the queried list. Under BFM the terms of a list have
-  /// similar frequency, so a list of m terms interleaves ~m elements per
-  /// hit and b = k * m covers the top-k in about one round trip. The merge
-  /// plan is public to clients, so this leaks nothing new.
-  bool adaptive_initial_size = false;
 };
+
+/// Safety cap on one term's requests (the schedule is geometric, so 64
+/// requests would cover any list; this guards protocol bugs, not
+/// workloads).
+inline constexpr size_t kMaxRequests = 64;
 
 /// Transfer accounting of one top-k query (inputs of Equations 12-14). A
 /// multi-term query counts its terms together: each round is one exchange.

@@ -18,17 +18,10 @@ Status ZerberRClient::IndexDocument(const text::Document& doc) {
 }
 
 StatusOr<ZerberRClient::TermQuery> ZerberRClient::BeginQuery(
-    text::TermId term, size_t k) const {
+    text::TermId term) const {
   TermQuery q;
   q.term = term;
   ZR_ASSIGN_OR_RETURN(q.list, ListOf(term));
-
-  q.initial = protocol_.initial_response_size;
-  if (protocol_.adaptive_initial_size && q.list < plan_->lists.size()) {
-    // Footnote-1 extension: one interleaved "stripe" of the merged list per
-    // expected hit.
-    q.initial = std::max<size_t>(q.initial, k * plan_->lists[q.list].size());
-  }
   return q;
 }
 
@@ -67,7 +60,7 @@ Status ZerberRClient::AbsorbResponse(TermQuery* q, size_t k,
 
 bool ZerberRClient::Done(const TermQuery& q, size_t k) const {
   return q.hits.size() >= k || q.exhausted ||
-         q.request_index >= protocol_.max_requests;
+         q.request_index >= kMaxRequests;
 }
 
 StatusOr<QueryTrace> ZerberRClient::RunRounds(std::span<TermQuery> queries,
@@ -82,7 +75,8 @@ StatusOr<QueryTrace> ZerberRClient::RunRounds(std::span<TermQuery> queries,
       if (Done(q, k)) continue;
       open.push_back(&q);
       round.fetches.push_back(net::FetchRange{
-          q.list, q.offset, RequestSize(q.initial, q.request_index)});
+          q.list, q.offset,
+          RequestSize(protocol_.initial_response_size, q.request_index)});
     }
     if (open.empty()) break;
 
@@ -117,7 +111,7 @@ StatusOr<QueryTrace> ZerberRClient::RunRounds(std::span<TermQuery> queries,
 }
 
 StatusOr<TopKResult> ZerberRClient::QueryTopK(text::TermId term, size_t k) {
-  ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term, k));
+  ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term));
   TopKResult out;
   ZR_ASSIGN_OR_RETURN(out.trace, RunRounds({&q, 1}, k));
 
@@ -137,7 +131,7 @@ StatusOr<TopKResult> ZerberRClient::QueryTopKMulti(
   std::vector<TermQuery> queries;
   queries.reserve(terms.size());
   for (text::TermId term : terms) {
-    ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term, k));
+    ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term));
     queries.push_back(std::move(q));
   }
   TopKResult out;

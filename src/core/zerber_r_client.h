@@ -70,15 +70,14 @@ class ZerberRClient : public zerber::ZerberClient {
   struct TermQuery {
     text::TermId term = 0;
     zerber::MergedListId list = 0;
-    size_t initial = 0;        ///< initial response size b for this list
     size_t offset = 0;         ///< accessible elements consumed so far
     size_t request_index = 0;  ///< next request's slot in the schedule
     bool exhausted = false;    ///< a response served the list's tail
     std::vector<index::ScoredDoc> hits;  ///< the term's hits, at most k
   };
 
-  /// Resolves the term's list and initial response size.
-  StatusOr<TermQuery> BeginQuery(text::TermId term, size_t k) const;
+  /// Resolves the term's list.
+  StatusOr<TermQuery> BeginQuery(text::TermId term) const;
 
   /// Checks a response against the range it answers (the server is
   /// untrusted), then folds it into the query state: decrypts and keeps

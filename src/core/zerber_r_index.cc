@@ -12,10 +12,10 @@ Status BuildEncryptedIndex(const text::Corpus& corpus, ZerberRClient* client) {
   return Status::OK();
 }
 
-StorageReport ComputeStorageReport(const zerber::IndexServer& server) {
+StorageReport ComputeStorageReport(const zerber::ShardedIndexService& index) {
   StorageReport report;
-  report.elements = server.TotalElements();
-  report.encrypted_index_bytes = server.TotalWireSize();
+  report.elements = index.TotalElements();
+  report.encrypted_index_bytes = index.TotalWireSize();
   report.bytes_per_element =
       report.elements == 0
           ? 0.0

@@ -9,7 +9,7 @@
 #include "core/zerber_r_client.h"
 #include "text/corpus.h"
 #include "zerber/merge_planner.h"
-#include "zerber/zerber_index.h"
+#include "zerber/sharded_index.h"
 
 namespace zr::core {
 
@@ -40,8 +40,8 @@ struct StorageReport {
   uint64_t paper_element_bytes = 8;
 };
 
-/// Computes the storage report for a populated server.
-StorageReport ComputeStorageReport(const zerber::IndexServer& server);
+/// Computes the storage report for a populated in-memory backend.
+StorageReport ComputeStorageReport(const zerber::ShardedIndexService& index);
 
 }  // namespace zr::core
 

@@ -526,9 +526,9 @@ Deployment DeploymentFromPipeline(core::Pipeline* pipeline) {
   }
   d.groups.assign(groups.begin(), groups.end());
 
-  // Every fan-out deployment (in-process shards, durable shards or shard
-  // processes) is a net::ShardRouter; only the cluster adds fault-handling
-  // counters.
+  // Every backend a pipeline deploys (in-process shards, durable shards or
+  // shard processes) is a net::ShardRouter; only the cluster adds
+  // fault-handling counters. A client-only pipeline deploys none.
   net::ShardRouter* shards = pipeline->sharded.get();
   if (pipeline->durable) shards = pipeline->durable.get();
   if (pipeline->router) {
@@ -536,23 +536,12 @@ Deployment DeploymentFromPipeline(core::Pipeline* pipeline) {
     shards = router;
     d.router_stats = [router] { return router->router_stats(); };
   }
-  if (shards != nullptr) {
-    d.backend = shards;
-    d.grant = [shards](zerber::UserId user, crypto::GroupId group) {
-      return shards->GrantMembership(user, group);
-    };
-    d.server_stats = [shards] { return shards->stats(); };
-  } else {
-    zerber::IndexServer* server = pipeline->server.get();
-    d.backend = pipeline->service.get();
-    d.grant = [server](zerber::UserId user, crypto::GroupId group) {
-      // Grants run in the driver's setup/churn phases with no request in
-      // flight against this backend (the workload serializes them).
-      QuiescenceLock quiesced(server->quiescence());
-      return server->acl().GrantMembership(user, group);
-    };
-    d.server_stats = [server] { return server->stats(); };
-  }
+  if (shards == nullptr) return d;
+  d.backend = shards;
+  d.grant = [shards](zerber::UserId user, crypto::GroupId group) {
+    return shards->GrantMembership(user, group);
+  };
+  d.server_stats = [shards] { return shards->stats(); };
   return d;
 }
 

@@ -1,13 +1,13 @@
 // LoadDriver: multi-threaded workload driver for the serving stack.
 //
-// Runs a LoadSpec against *any* net::ZerberService — the single-server
-// IndexService, a ShardedIndexService, or a WAL-backed
-// DurableIndexService, through a Direct or TCP transport. Each worker
-// thread owns its transport, its per-user clients (one plain-Zerber and one
-// Zerber+R client per load user), its deterministic OpGenerator stream, its
-// handle pool for delete churn, and one util::LatencyHistogram per op class
-// (single-writer, so the hot path takes no locks); the driver merges
-// everything into a LoadReport after the workers join.
+// Runs a LoadSpec against *any* net::ZerberService — a ShardedIndexService,
+// a WAL-backed DurableIndexService or a cluster::RouterService, through a
+// Direct or TCP transport. Each worker thread owns its transport, its
+// per-user clients (one plain-Zerber and one Zerber+R client per load
+// user), its deterministic OpGenerator stream, its handle pool for delete
+// churn, and one util::LatencyHistogram per op class (single-writer, so the
+// hot path takes no locks); the driver merges everything into a LoadReport
+// after the workers join.
 //
 // Time comes from an injectable clock so tests can drive the harness with
 // a deterministic fake and get byte-identical reports; production runs use
@@ -57,7 +57,7 @@ struct PreloadedHandle {
 /// Everything the driver needs to know about the system under test. All
 /// pointers are borrowed and must outlive the driver.
 struct Deployment {
-  /// The service the load is applied to (single, sharded, durable, ...).
+  /// The service the load is applied to (in-memory, durable, cluster, ...).
   net::ZerberService* backend = nullptr;
 
   /// Transport each worker routes its traffic through.
@@ -101,8 +101,8 @@ struct Deployment {
   net::FrameObserver* wire_tap = nullptr;
 };
 
-/// Builds a Deployment over a fully built core::Pipeline (single, sharded
-/// or durable backend — whichever the pipeline deployed).
+/// Builds a Deployment over a fully built core::Pipeline (its in-memory,
+/// durable or cluster net::ShardRouter — whichever the pipeline deployed).
 Deployment DeploymentFromPipeline(core::Pipeline* pipeline);
 
 /// The driver. Construct, then Run() exactly once.

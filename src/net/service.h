@@ -19,8 +19,9 @@ namespace zr::net {
 
 /// The client<->server protocol, one virtual per message exchange.
 ///
-/// Implementations: IndexService (single-server backend), ShardRouter
-/// (one fan-out engine over N ShardService handles, net/shard_router.h)
+/// Implementations: IndexService (one IndexServer; the in-process shard
+/// handle), ShardRouter (one fan-out engine over N ShardService handles,
+/// net/shard_router.h)
 /// with its three deployments zerber::ShardedIndexService (in-process
 /// IndexService shards), store::DurableIndexService (store::DurableShard
 /// handles: WAL-backed shards serving through an IndexService) and

@@ -97,7 +97,7 @@ Status ShardRouter::CheckList(zerber::MergedListId list) const {
 // list id is out of range: a global id >= num_lists always maps to a local
 // id >= that shard's list count (L = s + k*N is valid iff k < the shard's
 // count), so the shard rejects it with OutOfRange — and counts the request,
-// keeping ServerStats totals identical to the single-server backend.
+// keeping ServerStats totals identical to one unsharded IndexServer's.
 template <typename Request, typename Response>
 StatusOr<Response> ShardRouter::Forward(
     StatusOr<Response> (ZerberService::*call)(const Request&),

@@ -108,7 +108,7 @@ class ShardRouter : public ZerberService {
   /// Sums ServerStats over every shard; a shard that cannot be scraped
   /// contributes zeros (stats are observability, not control flow). Every
   /// request the router forwards is counted by its owning shard, even when
-  /// rejected, so healthy totals match the single-server backend; the one
+  /// rejected, so healthy totals match one unsharded IndexServer's; the one
   /// exception is a MultiFetch naming an invalid list, which fails before
   /// any shard does work. Thread-safe.
   zerber::ServerStats stats() const;

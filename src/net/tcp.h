@@ -1,7 +1,7 @@
 // Real TCP transport for the ZerberService protocol.
 //
 // TransportKind::kTcp: typed wire messages (net/messages.h) framed over a
-// TCP socket, so every backend in the repo — single IndexService,
+// TCP socket, so every backend in the repo — one IndexService,
 // ShardedIndexService, DurableIndexService, one DurableShard — can be
 // served as an actual remote process instead of an in-process stub.
 //

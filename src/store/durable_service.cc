@@ -114,8 +114,7 @@ DurableShard::DurableShard(const DurableOptions& options, size_t s,
       snapshot_threshold_bytes_(options.snapshot_threshold_bytes),
       server_(zerber::ListsOnShard(options.num_lists, ShardCount(options), s),
               options.placement,
-              ShardCount(options) > 1 ? zerber::ShardSeed(options.seed, s)
-                                      : options.seed,
+              zerber::ShardSeed(options.seed, ShardCount(options), s),
               zerber::HandleSpace{ShardCount(options), s}) {
   metrics_collector_ = obs::Registry::Global().RegisterCollector(
       [this](obs::Scrape* out) {

@@ -115,9 +115,9 @@ class DurableShard : public net::ShardService {
  public:
   /// Recovers (or initializes) the shard stored in `dir` and starts its
   /// rotation thread. options.data_dir is not read: `dir` is the shard's
-  /// own directory. One shard uses the raw seed and the default handle
-  /// space; shard s of N > 1 uses ShardSeed(seed, s) and the handle residue
-  /// class {h : h % N == s} (zerber/routing.h), exactly like shard s of a
+  /// own directory. Shard s of N draws from ShardSeed(seed, N, s) (the
+  /// raw seed when N == 1) and assigns handles from the residue class
+  /// {h : h % N == s} (zerber/routing.h), exactly like shard s of a
   /// ShardedIndexService with the same seed. Fails with Corruption only
   /// when no snapshot generation validates; a torn WAL tail is normal crash
   /// debris and recovers cleanly.

@@ -13,8 +13,11 @@
 //     {h : h % N == s} (zerber::HandleSpace), so handles are unique across
 //     shards and deletes route by list id with the handle's residue as a
 //     free consistency check.
-//   * seed  -> shard: each shard derives an independent random-placement
-//     stream from the backend seed via a SplitMix64 finalizer.
+//   * seed  -> shard: each shard of N > 1 derives an independent
+//     random-placement stream from the backend seed via a SplitMix64
+//     finalizer; the one shard of N = 1 keeps the backend seed, so a
+//     one-shard backend draws and numbers handles exactly like the
+//     unsharded IndexServer it stands for.
 
 #ifndef ZERBERR_ZERBER_ROUTING_H_
 #define ZERBERR_ZERBER_ROUTING_H_
@@ -46,8 +49,10 @@ inline uint64_t MixSeed(uint64_t seed) {
   return seed;
 }
 
-/// Placement seed of shard `s` derived from the backend seed.
-inline uint64_t ShardSeed(uint64_t seed, size_t s) {
+/// Placement seed of shard `s` of `num_shards`, derived from the backend
+/// seed (the backend seed itself when num_shards == 1).
+inline uint64_t ShardSeed(uint64_t seed, size_t num_shards, size_t s) {
+  if (num_shards <= 1) return seed;
   return MixSeed(seed + 0x9E3779B97F4A7C15ull * (s + 1));
 }
 

@@ -17,7 +17,8 @@ std::vector<std::unique_ptr<IndexServer>> MakeServers(
   for (size_t s = 0; s < num_shards; ++s) {
     servers.push_back(std::make_unique<IndexServer>(
         ListsOnShard(num_lists, num_shards, s), options.placement,
-        ShardSeed(options.seed, s), HandleSpace{num_shards, s}));
+        ShardSeed(options.seed, num_shards, s),
+        HandleSpace{num_shards, s}));
   }
   return servers;
 }

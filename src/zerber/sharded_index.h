@@ -7,7 +7,10 @@
 // of client threads can insert/fetch/delete concurrently. Shard s holds the
 // global lists {L : L % N == s} and assigns handles from the residue class
 // {h : h % N == s} (zerber::HandleSpace), exactly like the shard-server
-// processes behind cluster::RouterService.
+// processes behind cluster::RouterService. It is also every in-memory
+// pipeline's backend: with N = 1 its one shard keeps the backend seed
+// (zerber::ShardSeed), so it serves the same bytes an unsharded
+// IndexServer would.
 
 #ifndef ZERBERR_ZERBER_SHARDED_INDEX_H_
 #define ZERBERR_ZERBER_SHARDED_INDEX_H_
@@ -39,7 +42,8 @@ class ShardedIndexService : public net::ShardRouter {
     /// Where every shard's sort keys come from.
     Placement placement = Placement::kTrsSorted;
 
-    /// Seed for random placement (each shard derives its own stream).
+    /// Seed for random placement (each shard derives its own stream; see
+    /// zerber::ShardSeed).
     uint64_t seed = 1;
   };
 

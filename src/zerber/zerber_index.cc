@@ -1,5 +1,6 @@
 #include "zerber/zerber_index.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 
@@ -214,14 +215,24 @@ StatusOr<FetchResult> IndexServer::Fetch(UserId user, MergedListId list,
     }
 
     const auto& elements = merged.elements();
-    size_t accessible_seen = 0;
-    for (size_t i = 0;
-         i < elements.size() && result.elements.size() < count; ++i) {
-      const auto& e = elements[i];
-      if (!acl_.IsMember(user, e.group)) continue;
-      if (accessible_seen++ < offset) continue;
-      result.elements.push_back(e);
-      result.wire_bytes += e.ServedWireSize();
+    if (accessible_total == elements.size()) {
+      // The user may read every element: the window starts at `offset`.
+      size_t begin = std::min(offset, elements.size());
+      size_t end = begin + std::min(count, elements.size() - begin);
+      result.elements.assign(elements.begin() + begin, elements.begin() + end);
+      for (const auto& e : result.elements) {
+        result.wire_bytes += e.ServedWireSize();
+      }
+    } else {
+      size_t accessible_seen = 0;
+      for (size_t i = 0;
+           i < elements.size() && result.elements.size() < count; ++i) {
+        const auto& e = elements[i];
+        if (!acl_.IsMember(user, e.group)) continue;
+        if (accessible_seen++ < offset) continue;
+        result.elements.push_back(e);
+        result.wire_bytes += e.ServedWireSize();
+      }
     }
     // Exhausted iff the window [offset, offset+count) covers the tail of
     // the accessible subsequence (overflow-safe form of

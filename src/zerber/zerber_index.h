@@ -97,8 +97,8 @@ struct HandleSpace {
   uint64_t offset = 0;
 };
 
-/// The index server: one shard's worth of merged lists (a single-server
-/// deployment is the one-shard special case). Request path is thread-safe;
+/// The index server: one shard's worth of merged lists (an in-memory
+/// pipeline's default is one shard of one). Request path is thread-safe;
 /// see the contract at the top of this header.
 class IndexServer {
  public:

@@ -71,7 +71,7 @@ class ClusterEquivalenceTest : public ::testing::Test {
             "--shards=" + std::to_string(kShards),
             "--lists=" + std::to_string(num_lists),
             "--seed=" + std::to_string(backend_seed),
-            "--data-dir=" + (*root_ / ("s" + std::to_string(s))).string(),
+            "--data-dir=" + (*root_ / "s").string() + std::to_string(s),
             "--sync=none",  // no fault injection here; speed over sync
             "--listen=127.0.0.1:0",
         };
@@ -147,7 +147,6 @@ TEST_F(ClusterEquivalenceTest, DeploysTheRouterBackend) {
   EXPECT_EQ(cluster_->router->num_shards(), kShards);
   EXPECT_EQ(cluster_->router->NumLists(), reference_->plan.NumLists());
   EXPECT_EQ(cluster_->sharded, nullptr);
-  EXPECT_EQ(cluster_->server, nullptr);
 }
 
 TEST_F(ClusterEquivalenceTest, IncrementalFlowQueriesAreIdentical) {

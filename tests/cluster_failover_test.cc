@@ -72,7 +72,7 @@ class ClusterFailoverTest : public ::testing::Test {
           "--shards=" + std::to_string(kShards),
           "--lists=" + std::to_string(kLists),
           "--seed=99",
-          "--data-dir=" + (root_ / ("s" + std::to_string(s))).string(),
+          "--data-dir=" + (root_ / "s").string() + std::to_string(s),
           "--sync=group-commit",
           "--listen=127.0.0.1:0",
       });

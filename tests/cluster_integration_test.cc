@@ -87,7 +87,7 @@ class ClusterIntegrationTest : public ::testing::Test {
             "--shards=" + std::to_string(kShards),
             "--lists=" + std::to_string(num_lists),
             "--seed=" + std::to_string(backend_seed),
-            "--data-dir=" + (root_ / ("s" + std::to_string(s))).string(),
+            "--data-dir=" + (root_ / "s").string() + std::to_string(s),
             "--sync=group-commit",
             "--listen=127.0.0.1:0",
         };

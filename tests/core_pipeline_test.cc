@@ -23,7 +23,7 @@ TEST(PipelineTest, BuildsWithFixedSigma) {
   EXPECT_DOUBLE_EQ((*p)->sigma, 0.01);
   EXPECT_TRUE((*p)->sigma_sweep.empty());  // no cross-validation ran
   EXPECT_GT((*p)->assigner->NumTrained(), 0u);
-  EXPECT_EQ((*p)->server->TotalElements(), (*p)->corpus.TotalPostings());
+  EXPECT_EQ((*p)->sharded->TotalElements(), (*p)->corpus.TotalPostings());
 }
 
 TEST(PipelineTest, CrossValidatesWhenSigmaZero) {
@@ -67,13 +67,14 @@ TEST(PipelineTest, RandomPlacementAblationBuilds) {
   options.placement = zerber::Placement::kRandomPlacement;
   auto p = BuildPipeline(options);
   ASSERT_TRUE(p.ok()) << p.status();
-  EXPECT_EQ((*p)->server->placement(), zerber::Placement::kRandomPlacement);
+  EXPECT_EQ((*p)->sharded->shard(0).placement(),
+            zerber::Placement::kRandomPlacement);
 }
 
 TEST(PipelineTest, UserBelongsToEveryCorpusGroup) {
   auto p = BuildPipeline(FastOptions());
   ASSERT_TRUE(p.ok());
-  zerber::IndexServer& server = *(*p)->server;
+  zerber::IndexServer& server = (*p)->sharded->shard(0);
   // Single-threaded inspection of a built pipeline: quiescent.
   QuiescenceLock quiesced(server.quiescence());
   for (const auto& doc : (*p)->corpus.documents()) {
@@ -85,7 +86,7 @@ TEST(PipelineTest, DeterministicForSameOptions) {
   auto a = BuildPipeline(FastOptions());
   auto b = BuildPipeline(FastOptions());
   ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_EQ((*a)->server->TotalElements(), (*b)->server->TotalElements());
+  EXPECT_EQ((*a)->sharded->TotalElements(), (*b)->sharded->TotalElements());
   EXPECT_EQ((*a)->plan.NumLists(), (*b)->plan.NumLists());
   text::TermId term = (*a)->corpus.vocabulary().AllTermIds()[0];
   auto ra = (*a)->client->QueryTopK(term, 5);
@@ -94,47 +95,6 @@ TEST(PipelineTest, DeterministicForSameOptions) {
   ASSERT_EQ(ra->results.size(), rb->results.size());
   for (size_t i = 0; i < ra->results.size(); ++i) {
     EXPECT_EQ(ra->results[i].doc_id, rb->results[i].doc_id);
-  }
-}
-
-TEST(PipelineTest, AdaptiveProtocolReducesRequestsOnMultiTermLists) {
-  PipelineOptions options = FastOptions();
-  options.preset.corpus.num_documents = 200;
-  auto p = BuildPipeline(options);
-  ASSERT_TRUE(p.ok());
-
-  // A term from a multi-term list (its hits interleave with other terms).
-  text::TermId target = text::kInvalidTermId;
-  for (const auto& list : (*p)->plan.lists) {
-    if (list.size() >= 4) {
-      for (text::TermId t : list) {
-        if ((*p)->corpus.DocumentFrequency(t) >= 12) {
-          target = t;
-          break;
-        }
-      }
-    }
-    if (target != text::kInvalidTermId) break;
-  }
-  if (target == text::kInvalidTermId) GTEST_SKIP() << "no suitable term";
-
-  ProtocolOptions fixed;
-  fixed.initial_response_size = 10;
-  (*p)->client->set_protocol(fixed);
-  auto fixed_result = (*p)->client->QueryTopK(target, 10);
-
-  ProtocolOptions adaptive = fixed;
-  adaptive.adaptive_initial_size = true;
-  (*p)->client->set_protocol(adaptive);
-  auto adaptive_result = (*p)->client->QueryTopK(target, 10);
-
-  ASSERT_TRUE(fixed_result.ok() && adaptive_result.ok());
-  EXPECT_LE(adaptive_result->trace.requests, fixed_result->trace.requests);
-  // Same documents either way.
-  ASSERT_EQ(adaptive_result->results.size(), fixed_result->results.size());
-  for (size_t i = 0; i < fixed_result->results.size(); ++i) {
-    EXPECT_EQ(adaptive_result->results[i].doc_id,
-              fixed_result->results[i].doc_id);
   }
 }
 

@@ -53,7 +53,7 @@ TEST(QueryProtocolTest, EfficiencyRatioIsEquation14) {
 TEST(QueryProtocolTest, DefaultOptionsMatchPaperFlagship) {
   ProtocolOptions o;
   EXPECT_EQ(o.initial_response_size, 10u);  // b = k = 10
-  EXPECT_GE(o.max_requests, 32u);
+  EXPECT_GE(kMaxRequests, 32u);
 }
 
 }  // namespace

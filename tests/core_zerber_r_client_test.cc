@@ -107,7 +107,7 @@ class ZerberRClientTest : public ::testing::Test {
 Pipeline* ZerberRClientTest::pipeline_ = nullptr;
 
 TEST_F(ZerberRClientTest, IndexHoldsOneElementPerPosting) {
-  EXPECT_EQ(pipeline_->server->TotalElements(),
+  EXPECT_EQ(pipeline_->sharded->TotalElements(),
             pipeline_->corpus.TotalPostings());
 }
 
@@ -259,7 +259,7 @@ TEST_F(ZerberRClientTest, MultiTermSendsEachTermsRequestsOneRoundPerExchange) {
   std::vector<text::TermId> terms{TermTakingRequests(k, 1, 1),
                                   TermTakingRequests(k, 2, 3),
                                   TermTakingRequests(k, 4)};
-  TapService tap(pipeline_->service.get());
+  TapService tap(pipeline_->sharded.get());
   auto client = ClientOver(&tap);
 
   // Each term's single-term requests, in order: one Fetch each.
@@ -343,7 +343,7 @@ TEST_F(ZerberRClientTest, LargerInitialResponseReducesRequests) {
 // A lying server: the client checks each response against the range it
 // asked for, on the Fetch and the MultiFetch path alike.
 TEST_F(ZerberRClientTest, MoreElementsThanRequestedIsCorruption) {
-  TapService tap(pipeline_->service.get());
+  TapService tap(pipeline_->sharded.get());
   tap.lie = [](net::QueryResponse* r) {
     if (!r->elements.empty()) r->elements.push_back(r->elements.back());
   };
@@ -358,7 +358,7 @@ TEST_F(ZerberRClientTest, MoreElementsThanRequestedIsCorruption) {
 }
 
 TEST_F(ZerberRClientTest, ShortResponseWithoutExhaustedIsCorruption) {
-  TapService tap(pipeline_->service.get());
+  TapService tap(pipeline_->sharded.get());
   tap.lie = [](net::QueryResponse* r) {
     if (!r->elements.empty()) r->elements.pop_back();
     r->exhausted = false;

@@ -137,8 +137,9 @@ TEST(FailureInjectionTest, CorruptedServerElementSurfacesAsError) {
 
   // Maliciously re-insert a tampered copy of a stored element via a user
   // that *is* a member (the server cannot detect tampering — it has no
-  // keys — but the client must).
-  zerber::IndexServer& server = *p.server;
+  // keys — but the client must). The pipeline is one shard, so global
+  // list 0 is its shard's list 0.
+  zerber::IndexServer& server = p.sharded->shard(0);
   // Single-threaded inspection of a built pipeline: quiescent.
   QuiescenceLock quiesced(server.quiescence());
   auto list = server.GetList(0);
@@ -147,7 +148,7 @@ TEST(FailureInjectionTest, CorruptedServerElementSurfacesAsError) {
   zerber::EncryptedPostingElement tampered = (*list)->elements()[0];
   tampered.sealed[tampered.sealed.size() / 2] ^= 0x10;
   tampered.trs = 1.0;  // float to the top so queries see it first
-  ASSERT_TRUE(p.server->Insert(p.user, 0, tampered).ok());
+  ASSERT_TRUE(server.Insert(p.user, 0, tampered).ok());
 
   // Any query hitting list 0 must now fail with Corruption (the client
   // refuses to silently drop authenticated-encryption failures).

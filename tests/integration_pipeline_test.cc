@@ -49,20 +49,18 @@ TEST_F(PipelineIntegrationTest, MergePlanIsRConfidential) {
 }
 
 TEST_F(PipelineIntegrationTest, ServerHoldsWholeCorpus) {
-  EXPECT_EQ(pipeline_->server->TotalElements(),
+  EXPECT_EQ(pipeline_->sharded->TotalElements(),
             pipeline_->corpus.TotalPostings());
-  EXPECT_EQ(pipeline_->server->NumLists(), pipeline_->plan.NumLists());
+  EXPECT_EQ(pipeline_->sharded->NumLists(), pipeline_->plan.NumLists());
 }
 
 TEST_F(PipelineIntegrationTest, ServerSideTrsValuesAreGloballyUniform) {
   // Section 6.2: after transformation, TRS values across the whole index
   // carry no term-specific structure; the pooled distribution is ~U(0,1).
   std::vector<double> all_trs;
-  zerber::IndexServer& server = *pipeline_->server;
-  // Single-threaded inspection of a built pipeline: quiescent.
-  QuiescenceLock quiesced(server.quiescence());
-  for (size_t l = 0; l < server.NumLists(); ++l) {
-    auto list = server.GetList(static_cast<uint32_t>(l));
+  const zerber::ShardedIndexService& index = *pipeline_->sharded;
+  for (size_t l = 0; l < index.NumLists(); ++l) {
+    auto list = index.GetList(static_cast<uint32_t>(l));
     ASSERT_TRUE(list.ok());
     for (const auto& e : (*list)->elements()) all_trs.push_back(e.trs);
   }
@@ -92,7 +90,7 @@ TEST_F(PipelineIntegrationTest, QueryWorkloadReplaySingleTerm) {
 }
 
 TEST_F(PipelineIntegrationTest, StorageReportShowsNoRankingOverhead) {
-  StorageReport report = ComputeStorageReport(*pipeline_->server);
+  StorageReport report = ComputeStorageReport(*pipeline_->sharded);
   EXPECT_EQ(report.elements, pipeline_->corpus.TotalPostings());
   // Section 6.3: TRS replaces the plaintext score — same ranking bytes.
   EXPECT_EQ(report.ranking_bytes_zerber_r, report.ranking_bytes_ordinary);

@@ -34,7 +34,7 @@ class TcpEquivalenceTest : public ::testing::Test {
 
     // A TcpServer over the *same* backend service, so the direct client
     // and the tcp client observe exactly the same index state.
-    auto server = net::TcpServer::Start(pipeline_->service.get());
+    auto server = net::TcpServer::Start(pipeline_->sharded.get());
     ASSERT_TRUE(server.ok()) << server.status();
     tcp_server_ = server->release();
     tcp_ = new net::TcpTransport(tcp_server_->address());
@@ -154,11 +154,11 @@ TEST_F(TcpEquivalenceTest, PipelineBuildsOverTcpTransport) {
   auto direct_pipeline = BuildPipeline(options);
   ASSERT_TRUE(direct_pipeline.ok()) << direct_pipeline.status();
 
-  EXPECT_EQ((*tcp_pipeline)->server->TotalElements(),
-            (*direct_pipeline)->server->TotalElements());
+  EXPECT_EQ((*tcp_pipeline)->sharded->TotalElements(),
+            (*direct_pipeline)->sharded->TotalElements());
   // Every insert of the index build was one request frame to the server.
   EXPECT_GE((*tcp_pipeline)->tcp_server->stats().frames_served,
-            (*tcp_pipeline)->server->TotalElements());
+            (*tcp_pipeline)->sharded->TotalElements());
 
   for (text::TermId term :
        (*direct_pipeline)->corpus.vocabulary().AllTermIds()) {

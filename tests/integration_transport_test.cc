@@ -87,12 +87,12 @@ class TransportEquivalenceTest
 Pipeline* TransportEquivalenceTest::direct_ = nullptr;
 
 TEST_P(TransportEquivalenceTest, IndexBuildCrossedTheTransport) {
-  EXPECT_EQ(pipeline_->server->TotalElements(),
-            direct_->server->TotalElements());
+  EXPECT_EQ(pipeline_->sharded->TotalElements(),
+            direct_->sharded->TotalElements());
   // The pipeline's transport carried the whole index build (one insert
   // exchange per posting element).
   EXPECT_GE(pipeline_->transport->stats().exchanges,
-            pipeline_->server->TotalElements());
+            pipeline_->sharded->TotalElements());
   EXPECT_EQ(pipeline_->tcp_server != nullptr,
             GetParam() == net::TransportKind::kTcp);
 }

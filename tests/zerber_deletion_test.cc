@@ -93,12 +93,12 @@ TEST_F(DeletionTest, ClientRemoveDocumentPurgesItFromSearch) {
   core::Pipeline& p = **pipeline;
 
   const text::Document& victim = p.corpus.documents()[5];
-  uint64_t before = p.server->TotalElements();
+  uint64_t before = p.sharded->TotalElements();
 
   auto removed = p.client->RemoveDocument(victim);
   ASSERT_TRUE(removed.ok()) << removed.status();
   EXPECT_EQ(*removed, victim.DistinctTerms());
-  EXPECT_EQ(p.server->TotalElements(), before - victim.DistinctTerms());
+  EXPECT_EQ(p.sharded->TotalElements(), before - victim.DistinctTerms());
 
   // The document no longer appears in any of its terms' results.
   for (const auto& [term, tf] : victim.terms()) {
@@ -112,7 +112,7 @@ TEST_F(DeletionTest, ClientRemoveDocumentPurgesItFromSearch) {
 
   // Re-indexing (the paper's "update") restores it.
   ASSERT_TRUE(p.client->IndexDocument(victim).ok());
-  EXPECT_EQ(p.server->TotalElements(), before);
+  EXPECT_EQ(p.sharded->TotalElements(), before);
 }
 
 TEST_F(DeletionTest, RemoveDocumentIsIdempotentPerElement) {

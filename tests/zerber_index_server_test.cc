@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 
 namespace zr::zerber {
@@ -273,44 +274,69 @@ TEST_F(IndexServerTest, FetchWithNoAccessibleGroupsIsEmptyAndExhausted) {
   EXPECT_EQ(fetched->wire_bytes, 0u);
 }
 
-TEST_F(IndexServerTest, ExhaustionFastPathAgreesWithScan) {
+// Every window equals the reference slice of the accessible subsequence,
+// and the O(groups) exhaustion answer agrees with the full-scan definition
+// (nothing accessible remains past the window). Bob lacks group 2, so his
+// windows are served by a walk over the ACL, Alice's by position. List 0 is
+// short and checks every window; list 1 is long and checks deep ones.
+TEST_F(IndexServerTest, FetchWindowsEqualTheAccessibleSlice) {
   auto server_holder = MakeServer();
   IndexServer& server = *server_holder;
-  // Mixed-group list: 7 Bob-accessible (group 1) among 12 total.
+  // List 0: 12 elements, every third in group 2 (Bob reads 8).
   for (int i = 0; i < 12; ++i) {
     crypto::GroupId g = (i % 3 == 2) ? 2 : 1;
     ASSERT_TRUE(
         server.Insert(kAlice, 0, MakeElement(g, 1.0 - 0.01 * i)).ok());
   }
-  // Single-threaded test: quiescent once the inserts above returned.
-  QuiescenceLock quiesced(server.quiescence());
-  auto list = server.GetList(0);
-  ASSERT_TRUE(list.ok());
+  // List 1: 2,000 elements, every fifth in group 2 (Bob reads 1,600).
+  for (int i = 0; i < 2000; ++i) {
+    crypto::GroupId g = (i % 5 == 4) ? 2 : 1;
+    ASSERT_TRUE(
+        server.Insert(kAlice, 1, MakeElement(g, 0.25 + 1e-4 * (i % 7), 1, i))
+            .ok());
+  }
 
-  for (UserId user : {kAlice, kBob}) {
-    // Reference: the accessible subsequence by brute-force ACL scan.
-    std::vector<EncryptedPostingElement> accessible;
-    for (const auto& e : (*list)->elements()) {
-      if (server.acl().IsMember(user, e.group)) accessible.push_back(e);
-    }
-    for (size_t offset = 0; offset <= accessible.size() + 2; ++offset) {
-      for (size_t count = 0; count <= accessible.size() + 2; ++count) {
-        auto fetched = server.Fetch(user, 0, offset, count);
-        ASSERT_TRUE(fetched.ok());
-        // Elements must be accessible[offset, offset+count) ...
-        size_t begin = std::min(offset, accessible.size());
-        size_t end = std::min(offset + count, accessible.size());
-        ASSERT_EQ(fetched->elements.size(), end - begin)
-            << "offset " << offset << " count " << count;
-        for (size_t i = 0; i < fetched->elements.size(); ++i) {
-          EXPECT_EQ(fetched->elements[i].handle,
-                    accessible[begin + i].handle);
+  for (MergedListId list : {0u, 1u}) {
+    for (UserId user : {kAlice, kBob}) {
+      // Reference: the accessible subsequence by brute-force ACL scan.
+      std::vector<EncryptedPostingElement> accessible;
+      {
+        // Single-threaded test: quiescent once the inserts above returned.
+        QuiescenceLock quiesced(server.quiescence());
+        for (const auto& e : (*server.GetList(list))->elements()) {
+          if (server.acl().IsMember(user, e.group)) accessible.push_back(e);
         }
-        // ... and the O(groups) exhaustion answer must agree with the
-        // full-scan definition: nothing accessible remains past the window.
-        bool scan_exhausted = offset + count >= accessible.size();
-        EXPECT_EQ(fetched->exhausted, scan_exhausted)
-            << "offset " << offset << " count " << count;
+      }
+      const size_t n = accessible.size();
+      std::vector<size_t> offsets = {0, 1, 999, n - 31, n - 1, n, n + 5};
+      std::vector<size_t> counts = {0, 1, 30, 1000,
+                                    std::numeric_limits<size_t>::max()};
+      if (list == 0) {
+        offsets.clear();
+        for (size_t i = 0; i <= n + 2; ++i) offsets.push_back(i);
+        counts = offsets;
+      }
+      for (size_t offset : offsets) {
+        for (size_t count : counts) {
+          auto fetched = server.Fetch(user, list, offset, count);
+          ASSERT_TRUE(fetched.ok());
+          size_t begin = std::min(offset, n);
+          size_t end = begin + std::min(count, n - begin);
+          ASSERT_EQ(fetched->elements.size(), end - begin)
+              << "list " << list << " user " << user << " offset " << offset
+              << " count " << count;
+          size_t wire_bytes = 0;
+          for (size_t i = 0; i < fetched->elements.size(); ++i) {
+            const EncryptedPostingElement& want = accessible[begin + i];
+            EXPECT_EQ(fetched->elements[i].handle, want.handle);
+            EXPECT_EQ(fetched->elements[i].sealed, want.sealed);
+            wire_bytes += want.ServedWireSize();
+          }
+          EXPECT_EQ(fetched->wire_bytes, wire_bytes);
+          EXPECT_EQ(fetched->exhausted, end == n)
+              << "list " << list << " user " << user << " offset " << offset
+              << " count " << count;
+        }
       }
     }
   }

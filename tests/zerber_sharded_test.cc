@@ -2,14 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <set>
 #include <thread>
 #include <vector>
 
 #include "core/pipeline.h"
+#include "net/messages.h"
 #include "net/shard_router.h"
 #include "net/tcp.h"
 #include "net/transport.h"
@@ -35,7 +39,7 @@ class ShardedIndexTest : public ::testing::Test {
   }
 
   /// num_lists lists over num_shards shards; users 10/20 as in the
-  /// single-server suite (Alice: groups 1+2, Bob: group 1 only).
+  /// IndexServer suite (Alice: groups 1+2, Bob: group 1 only).
   std::unique_ptr<ShardedIndexService> MakeService(size_t num_lists,
                                                    size_t num_shards,
                                                    size_t num_workers = 0) {
@@ -73,6 +77,24 @@ class ShardedIndexTest : public ::testing::Test {
     request.offset = offset;
     request.count = count;
     return service.Fetch(request);
+  }
+
+  /// Expects both servers to hold the same lists: handle, key and sealed
+  /// bytes at every position. Both must be idle (quiescent).
+  static void ExpectSameLists(const IndexServer& a, const IndexServer& b) {
+    QuiescenceLock quiesced_a(a.quiescence());
+    QuiescenceLock quiesced_b(b.quiescence());
+    ASSERT_EQ(a.NumLists(), b.NumLists());
+    for (MergedListId list = 0; list < a.NumLists(); ++list) {
+      const auto& want = (*a.GetList(list))->elements();
+      const auto& got = (*b.GetList(list))->elements();
+      ASSERT_EQ(want.size(), got.size()) << "list " << list;
+      for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want[i].handle, got[i].handle) << list << "@" << i;
+        EXPECT_EQ(want[i].trs, got[i].trs) << list << "@" << i;
+        EXPECT_EQ(want[i].sealed, got[i].sealed) << list << "@" << i;
+      }
+    }
   }
 
   Status DeleteVia(ShardedIndexService& service, UserId user,
@@ -341,9 +363,9 @@ TEST_F(ShardedIndexTest, ConcurrentMixedWorkloadKeepsInvariants) {
 }
 
 // A sharded pipeline must produce byte-for-byte identical query results to
-// the single-server deployment: sharding only re-homes lists, it never
+// the one-shard deployment: sharding only re-homes lists, it never
 // reorders elements within one.
-TEST_F(ShardedIndexTest, ShardedPipelineMatchesSingleServerResults) {
+TEST_F(ShardedIndexTest, ShardedPipelineMatchesOneShardResults) {
   auto build = [](size_t num_shards) {
     core::PipelineOptions options;
     options.preset = synth::TinyPreset();
@@ -360,14 +382,13 @@ TEST_F(ShardedIndexTest, ShardedPipelineMatchesSingleServerResults) {
   ASSERT_TRUE(single.ok()) << single.status();
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
-  // Backend selection is exclusive.
-  EXPECT_NE((*single)->server, nullptr);
-  EXPECT_EQ((*single)->sharded, nullptr);
-  EXPECT_EQ((*sharded)->server, nullptr);
+  // Every in-memory pipeline is a ShardedIndexService of num_shards.
+  ASSERT_NE((*single)->sharded, nullptr);
   ASSERT_NE((*sharded)->sharded, nullptr);
+  EXPECT_EQ((*single)->sharded->num_shards(), 1u);
   EXPECT_EQ((*sharded)->sharded->num_shards(), 4u);
 
-  EXPECT_EQ((*single)->server->TotalElements(),
+  EXPECT_EQ((*single)->sharded->TotalElements(),
             (*sharded)->sharded->TotalElements());
   // (TotalWireSize is NOT compared: sharded handles are numerically larger,
   // so their varint encoding adds a few bytes per element.)
@@ -395,6 +416,93 @@ TEST_F(ShardedIndexTest, ShardedPipelineMatchesSingleServerResults) {
     EXPECT_EQ(a->trace.requests, b->trace.requests);
   }
   EXPECT_GT(compared, 0u);
+}
+
+// The one-shard rule (zerber::ShardSeed): a one-shard service keeps the
+// backend seed and the default handle space, so it draws the same random
+// keys and assigns the same handles as a bare IndexServer on that seed.
+TEST_F(ShardedIndexTest, OneShardServiceDrawsLikeABareServer) {
+  ShardedIndexService::Options options;
+  options.num_shards = 1;
+  options.num_workers = 0;
+  options.placement = Placement::kRandomPlacement;
+  options.seed = 77;
+  ShardedIndexService service(3, options);
+  IndexServer bare(3, Placement::kRandomPlacement, 77);
+  ASSERT_TRUE(service.AddGroup(1).ok());
+  ASSERT_TRUE(service.GrantMembership(kAlice, 1).ok());
+  {
+    // Provisioning before any traffic: quiescent.
+    QuiescenceLock quiesced(bare.quiescence());
+    ASSERT_TRUE(bare.acl().AddGroup(1).ok());
+    ASSERT_TRUE(bare.acl().GrantMembership(kAlice, 1).ok());
+  }
+  for (int i = 0; i < 30; ++i) {
+    MergedListId list = static_cast<MergedListId>(i % 3);
+    EncryptedPostingElement element = MakeElement(1, 0.5);
+    auto want = bare.Insert(kAlice, list, element);
+    auto got = InsertVia(service, kAlice, list, std::move(element));
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(*want, *got);
+  }
+  ExpectSameLists(bare, service.shard(0));
+}
+
+// The one-shard rule seen from the pipeline: an in-memory one-shard pipeline
+// and a one-partition durable pipeline built from the same options hold the
+// same lists and serve the same bytes, under either placement — random
+// placement included, whose keys are draws from the shard's seed.
+TEST_F(ShardedIndexTest, OneShardInMemoryAndDurablePipelinesServeSameBytes) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("zr-one-shard-rule-" + std::to_string(::getpid()));
+  for (Placement placement :
+       {Placement::kTrsSorted, Placement::kRandomPlacement}) {
+    SCOPED_TRACE(placement == Placement::kTrsSorted ? "trs-sorted" : "random");
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    core::PipelineOptions options;
+    options.preset = synth::TinyPreset();
+    options.preset.corpus.num_documents = 80;
+    options.sigma = 0.01;
+    options.build_baseline_index = false;
+    options.build_query_log = false;
+    options.placement = placement;
+    auto in_memory = core::BuildPipeline(options);
+    ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+    options.data_dir = dir.string();
+    options.wal_sync_mode = store::WalSyncMode::kNone;
+    auto durable = core::BuildPipeline(options);
+    ASSERT_TRUE(durable.ok()) << durable.status();
+    ASSERT_EQ((*in_memory)->sharded->num_shards(), 1u);
+    ASSERT_EQ((*durable)->durable->num_shards(), 1u);
+
+    ExpectSameLists((*in_memory)->sharded->shard(0),
+                    *(*durable)->durable->single());
+
+    // A fixed query set: two windows of every list, then every list's head
+    // in one MultiFetch.
+    net::ZerberService& a = *(*in_memory)->sharded;
+    net::ZerberService& b = *(*durable)->durable;
+    const UserId user = (*in_memory)->user;
+    net::MultiFetchRequest heads{user, {}};
+    for (MergedListId list = 0; list < (*in_memory)->plan.NumLists(); ++list) {
+      for (auto [offset, count] : {std::pair<uint64_t, uint64_t>{0, 10},
+                                   std::pair<uint64_t, uint64_t>{5, 40}}) {
+        auto want = a.Fetch({user, list, offset, count});
+        auto got = b.Fetch({user, list, offset, count});
+        ASSERT_TRUE(want.ok() && got.ok()) << "list " << list;
+        EXPECT_EQ(net::Serialize(*want), net::Serialize(*got)) << list;
+      }
+      heads.fetches.push_back({list, 0, 10});
+    }
+    auto want = a.MultiFetch(heads);
+    auto got = b.MultiFetch(heads);
+    ASSERT_TRUE(want.ok() && got.ok());
+    EXPECT_EQ(net::Serialize(*want), net::Serialize(*got));
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);
 }
 
 // Both transports work unchanged against the sharded backend.
